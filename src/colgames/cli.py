@@ -43,17 +43,18 @@ from .dsl import (
 )
 from .files import FileFormatError, TraceFile, dumps_trace, load_game_defs, loads_trace
 from .games import EnumBounds, finite_game_interface, offender, split_disjunction, won_by
-from .recurrence import actual_nodes
+from .recurrence import actual_nodes, last_switch_stem
 from .sim import (
     Direction,
     PreconditionError,
     Trace,
     audit_trace,
     run_interaction,
+    strategy_for,
     translation_compound,
     verify_translation,
 )
-from .strategy import MirrorStrategy, RemapStrategy, random_adversary, scripted_adversary
+from .strategy import random_adversary, scripted_adversary
 from .suite import suite_defs
 
 _PLAYERS = {"T": TOP, "B": BOT}
@@ -186,9 +187,7 @@ def cmd_simulate(args) -> int:
         return 0 if report.ok else 1
 
     compound = translation_compound(finite_game_interface(base), direction)
-    machine = (
-        MirrorStrategy(compound) if direction is Direction.TIGHT_TO_LOOSE else RemapStrategy(compound)
-    )
+    machine = strategy_for(compound, direction)
     if args.adversary == "random":
         adversary = random_adversary(compound, args.seed, bounds, args.budget)
         seed: int | None = args.seed
@@ -232,7 +231,7 @@ def _print_position(game, run: Run, expr) -> None:
             for index, component in enumerate(parts):
                 # switches belong to the machine in component 1 (the
                 # corecurrence) and to the environment in component 2
-                stem = _last_switch(component, TOP if index == 0 else BOT)
+                stem = last_switch_stem(component, TOP if index == 0 else BOT)
                 print(
                     f"component {index + 1} along last switch"
                     f" ({stem or 'root'}): {format_run(project(component, Ray(stem)))}"
@@ -242,17 +241,8 @@ def _print_position(game, run: Run, expr) -> None:
         tree = actual_nodes(run, structural)
         print(f"actual: {sorted(tree.nodes())}")
         print(f"outer:  {sorted(tree.outer())}")
-        stem = _last_switch(run, structural)
+        stem = last_switch_stem(run, structural)
         print(f"along last switch ({stem or 'root'}): {format_run(project(run, Ray(stem)))}")
-
-
-def _last_switch(run: Run, structural: Player) -> str:
-    from .core import ShapeKind, parse_move
-
-    for lm in reversed(run):
-        if lm.label is structural and parse_move(lm.move).kind is ShapeKind.SWITCH:
-            return parse_move(lm.move).address
-    return ""
 
 
 def cmd_play(args) -> int:
@@ -264,7 +254,7 @@ def cmd_play(args) -> int:
         machine = None
         print("no machine strategy for this expression; you play the environment")
     else:
-        machine = MirrorStrategy(game) if shape[0] is Direction.TIGHT_TO_LOOSE else RemapStrategy(game)
+        machine = strategy_for(game, shape[0])
         print(f"machine plays the {shape[0].value} translation strategy")
     machine_state = machine.init() if machine is not None else None
     run: Run = ()

@@ -6,19 +6,26 @@ Delta relative to the adversary's.  A game is *static* when winning is
 insensitive to such delays: every run won by ``p`` stays won by ``p``
 after delaying ``p``'s moves.
 
+Every ``p``-delay of Gamma is reached from Gamma by a chain of adjacent
+swaps, each moving one ``p`` move past the adversary move right after
+it, and every run along the chain is itself a ``p``-delay of Gamma.  So
+a property that must survive every delay survives them all exactly when
+it survives every single swap: the scans below and ``enumerate_delays``
+all take this one step.
+
 Static checking is brute force at desk scale: it enumerates every run up
 to a length bound whose moves are drawn from a finite pool (by default
 the game's own probe pool), classifies each as legal / first-offender,
-and scans all delay-related pairs.  The pool is a parameter because "all
-runs" over unrestricted move strings is infinite; a probe pool keeps the
-scan exhaustive over a universe that still exercises every move shape.
+and checks every adjacent swap of every run.  The pool is a parameter
+because "all runs" over unrestricted move strings is infinite; a probe
+pool keeps the scan exhaustive over a universe that still exercises
+every move shape.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import BOT, TOP, LabMove, Player, Run, label_subsequence, neg_player
 from .games import EnumBounds, Game, Offender
@@ -55,26 +62,30 @@ def is_delay(delta: Run, gamma: Run, p: Player) -> bool:
     )
 
 
+def _swaps(runs: Iterable[Run]) -> Iterator[tuple[Run, Run, Player]]:
+    """One delay step: each adjacent pair of differently labelled moves, swapped.
+
+    For each run gamma in order, yields ``(gamma, delta, p)`` where delta
+    is gamma with the moves at i and i+1 exchanged and ``p`` labels the
+    left one, so delta is the ``p``-delay of gamma that moves one ``p``
+    move past the adversary move right after it.
+    """
+    for gamma in runs:
+        for i in range(len(gamma) - 1):
+            left, right = gamma[i], gamma[i + 1]
+            if left.label is not right.label:
+                yield gamma, gamma[:i] + (right, left) + gamma[i + 2 :], left.label
+
+
 def enumerate_delays(gamma: Run, p: Player) -> frozenset[Run]:
     """All ``p``-delays of ``gamma``; guarded against interleaving blowup."""
     if len(gamma) > 8:
         raise ValueError("enumerate_delays is limited to runs of length <= 8")
-    mine = list(label_subsequence(gamma, p))
-    theirs = list(label_subsequence(gamma, neg_player(p)))
-    out: set[Run] = set()
-
-    def merge(prefix: list[LabMove], i: int, j: int) -> None:
-        if i == len(mine) and j == len(theirs):
-            candidate = tuple(prefix)
-            if is_delay(candidate, gamma, p):
-                out.add(candidate)
-            return
-        if i < len(mine):
-            merge(prefix + [mine[i]], i + 1, j)
-        if j < len(theirs):
-            merge(prefix + [theirs[j]], i, j + 1)
-
-    merge([], 0, 0)
+    out = {gamma}
+    frontier = {gamma}
+    while frontier:
+        frontier = {delta for _, delta, q in _swaps(frontier) if q is p} - out
+        out |= frontier
     return frozenset(out)
 
 
@@ -105,7 +116,14 @@ class StaticVerdict:
 
 @dataclass(frozen=True)
 class LemmaReport:
-    """Outcome of the illegality-propagation scan over delay pairs."""
+    """Outcome of the illegality-propagation scan over adjacent swaps.
+
+    ``pairs_checked`` counts the swaps (gamma, delta, p) whose swapped run
+    delta has ``p`` as first offender; ``violations`` are those where gamma
+    does not.  A violating delay pair exists iff a violating swap does:
+    along the swap chain from gamma to delta, the first run with ``p`` as
+    first offender is one swap after a run without.
+    """
 
     violations: tuple[tuple[Run, Run, Player], ...]
     pairs_checked: int
@@ -114,12 +132,16 @@ class LemmaReport:
 class _RunTable:
     """Every run over a labmove pool up to a length bound, classified.
 
+    A pool of None stands for the game's probe pool.
+
     ``offenders[run]`` is the first offender or None; ``winners`` holds
     the winner of each legal run.  Runs are listed level by level (short
     runs first) so the first violation a scan reports is a shortest one.
     """
 
-    def __init__(self, game: Game, bounds: EnumBounds, pool: Sequence[str]) -> None:
+    def __init__(self, game: Game, bounds: EnumBounds, pool: Sequence[str] | None) -> None:
+        if pool is None:
+            pool = game.probe_moves(bounds)
         labmoves = [LabMove(p, m) for p in (TOP, BOT) for m in pool]
         self.runs: list[Run] = []
         self.offenders: dict[Run, Offender | None] = {}
@@ -148,69 +170,25 @@ class _RunTable:
             return off.culprit is not p
         return self.winners[run] is p
 
-    def delay_groups(self) -> Iterable[list[Run]]:
-        """Runs grouped by label subsequences; delays only relate within groups."""
-        groups: dict[tuple[Run, Run], list[Run]] = defaultdict(list)
-        for run in self.runs:
-            key = (label_subsequence(run, TOP), label_subsequence(run, BOT))
-            groups[key].append(run)
-        return groups.values()
+    def static_verdict(self) -> StaticVerdict:
+        """The first swap (in table order) that p wins before but not after."""
+        for gamma, delta, p in _swaps(self.runs):
+            if self.won(gamma, p) and not self.won(delta, p):
+                return StaticVerdict(False, (gamma, delta, p))
+        return StaticVerdict(True)
 
-
-def _resolve_pool(game: Game, bounds: EnumBounds, pool: Sequence[str] | None) -> tuple[str, ...]:
-    if pool is not None:
-        return tuple(pool)
-    return game.probe_moves(bounds)
-
-
-def _static_scan(table: _RunTable) -> StaticVerdict:
-    for group in table.delay_groups():
-        if len(group) < 2:
-            continue
-        profiles = {
-            run: (_delay_profile(run, TOP), _delay_profile(run, BOT)) for run in group
-        }
-        for p_index, p in enumerate((TOP, BOT)):
-            for gamma in group:
-                if not table.won(gamma, p):
-                    continue
-                gamma_profile = profiles[gamma][p_index]
-                for delta in group:
-                    if delta == gamma:
-                        continue
-                    delta_profile = profiles[delta][p_index]
-                    if all(d >= g for d, g in zip(delta_profile, gamma_profile)):
-                        if not table.won(delta, p):
-                            return StaticVerdict(False, (gamma, delta, p))
-    return StaticVerdict(True)
-
-
-def _lemma_scan(table: _RunTable) -> LemmaReport:
-    violations: list[tuple[Run, Run, Player]] = []
-    pairs = 0
-    for group in table.delay_groups():
-        if len(group) < 2:
-            continue
-        profiles = {
-            run: (_delay_profile(run, TOP), _delay_profile(run, BOT)) for run in group
-        }
-        for p_index, p in enumerate((TOP, BOT)):
-            for delta in group:
-                off = table.offenders[delta]
-                if off is None or off.culprit is not p:
-                    continue
-                delta_profile = profiles[delta][p_index]
-                for gamma in group:
-                    if gamma == delta:
-                        continue
-                    gamma_profile = profiles[gamma][p_index]
-                    if not all(d >= g for d, g in zip(delta_profile, gamma_profile)):
-                        continue
-                    pairs += 1
-                    gamma_off = table.offenders[gamma]
-                    if gamma_off is None or gamma_off.culprit is not p:
-                        violations.append((gamma, delta, p))
-    return LemmaReport(tuple(violations), pairs)
+    def lemma_report(self) -> LemmaReport:
+        violations: list[tuple[Run, Run, Player]] = []
+        pairs = 0
+        for gamma, delta, p in _swaps(self.runs):
+            off = self.offenders[delta]
+            if off is None or off.culprit is not p:
+                continue
+            pairs += 1
+            gamma_off = self.offenders[gamma]
+            if gamma_off is None or gamma_off.culprit is not p:
+                violations.append((gamma, delta, p))
+        return LemmaReport(tuple(violations), pairs)
 
 
 def is_static(game: Game, bounds: EnumBounds, pool: Sequence[str] | None = None) -> StaticVerdict:
@@ -218,11 +196,10 @@ def is_static(game: Game, bounds: EnumBounds, pool: Sequence[str] | None = None)
 
     Static means: for both players ``p``, every run won by ``p`` has all
     its ``p``-delays won by ``p`` too, with illegal runs resolved by the
-    offender rule.  The first violating pair found (in the deterministic
+    offender rule.  The first violating adjacent swap (in the deterministic
     enumeration order) is returned as a counterexample.
     """
-    table = _RunTable(game, bounds, _resolve_pool(game, bounds, pool))
-    return _static_scan(table)
+    return _RunTable(game, bounds, pool).static_verdict()
 
 
 def check_illegality_lemma(game: Game, bounds: EnumBounds, pool: Sequence[str] | None = None) -> LemmaReport:
@@ -230,16 +207,15 @@ def check_illegality_lemma(game: Game, bounds: EnumBounds, pool: Sequence[str] |
 
     For every pair within bounds where Delta is a ``p``-delay of Gamma and
     Delta's first offender is ``p``, Gamma must also have ``p`` as first
-    offender.  Reports violating pairs (expected: none for recurrences of
-    static bases).
+    offender.  Checks the adjacent swaps and reports the violating ones
+    (expected: none for recurrences of static bases).
     """
-    table = _RunTable(game, bounds, _resolve_pool(game, bounds, pool))
-    return _lemma_scan(table)
+    return _RunTable(game, bounds, pool).lemma_report()
 
 
 def static_and_lemma(
     game: Game, bounds: EnumBounds, pool: Sequence[str] | None = None
 ) -> tuple[StaticVerdict, LemmaReport]:
     """Run both scans over a single shared run table."""
-    table = _RunTable(game, bounds, _resolve_pool(game, bounds, pool))
-    return _static_scan(table), _lemma_scan(table)
+    table = _RunTable(game, bounds, pool)
+    return table.static_verdict(), table.lemma_report()

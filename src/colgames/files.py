@@ -38,6 +38,20 @@ def _require(obj: Mapping[str, Any], key: str, context: str) -> Any:
     return obj[key]
 
 
+def _nonneg_int(obj: Mapping[str, Any], key: str, context: str) -> int:
+    value = _require(obj, key, context)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise FileFormatError(f"{context}: {key} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _string(obj: Mapping[str, Any], key: str, context: str) -> str:
+    value = _require(obj, key, context)
+    if not isinstance(value, str):
+        raise FileFormatError(f"{context}: {key} must be a string, got {value!r}")
+    return value
+
+
 def _player(tag: Any, context: str) -> Player:
     if tag not in _PLAYERS:
         raise FileFormatError(f"{context}: label must be 'T' or 'B', got {tag!r}")
@@ -149,8 +163,8 @@ def loads_trace(text: str) -> TraceFile:
         if not isinstance(bounds_obj, dict):
             raise FileFormatError("bounds must be an object or null")
         bounds = EnumBounds(
-            _require(bounds_obj, "max_address_len", "bounds"),
-            _require(bounds_obj, "max_run_len", "bounds"),
+            _nonneg_int(bounds_obj, "max_address_len", "bounds"),
+            _nonneg_int(bounds_obj, "max_run_len", "bounds"),
         )
     offender_obj = raw.get("offender")
     off = None
@@ -158,19 +172,22 @@ def loads_trace(text: str) -> TraceFile:
         if not isinstance(offender_obj, dict):
             raise FileFormatError("offender must be an object or null")
         off = Offender(
-            _require(offender_obj, "index", "offender"),
+            _nonneg_int(offender_obj, "index", "offender"),
             _player(_require(offender_obj, "player", "offender"), "offender"),
         )
     seed = raw.get("seed")
     if seed is not None and not isinstance(seed, int):
         raise FileFormatError("seed must be an integer or null")
+    truncated = raw.get("truncated", False)
+    if not isinstance(truncated, bool):
+        raise FileFormatError(f"truncated must be true or false, got {truncated!r}")
     return TraceFile(
-        game=_require(raw, "game", context),
-        version=_require(raw, "version", context),
+        game=_string(raw, "game", context),
+        version=_string(raw, "version", context),
         seed=seed,
         bounds=bounds,
         moves=tuple(moves),
         outcome=_player(_require(raw, "outcome", context), context),
         offender=off,
-        truncated=bool(raw.get("truncated", False)),
+        truncated=truncated,
     )

@@ -199,10 +199,13 @@ def loose_extension_legal(base: Game, position: Run, lm: LabMove, structural: Pl
     )
 
 
-def _last_switch_stem(run: Run, structural: Player) -> str:
+def last_switch_stem(run: Run, structural: Player) -> str:
+    """Address of the structural player's last switch; the root if none."""
     for lm in reversed(run):
-        if lm.label is structural and parse_move(lm.move).kind is ShapeKind.SWITCH:
-            return parse_move(lm.move).address
+        if lm.label is structural:
+            sh = parse_move(lm.move)
+            if sh.kind is ShapeKind.SWITCH:
+                return sh.address
     return ""
 
 
@@ -234,7 +237,7 @@ class RecurrenceGame(Game):
         return loose_extension_legal(self.base, position, lm, self.kind.structural)
 
     def winner(self, run: Run) -> Player:
-        stem = _last_switch_stem(run, self.kind.structural)
+        stem = last_switch_stem(run, self.kind.structural)
         return self.base.winner(project(run, Ray(stem)))
 
     def legal_moves(self, position: Run, player: Player, bounds: EnumBounds) -> frozenset[str]:

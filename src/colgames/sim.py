@@ -52,6 +52,7 @@ from .recurrence import (
     TIGHT_CORECURRENCE,
     TIGHT_RECURRENCE,
     actual_nodes,
+    last_switch_stem,
     make_recurrence,
 )
 from .strategy import MirrorStrategy, RemapStrategy, exhaustive_adversaries, fmap_prefix_free
@@ -163,15 +164,6 @@ def strategy_for(compound: Game, direction: Direction):
     return MirrorStrategy(compound) if direction is Direction.TIGHT_TO_LOOSE else RemapStrategy(compound)
 
 
-def _last_switch_stem(run: Run, structural: Player) -> str:
-    for lm in reversed(run):
-        if lm.label is structural:
-            sh = parse_move(lm.move)
-            if sh.kind is ShapeKind.SWITCH:
-                return sh.address
-    return ""
-
-
 def _switch_count(run: Run, structural: Player) -> int:
     return sum(
         1
@@ -195,8 +187,8 @@ def audit_trace(trace: Trace, direction: Direction, game: Game) -> tuple[str, ..
     parts = split_disjunction(trace.moves)
     assert parts is not None  # legal compound runs always split
     sigma, pi = parts
-    sigma_ray = Ray(_last_switch_stem(sigma, TOP))
-    pi_ray = Ray(_last_switch_stem(pi, BOT))
+    sigma_ray = Ray(last_switch_stem(sigma, TOP))
+    pi_ray = Ray(last_switch_stem(pi, BOT))
     if direction is Direction.TIGHT_TO_LOOSE:
         if sigma_ray != pi_ray:
             problems.append("identity: components disagree on the last switch")

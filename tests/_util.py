@@ -7,8 +7,10 @@ going through the implementation paths under test.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 
-from colgames import BOT, TOP, LabMove, RemapStrategy
+from colgames import BOT, TOP, LabMove, RemapStrategy, label_subsequence
+from colgames.delay import LemmaReport, StaticVerdict
 
 
 class BrokenRemapStrategy(RemapStrategy):
@@ -109,6 +111,80 @@ def is_delay_naive(delta, gamma, p):
             if gq[i] < gp[j] and not dq[i] < dp[j]:
                 return False
     return True
+
+
+def delay_profile(run, p):
+    """For each of p's moves in order, how many adversary moves precede it."""
+    out = []
+    seen_other = 0
+    for lm in run:
+        if lm.label is p:
+            out.append(seen_other)
+        else:
+            seen_other += 1
+    return tuple(out)
+
+
+def delay_groups(table):
+    """Runs of a delay run table grouped by label subsequences; delays only
+    relate within groups."""
+    groups = defaultdict(list)
+    for run in table.runs:
+        key = (label_subsequence(run, TOP), label_subsequence(run, BOT))
+        groups[key].append(run)
+    return groups.values()
+
+
+def pairwise_static_scan(table):
+    """Static verdict over every delay pair of the table, not just swaps."""
+    for group in delay_groups(table):
+        if len(group) < 2:
+            continue
+        profiles = {
+            run: (delay_profile(run, TOP), delay_profile(run, BOT)) for run in group
+        }
+        for p_index, p in enumerate((TOP, BOT)):
+            for gamma in group:
+                if not table.won(gamma, p):
+                    continue
+                gamma_profile = profiles[gamma][p_index]
+                for delta in group:
+                    if delta == gamma:
+                        continue
+                    delta_profile = profiles[delta][p_index]
+                    if all(d >= g for d, g in zip(delta_profile, gamma_profile)):
+                        if not table.won(delta, p):
+                            return StaticVerdict(False, (gamma, delta, p))
+    return StaticVerdict(True)
+
+
+def pairwise_lemma_scan(table):
+    """Illegality-lemma report over every delay pair of the table."""
+    violations = []
+    pairs = 0
+    for group in delay_groups(table):
+        if len(group) < 2:
+            continue
+        profiles = {
+            run: (delay_profile(run, TOP), delay_profile(run, BOT)) for run in group
+        }
+        for p_index, p in enumerate((TOP, BOT)):
+            for delta in group:
+                off = table.offenders[delta]
+                if off is None or off.culprit is not p:
+                    continue
+                delta_profile = profiles[delta][p_index]
+                for gamma in group:
+                    if gamma == delta:
+                        continue
+                    gamma_profile = profiles[gamma][p_index]
+                    if not all(d >= g for d, g in zip(delta_profile, gamma_profile)):
+                        continue
+                    pairs += 1
+                    gamma_off = table.offenders[gamma]
+                    if gamma_off is None or gamma_off.culprit is not p:
+                        violations.append((gamma, delta, p))
+    return LemmaReport(tuple(violations), pairs)
 
 
 def first_difference(game_a, game_b, pool_moves, max_len):

@@ -43,6 +43,17 @@ class TestProject:
     def test_missing_file(self, capsys):
         assert main(["project", "--trace", "no/such/file.json", "--ray", "0"]) == 2
 
+    def test_mistyped_trace_field_is_a_format_error(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text(
+            '{"game": "A", "version": "0.1.0", "outcome": "T", "moves": [],'
+            ' "bounds": {"max_address_len": "x", "max_run_len": 5}}'
+        )
+        assert main(["project", "--trace", str(path), "--ray", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+
 
 class TestEval:
     def test_legal_empty_run(self, tmp_path, capsys):

@@ -20,12 +20,21 @@ from colgames import (
     label_subsequence,
     make_recurrence,
     neg_player,
+    offender,
+    won_by,
 )
+from colgames.delay import _RunTable, static_and_lemma
 from colgames.games import Game
-from colgames.recurrence import ALL_KINDS, TIGHT_RECURRENCE
-from colgames.suite import bot_choice, first_mover_wins, leaf_top
+from colgames.recurrence import ALL_KINDS, TIGHT_RECURRENCE, Version
+from colgames.suite import STATIC_SUITE, bot_choice, first_mover_wins, leaf_top
 
-from _util import all_interleavings, all_runs, is_delay_naive
+from _util import (
+    all_interleavings,
+    all_runs,
+    is_delay_naive,
+    pairwise_lemma_scan,
+    pairwise_static_scan,
+)
 
 BOUNDS = EnumBounds(max_address_len=2, max_run_len=5)
 
@@ -220,3 +229,71 @@ class TestStaticPreservation:
         game = make_recurrence(base, kind)
         verdict = is_static(game, EnumBounds(2, 4))
         assert verdict.static, verdict.counterexample
+
+
+# first_mover_wins recurrences need both root payloads in the pool to
+# show that they are not static.
+_BOTH_PAYLOAD_POOLS = {
+    Version.TIGHT: (":", "0:", "0", "0.a", "0.b"),
+    Version.LOOSE: (":", "01", ".a", ".b", "0.a", "0.b"),
+}
+
+
+def _oracle_cases():
+    """(game, pool) for each static suite base and first_mover_wins, and
+    their four recurrences; pool None means the game's probe pool."""
+    for base in STATIC_SUITE + (first_mover_wins(),):
+        iface = finite_game_interface(base)
+        yield iface, None
+        for kind in ALL_KINDS:
+            pool = _BOTH_PAYLOAD_POOLS[kind.version] if base.name == "first_mover_wins" else None
+            yield make_recurrence(iface, kind), pool
+
+
+def _is_adjacent_swap(gamma, delta, p):
+    """delta is gamma with one p move swapped past the next adversary move."""
+    diff = [i for i, (g, d) in enumerate(zip(gamma, delta)) if g != d]
+    if len(gamma) != len(delta) or len(diff) != 2 or diff[1] != diff[0] + 1:
+        return False
+    i = diff[0]
+    return (
+        gamma[i].label is p
+        and gamma[i + 1].label is not p
+        and (delta[i], delta[i + 1]) == (gamma[i + 1], gamma[i])
+    )
+
+
+class TestSwapScanAgainstPairwiseOracle:
+    BOUNDS = EnumBounds(2, 3)
+    CASES = list(_oracle_cases())
+
+    @pytest.mark.parametrize("game, pool", CASES, ids=[g.name for g, _ in CASES])
+    def test_agrees_with_pairwise_scan(self, game, pool):
+        verdict, report = static_and_lemma(game, self.BOUNDS, pool)
+        table = _RunTable(game, self.BOUNDS, pool)
+        assert verdict.static == pairwise_static_scan(table).static
+        assert bool(report.violations) == bool(pairwise_lemma_scan(table).violations)
+        if verdict.counterexample is not None:
+            gamma, delta, p = verdict.counterexample
+            assert _is_adjacent_swap(gamma, delta, p)
+            assert is_delay_naive(delta, gamma, p)
+            assert won_by(game, gamma, p)
+            assert not won_by(game, delta, p)
+        for gamma, delta, p in report.violations:
+            assert _is_adjacent_swap(gamma, delta, p)
+            assert is_delay_naive(delta, gamma, p)
+            off_delta, off_gamma = offender(game, delta), offender(game, gamma)
+            assert off_delta is not None and off_delta.culprit is p
+            assert off_gamma is None or off_gamma.culprit is not p
+
+    def test_oracle_cases_include_refutations(self):
+        # the agreement above must cover non-static games and lemma
+        # violations, not only vacuous passes
+        refuted = [
+            game.name
+            for game, pool in self.CASES
+            if not is_static(game, self.BOUNDS, pool).static
+        ]
+        assert refuted == ["first_mover_wins"] + [
+            f"{op}(first_mover_wins)" for op in ("tbr_t", "cbr_t", "tbr_l", "cbr_l")
+        ]

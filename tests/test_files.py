@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -96,6 +98,43 @@ class TestTraceFiles:
             offender=None,
         )
         assert loads_trace(dumps_trace(tf)).moves == (LabMove(BOT, ""),)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("bounds.max_address_len", "x"),
+            ("bounds.max_address_len", True),
+            ("bounds.max_address_len", -1),
+            ("bounds.max_run_len", 2.5),
+            ("bounds.max_run_len", False),
+            ("offender.index", "0"),
+            ("offender.index", True),
+            ("offender.index", -1),
+            ("game", 7),
+            ("version", None),
+            ("truncated", "no"),
+            ("truncated", 0),
+        ],
+    )
+    def test_rejects_mistyped_fields(self, path, value):
+        raw = {
+            "game": "A",
+            "version": "0.1.0",
+            "seed": None,
+            "bounds": {"max_address_len": 2, "max_run_len": 5},
+            "moves": [["B", "b"]],
+            "outcome": "T",
+            "offender": {"index": 0, "player": "B"},
+            "truncated": False,
+        }
+        loads_trace(json.dumps(raw))  # the unmodified file is accepted
+        *parents, key = path.split(".")
+        target = raw
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
+        with pytest.raises(FileFormatError):
+            loads_trace(json.dumps(raw))
 
     def test_rejects_malformed_records(self):
         with pytest.raises(FileFormatError):
