@@ -120,8 +120,7 @@ def cmd_delays(args) -> int:
         verdict = is_delay(other, run, player)
         print("yes" if verdict else "no")
         return 0 if verdict else 1
-    if len(run) > 8:
-        raise PreconditionError("delay enumeration is limited to runs of length <= 8")
+
     def ordering(delayed_run):
         return tuple((x.label.value, x.move) for x in delayed_run)
 

@@ -175,9 +175,13 @@ def loads_trace(text: str) -> TraceFile:
             _nonneg_int(offender_obj, "index", "offender"),
             _player(_require(offender_obj, "player", "offender"), "offender"),
         )
+        if off.index >= len(moves):
+            raise FileFormatError(f"offender.index {off.index} is past the last of {len(moves)} moves")
+        if off.culprit is not moves[off.index].label:
+            raise FileFormatError(f"offender.player is not the label of moves[{off.index}]")
     seed = raw.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise FileFormatError("seed must be an integer or null")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        raise FileFormatError(f"seed must be an integer or null, got {seed!r}")
     truncated = raw.get("truncated", False)
     if not isinstance(truncated, bool):
         raise FileFormatError(f"truncated must be true or false, got {truncated!r}")

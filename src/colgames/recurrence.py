@@ -108,6 +108,7 @@ class NodeTree:
         return w in self.nodes()
 
     def outer(self) -> frozenset[str]:
+        """Actual nodes that are not proper prefixes of other actual nodes."""
         return _outer_of(self.nodes())
 
     def replicate(self, w: str) -> "NodeTree":
@@ -147,11 +148,6 @@ def actual_nodes(position: Run, structural: Player) -> NodeTree:
             if sh.kind is ShapeKind.REPLICATIVE:
                 replicated.add(sh.address)
     return NodeTree(frozenset(replicated))
-
-
-def outer_nodes(tree: NodeTree) -> frozenset[str]:
-    """Actual nodes that are not proper prefixes of other actual nodes."""
-    return tree.outer()
 
 
 def tight_extension_legal(base: Game, position: Run, lm: LabMove, structural: Player) -> bool:

@@ -1,11 +1,8 @@
-"""Interaction harness and batch property-verification drivers.
+"""Translation compounds, trace audits and batch verification drivers.
 
-``run_interaction`` pits a reactive machine strategy against an
-environment strategy over a game, recording a trace: the run, one
-annotation per machine reaction, the outcome and the first offender.
-The environment moves first in each round; the play ends when the
-environment passes (the machine is reactive, so that is a mutual pass)
-or when the step limit is hit.
+The interaction loop (``run_interaction``, recording a ``Trace``) and
+the exhaustive adversary enumerator live in ``strategy``; the first two
+are re-exported here.
 
 ``verify_translation`` builds one of the two translation compounds over
 a finite base game, plays the matching routine against every exhaustive
@@ -23,7 +20,6 @@ from dataclasses import dataclass, field
 from .core import (
     BOT,
     TOP,
-    LabMove,
     Player,
     Ray,
     Run,
@@ -37,13 +33,11 @@ from .games import (
     EnumBounds,
     FiniteGame,
     Game,
-    Offender,
     disjoin,
     finite_game_interface,
     negate,
     offender,
     split_disjunction,
-    won_by,
 )
 from .recurrence import (
     ALL_KINDS,
@@ -55,7 +49,14 @@ from .recurrence import (
     last_switch_stem,
     make_recurrence,
 )
-from .strategy import MirrorStrategy, RemapStrategy, exhaustive_adversaries, fmap_prefix_free
+from .strategy import (
+    MirrorStrategy,
+    RemapStrategy,
+    Trace,
+    exhaustive_adversaries,
+    fmap_prefix_free,
+    run_interaction,
+)
 
 
 class PreconditionError(RuntimeError):
@@ -65,86 +66,6 @@ class PreconditionError(RuntimeError):
 class Direction(enum.Enum):
     TIGHT_TO_LOOSE = "tight-to-loose"
     LOOSE_TO_TIGHT = "loose-to-tight"
-
-
-@dataclass(frozen=True)
-class StepNote:
-    """Annotation for one machine reaction (one batch)."""
-
-    reacted_to: int  # index in the run of the adversary move reacted to
-    case: str | None
-    fmap: tuple[tuple[str, str], ...] | None
-    emitted: int
-
-
-@dataclass(frozen=True)
-class Trace:
-    """A completed interaction: run, per-batch notes, outcome, offender."""
-
-    game_name: str
-    moves: Run
-    notes: tuple[StepNote, ...]
-    outcome: Player
-    offender: Offender | None
-    truncated: bool = False
-
-
-def run_interaction(machine, env, game: Game, max_steps: int) -> Trace:
-    """Alternate environment and machine reactions from the empty run.
-
-    Environment moves carry the environment label, machine moves the
-    machine label.  Stops when the environment passes or ``max_steps``
-    labeled moves have been recorded (recorded as truncation, not an
-    error).
-    """
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
-    run: Run = ()
-    notes: list[StepNote] = []
-    first_offender: Offender | None = None
-    truncated = False
-    m_state = machine.init()
-    e_state = env.init()
-    latest_for_env: LabMove | None = None
-
-    def append(lm: LabMove) -> bool:
-        nonlocal run, first_offender, truncated
-        if len(run) >= max_steps:
-            truncated = True
-            return False
-        if first_offender is None and not game.extend_legal(run, lm):
-            first_offender = Offender(len(run), lm.label)
-        run = run + (lm,)
-        return True
-
-    running = True
-    while running:
-        e_state, env_moves = env.react(e_state, run, latest_for_env)
-        if not env_moves:
-            break
-        for move in env_moves:
-            if not append(LabMove(BOT, move)):
-                running = False
-                break
-            m_state, machine_moves = machine.react(m_state, run, run[-1])
-            notes.append(
-                StepNote(
-                    reacted_to=len(run) - 1,
-                    case=getattr(m_state, "last_case", None),
-                    fmap=getattr(m_state, "fmap", None),
-                    emitted=len(machine_moves),
-                )
-            )
-            for reply in machine_moves:
-                if not append(LabMove(TOP, reply)):
-                    running = False
-                    break
-            if not running:
-                break
-        latest_for_env = run[-1] if run and run[-1].label is TOP else None
-
-    outcome = TOP if won_by(game, run, TOP) else BOT
-    return Trace(game.name, run, tuple(notes), outcome, first_offender, truncated)
 
 
 def translation_compound(base: Game, direction: Direction) -> Game:
@@ -261,8 +182,7 @@ def verify_translation(
     mach = machine if machine is not None else strategy_for(compound, direction)
     failures: list[Failure] = []
     count = 0
-    for adversary in exhaustive_adversaries(compound, mach, bounds, budget, max_steps=max_steps):
-        trace = run_interaction(mach, adversary, compound, max_steps)
+    for trace in exhaustive_adversaries(compound, mach, bounds, budget, max_steps=max_steps):
         count += 1
         for problem in audit_trace(trace, direction, compound):
             failures.append(Failure("trace-audit", problem, trace))

@@ -1,4 +1,4 @@
-"""Event-driven strategies: the two translation routines and adversaries.
+"""Event-driven strategies, the interaction loop and the adversary enumerator.
 
 A strategy is an object with ``init() -> state`` and
 ``react(state, position, latest) -> (state, moves)``.  The harness calls
@@ -17,6 +17,15 @@ RemapStrategy wins "loose-co of not-A  or  tight of A": the tight component's
 tree lives on the adversary's side, so the machine maintains a mapping
 ``f`` from that tree's outer nodes to loose-side addresses, kept
 pairwise prefix-free, and translates moves through it.
+
+``run_interaction`` pits a reactive machine strategy against an
+environment strategy over a game, recording a trace: the run, one
+annotation per machine reaction, the outcome and the first offender.
+The environment moves first in each round; the play ends when the
+environment passes (the machine is reactive, so that is a mutual pass)
+or when the step limit is hit.  ``exhaustive_adversaries`` plays the
+machine against every scripted adversary up to a move budget, each
+through that one loop, and yields the traces.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 from .core import BOT, TOP, LabMove, Player, Run, ShapeKind, parse_move
-from .games import EnumBounds, Game, split_disjunction
+from .games import EnumBounds, Game, Offender, split_disjunction, won_by
 from .recurrence import actual_nodes
 
 
@@ -227,88 +236,105 @@ def random_adversary(game: Game, seed: int, bounds: EnumBounds, budget: int, pas
     return _RandomAdversary(game, seed, bounds, budget, pass_probability)
 
 
-class _ChoiceAdversary:
-    """Replays a fixed sequence of choice indices over sorted legal moves.
+@dataclass(frozen=True)
+class StepNote:
+    """Annotation for one machine reaction (one batch)."""
 
-    The shared ``option_cache`` maps choice prefixes to the sorted legal
-    moves available at the position that prefix reaches (well-defined
-    because the machine is deterministic).  Each adversary fills the cache
-    entry for its own final decision point, which is what lets the
-    enumerator expand the behavior tree lazily.
+    reacted_to: int  # index in the run of the adversary move reacted to
+    case: str | None
+    fmap: tuple[tuple[str, str], ...] | None
+    emitted: int
+
+
+@dataclass(frozen=True)
+class Trace:
+    """A completed interaction: run, per-batch notes, outcome, offender."""
+
+    game_name: str
+    moves: Run
+    notes: tuple[StepNote, ...]
+    outcome: Player
+    offender: Offender | None
+    truncated: bool = False
+
+
+def run_interaction(machine, env, game: Game, max_steps: int) -> Trace:
+    """Alternate environment and machine reactions from the empty run.
+
+    Environment moves carry the environment label, machine moves the
+    machine label.  Stops when the environment passes or ``max_steps``
+    labeled moves have been recorded (recorded as truncation, not an
+    error).
     """
-
-    def __init__(self, game: Game, bounds: EnumBounds, budget: int,
-                 choices: tuple[int, ...],
-                 option_cache: dict[tuple[int, ...], tuple[str, ...]]) -> None:
-        self._game = game
-        self._bounds = bounds
-        self._budget = budget
-        self.choices = choices
-        self._cache = option_cache
-
-    def _options_at(self, key: tuple[int, ...], position: Run) -> tuple[str, ...]:
-        options = self._cache.get(key)
-        if options is None:
-            options = tuple(sorted(self._game.legal_moves(position, BOT, self._bounds)))
-            self._cache[key] = options
-        return options
-
-    def init(self) -> int:
-        return 0
-
-    def react(self, state: int, position: Run, latest: LabMove | None) -> tuple[int, tuple[str, ...]]:
-        k = state
-        if k < len(self.choices):
-            options = self._options_at(self.choices[:k], position)
-            return k + 1, (options[self.choices[k]],)
-        if k == len(self.choices) and len(self.choices) < self._budget:
-            self._options_at(self.choices, position)
-        return k, ()
-
-
-def _drive(machine, adversary, game: Game, max_steps: int) -> None:
-    """Minimal interaction loop used only to warm an adversary's cache."""
+    if max_steps < 1:
+        raise ValueError("max_steps must be at least 1")
     run: Run = ()
+    notes: list[StepNote] = []
+    first_offender: Offender | None = None
+    truncated = False
     m_state = machine.init()
-    a_state = adversary.init()
+    e_state = env.init()
     latest_for_env: LabMove | None = None
-    while True:
-        a_state, env_moves = adversary.react(a_state, run, latest_for_env)
+
+    def append(lm: LabMove) -> bool:
+        nonlocal run, first_offender, truncated
+        if len(run) >= max_steps:
+            truncated = True
+            return False
+        if first_offender is None and not game.extend_legal(run, lm):
+            first_offender = Offender(len(run), lm.label)
+        run = run + (lm,)
+        return True
+
+    running = True
+    while running:
+        e_state, env_moves = env.react(e_state, run, latest_for_env)
         if not env_moves:
-            return
+            break
         for move in env_moves:
-            if len(run) >= max_steps:
-                return
-            run = run + (LabMove(BOT, move),)
+            if not append(LabMove(BOT, move)):
+                running = False
+                break
             m_state, machine_moves = machine.react(m_state, run, run[-1])
+            notes.append(
+                StepNote(
+                    reacted_to=len(run) - 1,
+                    case=getattr(m_state, "last_case", None),
+                    fmap=getattr(m_state, "fmap", None),
+                    emitted=len(machine_moves),
+                )
+            )
             for reply in machine_moves:
-                if len(run) >= max_steps:
-                    return
-                run = run + (LabMove(TOP, reply),)
+                if not append(LabMove(TOP, reply)):
+                    running = False
+                    break
+            if not running:
+                break
         latest_for_env = run[-1] if run and run[-1].label is TOP else None
+
+    outcome = TOP if won_by(game, run, TOP) else BOT
+    return Trace(game.name, run, tuple(notes), outcome, first_offender, truncated)
 
 
 def exhaustive_adversaries(game: Game, machine, bounds: EnumBounds, budget: int,
-                           max_steps: int = 64) -> Iterator[_ChoiceAdversary]:
-    """Every adversary behavior of at most ``budget`` moves, lazily.
+                           max_steps: int = 64) -> Iterator[Trace]:
+    """The machine's play against every adversary of at most ``budget`` moves.
 
-    A behavior picks, after each machine response, one of the legal moves
-    within bounds or a pass; passing ends the play, so behaviors are
-    exactly the choice sequences of length <= budget.  Enumeration is
-    depth-first, deterministic and duplicate-free.  The machine strategy
-    is needed because the positions where later choices happen depend on
-    its responses; adversaries yielded earlier warm a shared cache, and
-    any prefix the consumer skipped is replayed internally on demand.
+    An adversary plays, after each machine response, one of the legal
+    moves within bounds or a pass; passing ends the play, so adversaries
+    are exactly the scripts of at most ``budget`` such moves, and a
+    play's last position is where its script's next move is chosen.
+    Scripts are walked depth-first in ascending move order, and each is
+    played once from the empty run; a truncated play has no children.
+    Deterministic and duplicate-free; nothing is cached.
     """
-    option_cache: dict[tuple[int, ...], tuple[str, ...]] = {}
-    stack: list[tuple[int, ...]] = [()]
+    stack: list[tuple[str, ...]] = [()]
     while stack:
-        choices = stack.pop()
-        yield _ChoiceAdversary(game, bounds, budget, choices, option_cache)
-        if len(choices) >= budget:
-            continue
-        if choices not in option_cache:
-            _drive(machine, _ChoiceAdversary(game, bounds, budget, choices, option_cache),
-                   game, max_steps)
-            option_cache.setdefault(choices, ())
-        stack.extend(choices + (i,) for i in reversed(range(len(option_cache[choices]))))
+        script = stack.pop()
+        trace = run_interaction(machine, scripted_adversary(script), game, max_steps)
+        # Children are found before the yield, so the time a consumer sees
+        # between two traces covers one play and its own legal_moves call.
+        if len(script) < budget and not trace.truncated:
+            options = sorted(game.legal_moves(trace.moves, BOT, bounds))
+            stack.extend(script + (m,) for m in reversed(options))
+        yield trace

@@ -74,6 +74,17 @@ class TestEval:
         assert code == 0
         assert capsys.readouterr().out.strip() == "legal; winner: B"
 
+    def test_offender_past_the_run_is_a_format_error(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text(
+            '{"game": "A", "version": "0.1.0", "outcome": "T", "moves": [],'
+            ' "offender": {"index": 5, "player": "B"}}'
+        )
+        assert main(["eval", "--game", "tbr_t(leaf_top)", "--trace", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         trace = write_trace(tmp_path, ())
         assert main(["eval", "--game", "tbr_t(leaf_top", "--trace", trace]) == 2

@@ -25,18 +25,26 @@ moves_strategy = st.lists(
     max_size=8,
 ).map(lambda pairs: tuple(LabMove(p, m) for p, m in pairs))
 
-trace_files = st.builds(
-    TraceFile,
-    game=st.sampled_from(["A", "or(cbr_t(not(A)), tbr_l(A))"]),
-    version=st.just("0.1.0"),
-    seed=st.one_of(st.none(), st.integers(0, 2**31)),
-    bounds=st.one_of(st.none(), st.builds(EnumBounds, st.integers(0, 4), st.integers(0, 9))),
-    moves=moves_strategy,
-    outcome=st.sampled_from([TOP, BOT]),
-    offender=st.one_of(
-        st.none(), st.builds(Offender, st.integers(0, 7), st.sampled_from([TOP, BOT]))
-    ),
-    truncated=st.booleans(),
+
+def offenders_of(moves):
+    """No offender, or one of the run's own moves with its label."""
+    if not moves:
+        return st.none()
+    return st.none() | st.integers(0, len(moves) - 1).map(lambda i: Offender(i, moves[i].label))
+
+
+trace_files = moves_strategy.flatmap(
+    lambda moves: st.builds(
+        TraceFile,
+        game=st.sampled_from(["A", "or(cbr_t(not(A)), tbr_l(A))"]),
+        version=st.just("0.1.0"),
+        seed=st.one_of(st.none(), st.integers(0, 2**31)),
+        bounds=st.one_of(st.none(), st.builds(EnumBounds, st.integers(0, 4), st.integers(0, 9))),
+        moves=st.just(moves),
+        outcome=st.sampled_from([TOP, BOT]),
+        offender=offenders_of(moves),
+        truncated=st.booleans(),
+    )
 )
 
 
@@ -110,10 +118,13 @@ class TestTraceFiles:
             ("offender.index", "0"),
             ("offender.index", True),
             ("offender.index", -1),
+            ("offender.index", 1),
+            ("offender.player", "T"),
             ("game", 7),
             ("version", None),
             ("truncated", "no"),
             ("truncated", 0),
+            ("seed", True),
         ],
     )
     def test_rejects_mistyped_fields(self, path, value):

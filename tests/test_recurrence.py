@@ -18,7 +18,6 @@ from colgames import (
     loose_extension_legal,
     make_recurrence,
     negate,
-    outer_nodes,
     project,
     recurrence_winner,
     tight_extension_legal,
@@ -51,18 +50,18 @@ class TestActualNodes:
     def test_empty_position(self):
         tree = actual_nodes((), BOT)
         assert tree.nodes() == {""}
-        assert outer_nodes(tree) == {""}
+        assert tree.outer() == {""}
 
     def test_single_replication(self):
         tree = actual_nodes((lm(BOT, ":"),), BOT)
         assert tree.nodes() == {"", "0", "1"}
-        assert outer_nodes(tree) == {"0", "1"}
+        assert tree.outer() == {"0", "1"}
 
     def test_two_replications_with_brute_outer(self):
         tree = actual_nodes((lm(BOT, ":"), lm(BOT, "0:")), BOT)
         assert tree.nodes() == {"", "0", "1", "00", "01"}
-        assert outer_nodes(tree) == {"1", "00", "01"}
-        assert outer_nodes(tree) == outer_brute(tree.nodes())
+        assert tree.outer() == {"1", "00", "01"}
+        assert tree.outer() == outer_brute(tree.nodes())
 
     def test_only_structural_replications_count(self):
         tree = actual_nodes((lm(TOP, ":"),), BOT)
@@ -78,7 +77,7 @@ class TestActualNodes:
             for _ in range(rng.randrange(8)):
                 leaf_choice = sorted(tree.outer())[rng.randrange(len(tree.outer()))]
                 tree = tree.replicate(leaf_choice)
-            assert outer_nodes(tree) == outer_brute(tree.nodes())
+            assert tree.outer() == outer_brute(tree.nodes())
 
     def test_incremental_equals_scratch(self):
         pool = [":", "0:", "1:", "0", ".a"]

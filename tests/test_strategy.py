@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from colgames import (
     BOT,
     TOP,
@@ -23,7 +25,8 @@ from colgames import (
     translation_compound,
     tight_extension_legal,
 )
-from colgames.suite import bot_choice, leaf_top, top_choice
+from colgames.sim import strategy_for
+from colgames.suite import alternating, bot_choice, leaf_top, top_choice
 
 BOUNDS = EnumBounds(max_address_len=2, max_run_len=12)
 
@@ -211,18 +214,15 @@ class TestExhaustiveAdversaries:
     def test_budget_zero_single_behavior(self):
         game = compound1(leaf_top())
         machine = MirrorStrategy(game)
-        advs = list(exhaustive_adversaries(game, machine, BOUNDS, budget=0))
-        assert len(advs) == 1
+        traces = list(exhaustive_adversaries(game, machine, BOUNDS, budget=0))
+        assert [t.moves for t in traces] == [()]
 
     def test_budget_one_counts_moves_plus_pass(self):
         game = compound1(leaf_top())
         machine = MirrorStrategy(game)
         k = len(game.legal_moves((), BOT, BOUNDS))
         assert k > 0
-        count = 0
-        for adv in exhaustive_adversaries(game, machine, BOUNDS, budget=1):
-            run_interaction(machine, adv, game, 20)
-            count += 1
+        count = sum(1 for _ in exhaustive_adversaries(game, machine, BOUNDS, budget=1, max_steps=20))
         assert count == k + 1
 
     def test_budget_two_matches_independent_recount(self):
@@ -243,23 +243,49 @@ class TestExhaustiveAdversaries:
             return total
 
         expected = recount((), machine.init(), 2)
-        count = 0
-        for adv in exhaustive_adversaries(game, machine, BOUNDS, budget=2):
-            run_interaction(machine, adv, game, 30)
-            count += 1
+        count = sum(1 for _ in exhaustive_adversaries(game, machine, BOUNDS, budget=2, max_steps=30))
         assert count == expected
 
-    def test_enumeration_survives_unconsumed_adversaries(self):
-        # even if the consumer never runs the yielded adversaries, the
-        # enumerator replays prefixes internally and stays complete
-        game = compound1(leaf_top())
+    @pytest.mark.parametrize("base", [bot_choice, alternating])
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_every_trace_is_the_play_of_its_own_script(self, base, direction):
+        game = translation_compound(finite_game_interface(base()), direction)
+        machine = strategy_for(game, direction)
+        scripts = []
+        for trace in exhaustive_adversaries(game, machine, BOUNDS, budget=2, max_steps=30):
+            script = tuple(m.move for m in trace.moves if m.label is BOT)
+            assert trace == run_interaction(machine, scripted_adversary(script), game, 30)
+            scripts.append(script)
+        assert len(set(scripts)) == len(scripts) > 1
+
+    def test_truncated_play_has_no_children(self):
+        game = compound1(bot_choice())
         machine = MirrorStrategy(game)
-        lazily = sum(1 for _ in exhaustive_adversaries(game, machine, BOUNDS, budget=1))
-        driven = 0
-        for adv in exhaustive_adversaries(game, machine, BOUNDS, budget=1):
-            run_interaction(machine, adv, game, 20)
-            driven += 1
-        assert lazily == driven
+        max_steps = 3
+
+        def plays(run, machine_state, depth):
+            """(moves, truncated) of every play through ``run``, depth-first."""
+            found = [(run, False)]
+            if depth == 0:
+                return found
+            for move in sorted(game.legal_moves(run, BOT, BOUNDS)):
+                if len(run) >= max_steps:
+                    found.append((run, True))
+                    continue
+                new_run = run + (lm(BOT, move),)
+                new_state, replies = machine.react(machine_state, new_run, new_run[-1])
+                room = max_steps - len(new_run)
+                new_run = new_run + tuple(lm(TOP, reply) for reply in replies[:room])
+                if len(replies) > room:
+                    found.append((new_run, True))
+                else:
+                    found += plays(new_run, new_state, depth - 1)
+            return found
+
+        expected = plays((), machine.init(), 3)
+        traces = exhaustive_adversaries(game, machine, BOUNDS, budget=3, max_steps=max_steps)
+        assert [(t.moves, t.truncated) for t in traces] == expected
+        assert any(truncated for _, truncated in expected)
 
 
 class TestRandomAdversary:
