@@ -343,8 +343,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The least value each numeric option takes; below it the option is
+# malformed input.
+_LEAST = {"budget": 0, "max_run": 0, "max_addr": 0, "max_steps": 1}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for dest, least in _LEAST.items():
+        value = getattr(args, dest, least)
+        if value < least:
+            flag = "--" + dest.replace("_", "-")
+            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except (ExprParseError, ElaborationError, FileFormatError) as exc:

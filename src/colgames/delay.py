@@ -20,15 +20,23 @@ and checks every adjacent swap of every run.  The pool is a parameter
 because "all runs" over unrestricted move strings is infinite; a probe
 pool keeps the scan exhaustive over a universe that still exercises
 every move shape.
+
+The run table holds no run tuples.  With the pool's k labelled moves
+numbered (TOP moves first), a run of length n is the id of its digit
+string in base k, and each level of the table is one byte per id: legal
+and won by T or by B, or first offended by T or by B.  A swap is then
+id arithmetic, and only the counterexample and the violations a scan
+reports are decoded back into runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .core import BOT, TOP, LabMove, Player, Run, label_subsequence, neg_player
-from .games import EnumBounds, Game, Offender
+from .games import EnumBounds, Game
 
 
 def _delay_profile(run: Run, p: Player) -> tuple[int, ...]:
@@ -129,65 +137,99 @@ class LemmaReport:
     pairs_checked: int
 
 
+# Outcome codes, one byte per run: legal and won by T or B, or first
+# offended by T or B.
+WON_T, WON_B, OFF_T, OFF_B = range(4)
+# The player who wins a run with each code: a legal run's winner, or the
+# opponent of the culprit of an illegal one.
+_WINNER = (TOP, BOT, BOT, TOP)
+
+
 class _RunTable:
-    """Every run over a labmove pool up to a length bound, classified.
+    """Every run over a labmove pool up to a length bound, one byte each.
 
-    A pool of None stands for the game's probe pool.
+    A pool of None stands for the game's probe pool.  ``labmoves`` are
+    the pool's moves labelled TOP followed by the same moves labelled
+    BOT, so with ``k = 2 |pool|`` a digit ``d < |pool|`` is a TOP move.
+    A run of length n is numbered by its digit string read in base k,
+    first move most significant, and ``levels[n][id]`` is its code: WON_T
+    or WON_B if it is legal and won by that player, OFF_T or OFF_B if
+    that player made its first illegal move.  The levels shortest first,
+    each in ascending id, list the runs in the order a scan visits them,
+    so the first violation a scan reports is a shortest one.
 
-    ``offenders[run]`` is the first offender or None; ``winners`` holds
-    the winner of each legal run.  Runs are listed level by level (short
-    runs first) so the first violation a scan reports is a shortest one.
+    Only legal runs are built as tuples, to ask the game for their winners
+    and the legality of their extensions; the k extensions of an offended
+    run copy its code.
     """
 
     def __init__(self, game: Game, bounds: EnumBounds, pool: Sequence[str] | None) -> None:
         if pool is None:
             pool = game.probe_moves(bounds)
-        labmoves = [LabMove(p, m) for p in (TOP, BOT) for m in pool]
-        self.runs: list[Run] = []
-        self.offenders: dict[Run, Offender | None] = {}
-        self.winners: dict[Run, Player] = {}
-        level: list[tuple[Run, Offender | None]] = [((), None)]
-        while level:
-            next_level: list[tuple[Run, Offender | None]] = []
-            for run, off in level:
-                self.runs.append(run)
-                self.offenders[run] = off
-                if off is None:
-                    self.winners[run] = game.winner(run)
-                if len(run) >= bounds.max_run_len:
-                    continue
-                for lm in labmoves:
-                    if off is None and not game.extend_legal(run, lm):
-                        child_off: Offender | None = Offender(len(run), lm.label)
+        self.tops = len(pool)
+        self.labmoves = [LabMove(TOP, m) for m in pool] + [LabMove(BOT, m) for m in pool]
+        k = len(self.labmoves)
+        self.levels: list[bytearray] = []
+        level = bytearray(1)
+        legal: dict[int, Run] = {0: ()}
+        for n in range(bounds.max_run_len + 1):
+            for rid, run in legal.items():
+                level[rid] = WON_T if game.winner(run) is TOP else WON_B
+            self.levels.append(level)
+            if n == bounds.max_run_len:
+                break
+            children = bytearray(k ** (n + 1))
+            for d in range(k):
+                children[d::k] = level
+            legal_children: dict[int, Run] = {}
+            for rid, run in legal.items():
+                for child, lm in enumerate(self.labmoves, rid * k):
+                    if game.extend_legal(run, lm):
+                        legal_children[child] = run + (lm,)
                     else:
-                        child_off = off
-                    next_level.append((run + (lm,), child_off))
-            level = next_level
+                        children[child] = OFF_T if lm.label is TOP else OFF_B
+            level, legal = children, legal_children
 
-    def won(self, run: Run, p: Player) -> bool:
-        off = self.offenders[run]
-        if off is not None:
-            return off.culprit is not p
-        return self.winners[run] is p
+    def _run(self, n: int, rid: int) -> Run:
+        """The run of length n numbered rid."""
+        k = len(self.labmoves)
+        return tuple(self.labmoves[rid // k ** (n - 1 - i) % k] for i in range(n))
+
+    def _swap_ids(self) -> Iterator[tuple[int, bytearray, int, int, Player]]:
+        """``_swaps`` over the table: ``(n, level, gamma, delta, p)`` with
+        gamma and delta ids in ``level``, the level of runs of length n.
+
+        Swapping digits a and b at positions i and i+1 adds
+        ``(b - a) * (k**(n-1-i) - k**(n-2-i))`` to a run's id.
+        """
+        tops, k = self.tops, len(self.labmoves)
+        for n, level in enumerate(self.levels):
+            steps = [k ** (n - 1 - i) - k ** (n - 2 - i) for i in range(n - 1)]
+            for gamma, digits in enumerate(product(range(k), repeat=n)):
+                for a, b, step in zip(digits, digits[1:], steps):
+                    if a < tops:
+                        if b >= tops:
+                            yield n, level, gamma, gamma + (b - a) * step, TOP
+                    elif b < tops:
+                        yield n, level, gamma, gamma + (b - a) * step, BOT
 
     def static_verdict(self) -> StaticVerdict:
         """The first swap (in table order) that p wins before but not after."""
-        for gamma, delta, p in _swaps(self.runs):
-            if self.won(gamma, p) and not self.won(delta, p):
-                return StaticVerdict(False, (gamma, delta, p))
+        for n, level, gamma, delta, p in self._swap_ids():
+            if _WINNER[level[gamma]] is p and _WINNER[level[delta]] is not p:
+                return StaticVerdict(False, (self._run(n, gamma), self._run(n, delta), p))
         return StaticVerdict(True)
 
     def lemma_report(self) -> LemmaReport:
         violations: list[tuple[Run, Run, Player]] = []
         pairs = 0
-        for gamma, delta, p in _swaps(self.runs):
-            off = self.offenders[delta]
-            if off is None or off.culprit is not p:
+        for n, level, gamma, delta, p in self._swap_ids():
+            offence = OFF_T if p is TOP else OFF_B
+            if level[delta] != offence:
                 continue
             pairs += 1
-            gamma_off = self.offenders[gamma]
-            if gamma_off is None or gamma_off.culprit is not p:
-                violations.append((gamma, delta, p))
+            if level[gamma] != offence:
+                violations.append((self._run(n, gamma), self._run(n, delta), p))
         return LemmaReport(tuple(violations), pairs)
 
 

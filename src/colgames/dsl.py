@@ -74,6 +74,11 @@ _KIND_OF = {TbrT: TIGHT_RECURRENCE, TbrL: LOOSE_RECURRENCE,
             CbrT: TIGHT_CORECURRENCE, CbrL: LOOSE_CORECURRENCE}
 
 
+# Deepest operator nesting an expression may have; the parser and every
+# game built from an expression recurse once per level.
+MAX_EXPR_DEPTH = 200
+
+
 class ExprParseError(ValueError):
     """Syntax error with 1-based line/column position."""
 
@@ -118,19 +123,21 @@ class _Parser:
             raise self.error("expected a name")
         return self.text[start:self.pos]
 
-    def expr(self) -> GameExpr:
+    def expr(self, depth: int = 0) -> GameExpr:
+        if depth > MAX_EXPR_DEPTH:
+            raise self.error(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
         head = self.name()
         self.skip_ws()
         if self.pos < len(self.text) and self.text[self.pos] == "(":
             self.pos += 1
             if head == "or":
-                left = self.expr()
+                left = self.expr(depth + 1)
                 self.expect(",")
-                right = self.expr()
+                right = self.expr(depth + 1)
                 self.expect(")")
                 return Or(left, right)
             if head in _UNARY:
-                arg = self.expr()
+                arg = self.expr(depth + 1)
                 self.expect(")")
                 return _UNARY[head](arg)
             raise self.error(f"unknown operator {head!r}")

@@ -27,6 +27,11 @@ from .games import EnumBounds, FiniteGame, GameNode, Offender
 
 _PLAYERS = {"T": Player.TOP, "B": Player.BOT}
 
+# Deepest game tree a definitions file may hold, in moves from the root.
+# Each level is three levels of JSON nesting, so a file at the cap stays
+# well inside what ``json.loads`` and the recursive readers can take.
+MAX_TREE_DEPTH = 200
+
 
 class FileFormatError(ValueError):
     """Malformed game-definition or trace file."""
@@ -58,7 +63,19 @@ def _player(tag: Any, context: str) -> Player:
     return _PLAYERS[tag]
 
 
-def _node_from_obj(obj: Any, context: str) -> GameNode:
+def _loads_json(text: str) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FileFormatError("JSON nested too deeply to read") from exc
+
+
+def _node_from_obj(obj: Any, context: str, depth: int = 0) -> GameNode:
+    if depth > MAX_TREE_DEPTH:
+        name = context.split(".moves[", 1)[0]
+        raise FileFormatError(f"{name}: game tree deeper than {MAX_TREE_DEPTH} moves")
     if not isinstance(obj, dict):
         raise FileFormatError(f"{context}: node must be an object")
     winner = _player(_require(obj, "winner", context), context)
@@ -71,7 +88,7 @@ def _node_from_obj(obj: Any, context: str) -> GameNode:
         move = _require(edge, "move", edge_context)
         if not isinstance(move, str):
             raise FileFormatError(f"{edge_context}: move must be a string")
-        child = _node_from_obj(_require(edge, "child", edge_context), edge_context)
+        child = _node_from_obj(_require(edge, "child", edge_context), edge_context, depth + 1)
         edges.append((LabMove(label, move), child))
     try:
         return GameNode(winner, tuple(edges))
@@ -90,10 +107,7 @@ def _node_to_obj(node: GameNode) -> dict[str, Any]:
 
 
 def load_game_defs(text: str) -> dict[str, FiniteGame]:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"not valid JSON: {exc}") from exc
+    raw = _loads_json(text)
     if not isinstance(raw, dict):
         raise FileFormatError("definitions file must map names to game trees")
     return {
@@ -142,10 +156,7 @@ def dumps_trace(tf: TraceFile) -> str:
 
 
 def loads_trace(text: str) -> TraceFile:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"not valid JSON: {exc}") from exc
+    raw = _loads_json(text)
     if not isinstance(raw, dict):
         raise FileFormatError("trace file must be an object")
     context = "trace"

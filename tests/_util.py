@@ -10,7 +10,8 @@ import itertools
 from collections import defaultdict
 
 from colgames import BOT, TOP, LabMove, RemapStrategy, label_subsequence
-from colgames.delay import LemmaReport, StaticVerdict
+from colgames.delay import LemmaReport, StaticVerdict, _swaps
+from colgames.games import Offender
 
 
 class BrokenRemapStrategy(RemapStrategy):
@@ -125,6 +126,68 @@ def delay_profile(run, p):
     return tuple(out)
 
 
+class ReferenceRunTable:
+    """Every run over a labmove pool up to a length bound, classified, as
+    tuples: the reference for the library's integer run table.
+
+    ``runs`` lists the runs level by level (short runs first);
+    ``offenders[run]`` is the first offender or None and ``winners`` holds
+    the winner of each legal run.  A pool of None stands for the game's
+    probe pool.
+    """
+
+    def __init__(self, game, bounds, pool):
+        if pool is None:
+            pool = game.probe_moves(bounds)
+        labmoves = [LabMove(p, m) for p in (TOP, BOT) for m in pool]
+        self.runs = []
+        self.offenders = {}
+        self.winners = {}
+        level = [((), None)]
+        while level:
+            next_level = []
+            for run, off in level:
+                self.runs.append(run)
+                self.offenders[run] = off
+                if off is None:
+                    self.winners[run] = game.winner(run)
+                if len(run) >= bounds.max_run_len:
+                    continue
+                for lm in labmoves:
+                    if off is None and not game.extend_legal(run, lm):
+                        child_off = Offender(len(run), lm.label)
+                    else:
+                        child_off = off
+                    next_level.append((run + (lm,), child_off))
+            level = next_level
+
+    def won(self, run, p):
+        off = self.offenders[run]
+        if off is not None:
+            return off.culprit is not p
+        return self.winners[run] is p
+
+    def static_verdict(self):
+        """The first swap (in table order) that p wins before but not after."""
+        for gamma, delta, p in _swaps(self.runs):
+            if self.won(gamma, p) and not self.won(delta, p):
+                return StaticVerdict(False, (gamma, delta, p))
+        return StaticVerdict(True)
+
+    def lemma_report(self):
+        violations = []
+        pairs = 0
+        for gamma, delta, p in _swaps(self.runs):
+            off = self.offenders[delta]
+            if off is None or off.culprit is not p:
+                continue
+            pairs += 1
+            gamma_off = self.offenders[gamma]
+            if gamma_off is None or gamma_off.culprit is not p:
+                violations.append((gamma, delta, p))
+        return LemmaReport(tuple(violations), pairs)
+
+
 def delay_groups(table):
     """Runs of a delay run table grouped by label subsequences; delays only
     relate within groups."""
@@ -185,6 +248,15 @@ def pairwise_lemma_scan(table):
                     if gamma_off is None or gamma_off.culprit is not p:
                         violations.append((gamma, delta, p))
     return LemmaReport(tuple(violations), pairs)
+
+
+def chain_defs(depth):
+    """A definitions file holding one game, ``deep``: a line of ``depth``
+    moves, written out by hand so no JSON encoder limits its depth."""
+    text = '{"winner": "T"}'
+    for _ in range(depth):
+        text = f'{{"winner": "T", "moves": [{{"label": "B", "move": "m", "child": {text}}}]}}'
+    return f'{{"deep": {text}}}'
 
 
 def first_difference(game_a, game_b, pool_moves, max_len):

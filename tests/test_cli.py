@@ -12,6 +12,8 @@ from colgames import BOT, TOP, LabMove
 from colgames.cli import main
 from colgames.files import TraceFile, dumps_trace, loads_trace
 
+from _util import chain_defs
+
 DATA = Path(__file__).parent / "data"
 PROJECTION_TRACE = str(DATA / "projection_example.json")
 SUITE_DEFS = str(DATA / "suite.json")
@@ -30,6 +32,13 @@ def write_trace(tmp_path, moves, name="t.json"):
     path = tmp_path / name
     path.write_text(dumps_trace(tf))
     return str(path)
+
+
+def assert_one_line_error(capsys):
+    """Nothing on stdout and one line on stderr."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 class TestProject:
@@ -172,6 +181,22 @@ class TestStatic:
         code = main(["static", "--game", "tbr_l(top_choice)", "--max-run", "4", "--max-addr", "2"])
         assert code == 0
 
+    def test_deeply_nested_expression_is_a_parse_error(self, capsys):
+        game = "not(" * 1200 + "leaf_top" + ")" * 1200
+        assert main(["static", "--game", game]) == 2
+        assert_one_line_error(capsys)
+
+    def test_deeply_nested_definitions_are_a_format_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(chain_defs(1200))
+        assert main(["static", "--defs", str(path), "--game", "deep"]) == 2
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("option", ["--max-run", "--max-addr"])
+    def test_negative_bound_is_malformed(self, option, capsys):
+        assert main(["static", "--game", "leaf_top", option, "-1"]) == 2
+        assert_one_line_error(capsys)
+
 
 class TestSimulate:
     def test_exhaustive_suite_exit_zero(self, capsys):
@@ -189,6 +214,18 @@ class TestSimulate:
             "--adversary", "exhaustive", "--budget", "1",
         ])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--budget", "-1"), ("--max-run", "-1"), ("--max-addr", "-1"),
+         ("--max-steps", "0"), ("--max-steps", "-3")],
+    )
+    def test_out_of_range_number_is_malformed(self, option, value, capsys):
+        code = main([
+            "simulate", "--direction", "tight-to-loose", "--atom", "leaf_top", option, value,
+        ])
+        assert code == 2
+        assert_one_line_error(capsys)
 
     def test_random_play_writes_trace(self, tmp_path, capsys):
         out_path = tmp_path / "trace.json"

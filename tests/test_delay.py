@@ -23,12 +23,13 @@ from colgames import (
     offender,
     won_by,
 )
-from colgames.delay import _RunTable, static_and_lemma
+from colgames.delay import static_and_lemma
 from colgames.games import Game
 from colgames.recurrence import ALL_KINDS, TIGHT_RECURRENCE, Version
 from colgames.suite import STATIC_SUITE, bot_choice, first_mover_wins, leaf_top
 
 from _util import (
+    ReferenceRunTable,
     all_interleavings,
     all_runs,
     is_delay_naive,
@@ -270,7 +271,7 @@ class TestSwapScanAgainstPairwiseOracle:
     @pytest.mark.parametrize("game, pool", CASES, ids=[g.name for g, _ in CASES])
     def test_agrees_with_pairwise_scan(self, game, pool):
         verdict, report = static_and_lemma(game, self.BOUNDS, pool)
-        table = _RunTable(game, self.BOUNDS, pool)
+        table = ReferenceRunTable(game, self.BOUNDS, pool)
         assert verdict.static == pairwise_static_scan(table).static
         assert bool(report.violations) == bool(pairwise_lemma_scan(table).violations)
         if verdict.counterexample is not None:
@@ -297,3 +298,43 @@ class TestSwapScanAgainstPairwiseOracle:
         assert refuted == ["first_mover_wins"] + [
             f"{op}(first_mover_wins)" for op in ("tbr_t", "cbr_t", "tbr_l", "cbr_l")
         ]
+
+
+class TestRunTableAgainstReference:
+    """The integer run table reports exactly what the tuple-keyed reference
+    table reports: the same counterexample, and the same violations in the
+    same order with the same count of swaps checked."""
+
+    CASES = list(_oracle_cases())
+    BENCHMARK_CASES = [
+        (make_recurrence(finite_game_interface(first_mover_wins()), kind),
+         _BOTH_PAYLOAD_POOLS[kind.version])
+        for kind in ALL_KINDS
+    ]
+
+    @staticmethod
+    def _assert_same(game, bounds, pool):
+        ref = ReferenceRunTable(game, bounds, pool)
+        assert static_and_lemma(game, bounds, pool) == (ref.static_verdict(), ref.lemma_report())
+
+    @pytest.mark.parametrize("game, pool", CASES, ids=[g.name for g, _ in CASES])
+    def test_suite_games(self, game, pool):
+        self._assert_same(game, EnumBounds(2, 3), pool)
+
+    @pytest.mark.parametrize(
+        "game, pool", BENCHMARK_CASES, ids=[g.name for g, _ in BENCHMARK_CASES]
+    )
+    def test_first_mover_wins_recurrences_at_run_length_4(self, game, pool):
+        self._assert_same(game, EnumBounds(2, 4), pool)
+
+    @pytest.mark.parametrize("pool", [(), ("a",), ("a", "b")], ids=len)
+    @pytest.mark.parametrize("max_run_len", [0, 1, 2])
+    def test_edge_tables(self, pool, max_run_len):
+        game = finite_game_interface(first_mover_wins())
+        self._assert_same(game, EnumBounds(0, max_run_len), pool)
+
+    def test_edge_tables_on_a_recurrence(self):
+        game = make_recurrence(finite_game_interface(first_mover_wins()), TIGHT_RECURRENCE)
+        for pool in ((), ("0.a",)):
+            for max_run_len in (0, 1, 3):
+                self._assert_same(game, EnumBounds(2, max_run_len), pool)

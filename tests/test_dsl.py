@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from colgames import TOP, BOT, Direction, EnumBounds, LabMove
 from colgames.dsl import (
+    MAX_EXPR_DEPTH,
     Atom,
     CbrL,
     CbrT,
@@ -63,6 +64,17 @@ class TestParse:
     def test_trailing_input(self):
         with pytest.raises(ExprParseError):
             parse_game_expr("A B")
+
+    def test_nesting_at_the_cap_parses(self):
+        text = "not(" * MAX_EXPR_DEPTH + "A" + ")" * MAX_EXPR_DEPTH
+        assert format_game_expr(parse_game_expr(text)) == text
+
+    @pytest.mark.parametrize("depth", [MAX_EXPR_DEPTH + 1, 1200])
+    def test_nesting_past_the_cap_is_a_parse_error(self, depth):
+        with pytest.raises(ExprParseError):
+            parse_game_expr("not(" * depth + "A" + ")" * depth)
+        with pytest.raises(ExprParseError):
+            parse_game_expr("or(A, " * depth + "A" + ")" * depth)
 
     @given(exprs)
     def test_print_parse_round_trip(self, expr):

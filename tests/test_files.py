@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from colgames import BOT, TOP, EnumBounds, LabMove, Offender, finite_game_interface
 from colgames.files import (
+    MAX_TREE_DEPTH,
     FileFormatError,
     TraceFile,
     dump_game_defs,
@@ -18,7 +19,7 @@ from colgames.files import (
 )
 from colgames.suite import suite_defs
 
-from _util import all_runs
+from _util import all_runs, chain_defs
 
 moves_strategy = st.lists(
     st.tuples(st.sampled_from([TOP, BOT]), st.text(alphabet="01.:ab", max_size=6)),
@@ -84,6 +85,17 @@ class TestGameDefs:
         with pytest.raises(FileFormatError):
             load_game_defs("not json at all")
 
+    def test_tree_at_the_depth_cap_loads(self):
+        game = load_game_defs(chain_defs(MAX_TREE_DEPTH))["deep"]
+        run = tuple(LabMove(BOT, "m") for _ in range(MAX_TREE_DEPTH))
+        assert finite_game_interface(game).is_legal(run)
+
+    @pytest.mark.parametrize("depth", [MAX_TREE_DEPTH + 1, 1200])
+    def test_tree_past_the_depth_cap_is_a_format_error(self, depth):
+        # 1200 levels are past what json.loads itself can nest
+        with pytest.raises(FileFormatError):
+            load_game_defs(chain_defs(depth))
+
 
 class TestTraceFiles:
     @given(trace_files)
@@ -146,6 +158,10 @@ class TestTraceFiles:
         target[key] = value
         with pytest.raises(FileFormatError):
             loads_trace(json.dumps(raw))
+
+    def test_deep_json_is_a_format_error(self):
+        with pytest.raises(FileFormatError):
+            loads_trace('{"moves": ' + "[" * 5000 + "]" * 5000 + "}")
 
     def test_rejects_malformed_records(self):
         with pytest.raises(FileFormatError):
