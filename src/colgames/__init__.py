@@ -60,7 +60,6 @@ from .recurrence import (
     actual_nodes,
     loose_extension_legal,
     make_recurrence,
-    recurrence_winner,
     tight_extension_legal,
 )
 from .sim import (

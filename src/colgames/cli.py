@@ -23,6 +23,7 @@ from .core import (
     Run,
     format_run,
     is_bitstring,
+    neg_player,
     project,
 )
 from .delay import enumerate_delays, is_delay, is_static
@@ -42,7 +43,7 @@ from .dsl import (
     translation_shape,
 )
 from .files import FileFormatError, TraceFile, dumps_trace, load_game_defs, loads_trace
-from .games import EnumBounds, finite_game_interface, offender, split_disjunction, won_by
+from .games import EnumBounds, finite_game_interface, offender, split_disjunction
 from .recurrence import actual_nodes, last_switch_stem
 from .sim import (
     Direction,
@@ -54,7 +55,7 @@ from .sim import (
     translation_compound,
     verify_translation,
 )
-from .strategy import random_adversary, scripted_adversary
+from .strategy import pass_strategy, random_adversary, scripted_adversary
 from .suite import suite_defs
 
 _PLAYERS = {"T": TOP, "B": BOT}
@@ -94,10 +95,9 @@ def cmd_eval(args) -> int:
     if off is None:
         print(f"legal; winner: {game.winner(run).value}")
     else:
-        winner = TOP if won_by(game, run, TOP) else BOT
         print(
             f"illegal; offender: index {off.index} by {off.culprit.value}; "
-            f"won by {winner.value}"
+            f"won by {neg_player(off.culprit).value}"
         )
     return 0
 
@@ -244,39 +244,53 @@ def _print_position(game, run: Run, expr) -> None:
         print(f"along last switch ({stem or 'root'}): {format_run(project(run, Ray(stem)))}")
 
 
+# The longest play ``colgames play`` records, in labeled moves.
+_PLAY_STEPS = 1000
+
+
+class _Terminal:
+    """The environment at the terminal: shows the machine's replies since the
+    last move read (state: the run's length after it) and the position,
+    then reads a move; a blank line or end of input is a pass."""
+
+    def __init__(self, game, expr) -> None:
+        self._game = game
+        self._expr = expr
+
+    def init(self) -> int:
+        return 0
+
+    def react(self, state: int, position: Run, latest: LabMove | None) -> tuple[int, tuple[str, ...]]:
+        for reply in position[state:]:
+            print(f"machine plays: {reply.move!r}")
+        _print_position(self._game, position, self._expr)
+        try:
+            entered = input("environment move (blank to stop): ")
+        except EOFError:
+            print()
+            return state, ()
+        if entered == "":
+            return state, ()
+        return len(position) + 1, (entered,)
+
+
 def cmd_play(args) -> int:
     defs = _load_defs(args.defs)
     expr = parse_game_expr(args.game)
     game = elaborate(expr, defs)
     shape = translation_shape(expr)
     if shape is None:
-        machine = None
+        machine = pass_strategy()
         print("no machine strategy for this expression; you play the environment")
     else:
         machine = strategy_for(game, shape[0])
         print(f"machine plays the {shape[0].value} translation strategy")
-    machine_state = machine.init() if machine is not None else None
-    run: Run = ()
-    while True:
-        _print_position(game, run, expr)
-        try:
-            entered = input('environment move (blank to stop): ')
-        except EOFError:
-            print()
-            break
-        if entered == "":
-            break
-        run = run + (LabMove(BOT, entered),)
-        if machine is not None:
-            machine_state, replies = machine.react(machine_state, run, run[-1])
-            for reply in replies:
-                print(f"machine plays: {reply!r}")
-                run = run + (LabMove(TOP, reply),)
-    off = offender(game, run)
-    winner = TOP if won_by(game, run, TOP) else BOT
-    if off is not None:
-        print(f"offender: index {off.index} by {off.culprit.value}")
-    print(f"outcome: won by {winner.value}")
+    trace = run_interaction(machine, _Terminal(game, expr), game, _PLAY_STEPS)
+    if trace.truncated:
+        print(f"play stopped at {_PLAY_STEPS} moves")
+    if trace.offender is not None:
+        print(f"offender: index {trace.offender.index} by {trace.offender.culprit.value}")
+    print(f"outcome: won by {trace.outcome.value}")
     return 0
 
 
@@ -361,7 +375,7 @@ def main(argv=None) -> int:
     except (ExprParseError, ElaborationError, FileFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PreconditionError, ValueError) as exc:
+    except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

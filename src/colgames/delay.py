@@ -36,7 +36,7 @@ from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .core import BOT, TOP, LabMove, Player, Run, label_subsequence, neg_player
-from .games import EnumBounds, Game
+from .games import EnumBounds, Game, PreconditionError
 
 
 def _delay_profile(run: Run, p: Player) -> tuple[int, ...]:
@@ -88,7 +88,7 @@ def _swaps(runs: Iterable[Run]) -> Iterator[tuple[Run, Run, Player]]:
 def enumerate_delays(gamma: Run, p: Player) -> frozenset[Run]:
     """All ``p``-delays of ``gamma``; guarded against interleaving blowup."""
     if len(gamma) > 8:
-        raise ValueError("enumerate_delays is limited to runs of length <= 8")
+        raise PreconditionError("enumerate_delays is limited to runs of length <= 8")
     out = {gamma}
     frontier = {gamma}
     while frontier:

@@ -31,6 +31,11 @@ class EnumBounds:
             raise ValueError("bounds must be non-negative")
 
 
+class PreconditionError(ValueError):
+    """A verification driver or a guarded routine was fed inputs violating
+    its preconditions (a non-static base, a run past a guard's limit)."""
+
+
 class Game:
     """Base interface shared by every game constructor in the package.
 
@@ -59,12 +64,7 @@ class Game:
         raise NotImplementedError
 
     def is_legal(self, run: Run) -> bool:
-        position: Run = ()
-        for lm in run:
-            if not self.extend_legal(position, lm):
-                return False
-            position = position + (lm,)
-        return True
+        return offender(self, run) is None
 
 
 class Offender(NamedTuple):

@@ -205,22 +205,6 @@ def last_switch_stem(run: Run, structural: Player) -> str:
     return ""
 
 
-def recurrence_winner(base: Game, kind: RecurrenceKind, legal_run: Run) -> Player:
-    """Winner of a legal run: the base winner of the decisive projection.
-
-    The decisive branch is the last switch made by the structural player,
-    padded with zeros forever; with no switches it is the all-zero branch.
-    A finite run always has finitely many switches, so the endless-
-    switching outcome (a loss for the switching player) can never arise
-    here and the winner never consults switch counts.  Rejects runs that
-    are not legal for the constructed game.
-    """
-    game = make_recurrence(base, kind)
-    if not game.is_legal(legal_run):
-        raise ValueError("recurrence winner is only defined on legal runs")
-    return game.winner(legal_run)
-
-
 class RecurrenceGame(Game):
     def __init__(self, base: Game, kind: RecurrenceKind) -> None:
         self.base = base
@@ -233,6 +217,14 @@ class RecurrenceGame(Game):
         return loose_extension_legal(self.base, position, lm, self.kind.structural)
 
     def winner(self, run: Run) -> Player:
+        """Winner of a legal run: the base winner of the decisive projection.
+
+        The decisive branch is the last switch made by the structural
+        player, padded with zeros forever; with no switches it is the
+        all-zero branch.  A finite run always has finitely many switches,
+        so the endless-switching outcome (a loss for the switching player)
+        can never arise here and the winner never consults switch counts.
+        """
         stem = last_switch_stem(run, self.kind.structural)
         return self.base.winner(project(run, Ray(stem)))
 

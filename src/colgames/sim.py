@@ -33,6 +33,7 @@ from .games import (
     EnumBounds,
     FiniteGame,
     Game,
+    PreconditionError,
     disjoin,
     finite_game_interface,
     negate,
@@ -59,10 +60,6 @@ from .strategy import (
 )
 
 
-class PreconditionError(RuntimeError):
-    """A verification driver was fed inputs violating its preconditions."""
-
-
 class Direction(enum.Enum):
     TIGHT_TO_LOOSE = "tight-to-loose"
     LOOSE_TO_TIGHT = "loose-to-tight"
@@ -82,7 +79,8 @@ def translation_compound(base: Game, direction: Direction) -> Game:
 
 
 def strategy_for(compound: Game, direction: Direction):
-    return MirrorStrategy(compound) if direction is Direction.TIGHT_TO_LOOSE else RemapStrategy(compound)
+    """The translation strategy for ``direction``; ``compound`` is unused."""
+    return MirrorStrategy() if direction is Direction.TIGHT_TO_LOOSE else RemapStrategy()
 
 
 def _switch_count(run: Run, structural: Player) -> int:

@@ -23,9 +23,12 @@ environment strategy over a game, recording a trace: the run, one
 annotation per machine reaction, the outcome and the first offender.
 The environment moves first in each round; the play ends when the
 environment passes (the machine is reactive, so that is a mutual pass)
-or when the step limit is hit.  ``exhaustive_adversaries`` plays the
-machine against every scripted adversary up to a move budget, each
-through that one loop, and yields the traces.
+or when the step limit is hit.  It alone decides legality: it records
+the first offender, which decides the outcome, and stops asking the
+machine from then on, so a machine's ``react`` sees only legal
+positions.  ``exhaustive_adversaries`` plays the machine against every
+scripted adversary up to a move budget, each through that one loop, and
+yields the traces.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ import random
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
-from .core import BOT, TOP, LabMove, Player, Run, ShapeKind, parse_move
-from .games import EnumBounds, Game, Offender, split_disjunction, won_by
+from .core import BOT, TOP, LabMove, Player, Run, ShapeKind, neg_player, parse_move
+from .games import EnumBounds, Game, Offender, split_disjunction
 from .recurrence import actual_nodes
 
 
@@ -67,15 +70,11 @@ def fmap_prefix_free(items: Iterable[tuple[str, str]]) -> bool:
 
 @dataclass(frozen=True)
 class _R1State:
-    offended: bool = False
     last_case: str | None = None
 
 
 class MirrorStrategy:
-    """Mirror strategy for compounds of the form or(cbr_t(not(A)), tbr_l(A))."""
-
-    def __init__(self, game: Game) -> None:
-        self._game = game
+    """Mirror strategy for or(cbr_t(not(A)), tbr_l(A)); ``react`` sees only legal positions."""
 
     def init(self) -> _R1State:
         return _R1State()
@@ -83,8 +82,6 @@ class MirrorStrategy:
     def react(self, state: _R1State, position: Run, latest: LabMove | None) -> tuple[_R1State, tuple[str, ...]]:
         if latest is None:
             return state, ()
-        if state.offended or not self._game.extend_legal(position[:-1], latest):
-            return replace(state, offended=True, last_case=None), ()
         component, rest = latest.move[0], latest.move[2:]
         sh = parse_move(rest)
         if component == "1" and sh.kind is ShapeKind.NONREPLICATIVE:
@@ -108,7 +105,6 @@ class MirrorStrategy:
 @dataclass(frozen=True)
 class _R2State:
     fmap: tuple[tuple[str, str], ...]
-    offended: bool = False
     last_case: str | None = None
 
 
@@ -121,12 +117,10 @@ class RemapStrategy:
 
     The tree of the tight component (grown by the adversary) is shadowed
     by the mapping ``f`` from its outer nodes to loose-side addresses.
-    Subclasses may override the replication handler; a deliberately broken
-    override is used as a sensitivity fixture by the test suite.
+    ``react`` sees only legal positions.  Subclasses may override the
+    replication handler; a deliberately broken override is used as a
+    sensitivity fixture by the test suite.
     """
-
-    def __init__(self, game: Game) -> None:
-        self._game = game
 
     def init(self) -> _R2State:
         return _R2State(fmap=(("", ""),))
@@ -139,8 +133,6 @@ class RemapStrategy:
     def react(self, state: _R2State, position: Run, latest: LabMove | None) -> tuple[_R2State, tuple[str, ...]]:
         if latest is None:
             return state, ()
-        if state.offended or not self._game.extend_legal(position[:-1], latest):
-            return replace(state, offended=True, last_case=None), ()
         component, rest = latest.move[0], latest.move[2:]
         sh = parse_move(rest)
         f = dict(state.fmap)
@@ -264,7 +256,7 @@ def run_interaction(machine, env, game: Game, max_steps: int) -> Trace:
     Environment moves carry the environment label, machine moves the
     machine label.  Stops when the environment passes or ``max_steps``
     labeled moves have been recorded (recorded as truncation, not an
-    error).
+    error).  After the first offence only the environment is asked.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
@@ -295,6 +287,8 @@ def run_interaction(machine, env, game: Game, max_steps: int) -> Trace:
             if not append(LabMove(BOT, move)):
                 running = False
                 break
+            if first_offender is not None:
+                continue
             m_state, machine_moves = machine.react(m_state, run, run[-1])
             notes.append(
                 StepNote(
@@ -312,7 +306,7 @@ def run_interaction(machine, env, game: Game, max_steps: int) -> Trace:
                 break
         latest_for_env = run[-1] if run and run[-1].label is TOP else None
 
-    outcome = TOP if won_by(game, run, TOP) else BOT
+    outcome = game.winner(run) if first_offender is None else neg_player(first_offender.culprit)
     return Trace(game.name, run, tuple(notes), outcome, first_offender, truncated)
 
 

@@ -25,7 +25,6 @@ from colgames import (
     neg_player,
     negate,
     project,
-    translation_compound,
     verify_static_preservation,
     verify_translation,
 )
@@ -166,13 +165,12 @@ def test_criterion_6_harness_sensitivity(capsys):
     bounds = EnumBounds(max_address_len=2, max_run_len=64)
     failures = 0
     for base in TRANSLATION_SUITE:
-        compound = translation_compound(finite_game_interface(base), Direction.LOOSE_TO_TIGHT)
         report = verify_translation(
             base,
             Direction.LOOSE_TO_TIGHT,
             bounds,
             budget=3,
-            machine=BrokenRemapStrategy(compound),
+            machine=BrokenRemapStrategy(),
         )
         failures += len(report.failures)
     ok = failures >= 1

@@ -163,6 +163,17 @@ class TestDelays:
         trace = write_trace(tmp_path, tuple(LabMove(TOP, "a") for _ in range(9)))
         assert main(["delays", "--trace", trace, "--player", "T", "--enumerate"]) == 3
 
+    def test_plain_value_error_is_not_a_precondition(self, tmp_path, monkeypatch):
+        # Only PreconditionError means exit 3; any other ValueError is a
+        # fault of the program and must not pass for a refused input.
+        def broken(gamma, p):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr("colgames.cli.enumerate_delays", broken)
+        trace = write_trace(tmp_path, (LabMove(TOP, "a"),))
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["delays", "--trace", trace, "--player", "T", "--enumerate"])
+
 
 class TestStatic:
     def test_static_game(self, capsys):
@@ -302,6 +313,33 @@ class TestPlay:
         code = main(["play", "--game", "tbr_t(leaf_top)"])
         assert code == 0
         assert "no machine strategy" in capsys.readouterr().out
+
+    def test_offending_move_is_reported_and_not_answered(self, capsys, monkeypatch):
+        # "2.01" switches to a node the adversary's tight tree lacks
+        lines = iter(["2.01", ""])
+        monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
+        code = main(["play", "--game", "or(cbr_l(not(bot_choice)), tbr_t(bot_choice))"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "machine plays:" not in out
+        assert "offender: index 0 by B" in out
+        assert "outcome: won by T" in out
+
+    def test_end_of_input_is_a_pass(self, capsys, monkeypatch):
+        def closed(prompt=""):
+            raise EOFError
+
+        monkeypatch.setattr("builtins.input", closed)
+        assert main(["play", "--game", "tbr_t(leaf_top)"]) == 0
+        assert "outcome: won by T" in capsys.readouterr().out
+
+    def test_endless_input_stops_at_the_step_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr("builtins.input", lambda prompt="": "x")
+        assert main(["play", "--game", "leaf_top"]) == 0
+        out = capsys.readouterr().out
+        assert "play stopped at 1000 moves" in out
+        assert "offender: index 0 by B" in out
+        assert "outcome: won by T" in out
 
 
 class TestVersionFlag:

@@ -19,7 +19,6 @@ from colgames import (
     make_recurrence,
     negate,
     project,
-    recurrence_winner,
     tight_extension_legal,
 )
 from colgames.core import ShapeKind, parse_move
@@ -191,18 +190,12 @@ class TestTightProjectionInvariant:
 
 class TestRecurrenceWinner:
     def test_leaf_trivials(self):
-        assert recurrence_winner(
-            finite_game_interface(leaf_top()), TIGHT_RECURRENCE, ()
-        ) is TOP
-        assert recurrence_winner(
-            finite_game_interface(leaf_bot()), TIGHT_CORECURRENCE, ()
-        ) is BOT
-
-    def test_rejects_illegal_runs(self):
-        with pytest.raises(ValueError):
-            recurrence_winner(
-                finite_game_interface(leaf_top()), TIGHT_RECURRENCE, (lm(BOT, "xyz"),)
-            )
+        assert make_recurrence(
+            finite_game_interface(leaf_top()), TIGHT_RECURRENCE
+        ).winner(()) is TOP
+        assert make_recurrence(
+            finite_game_interface(leaf_bot()), TIGHT_CORECURRENCE
+        ).winner(()) is BOT
 
     def test_last_switch_decides(self):
         # Enumerate legal runs of <= 4 moves with <= 2 switches and check

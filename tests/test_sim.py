@@ -11,8 +11,9 @@ from colgames import (
     EnumBounds,
     FiniteGame,
     LabMove,
-    PreconditionError,
     MirrorStrategy,
+    Offender,
+    PreconditionError,
     RemapStrategy,
     audit_trace,
     disjoin,
@@ -41,6 +42,21 @@ from _util import BrokenRemapStrategy
 BOUNDS = EnumBounds(max_address_len=2, max_run_len=12)
 
 
+class _Recording:
+    """A machine that records the length of every position it reacts to."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.asked: list[int] = []
+
+    def init(self):
+        return self.inner.init()
+
+    def react(self, state, position, latest):
+        self.asked.append(len(position))
+        return self.inner.react(state, position, latest)
+
+
 def lm(label, move):
     return LabMove(label, move)
 
@@ -58,14 +74,14 @@ class TestRunInteraction:
 
     def test_outcome_recomputes_from_run(self):
         game = translation_compound(finite_game_interface(bot_choice()), Direction.TIGHT_TO_LOOSE)
-        machine = MirrorStrategy(game)
+        machine = MirrorStrategy()
         trace = run_interaction(machine, scripted_adversary(["2.0", "2..b"]), game, 30)
         assert (trace.outcome is TOP) == won_by(game, trace.moves, TOP)
         assert trace.offender == offender(game, trace.moves)
 
     def test_first_illegal_adversary_move_is_flagged(self):
         game = translation_compound(finite_game_interface(bot_choice()), Direction.TIGHT_TO_LOOSE)
-        machine = MirrorStrategy(game)
+        machine = MirrorStrategy()
         trace = run_interaction(machine, scripted_adversary(["2.0", "1.0"]), game, 30)
         # "1.0" is a switch in the tight-co component, which belongs to the
         # machine there; index 2 because the machine mirrored the first switch
@@ -73,16 +89,36 @@ class TestRunInteraction:
         assert trace.offender.culprit is BOT
         assert trace.outcome is TOP
 
+    def test_machine_is_not_asked_after_the_adversary_offends(self):
+        game = translation_compound(finite_game_interface(bot_choice()), Direction.TIGHT_TO_LOOSE)
+        machine = _Recording(MirrorStrategy())
+        trace = run_interaction(machine, scripted_adversary(["xyz", "2.0"]), game, 30)
+        assert trace.offender == Offender(0, BOT)
+        assert machine.asked == []
+        assert trace.notes == ()
+        assert [x.move for x in trace.moves] == ["xyz", "2.0"]
+        assert (trace.outcome is TOP) == won_by(game, trace.moves, TOP)
+
+    def test_machine_is_not_asked_after_its_own_offence(self):
+        game = translation_compound(finite_game_interface(bot_choice()), Direction.TIGHT_TO_LOOSE)
+        machine = _Recording(scripted_adversary(["xyz"]))
+        trace = run_interaction(machine, scripted_adversary(["2.0", "2..b"]), game, 30)
+        assert trace.offender == Offender(1, TOP)
+        assert machine.asked == [1]
+        assert [x.move for x in trace.moves] == ["2.0", "xyz", "2..b"]
+        assert (trace.outcome is TOP) == won_by(game, trace.moves, TOP)
+        assert trace.outcome is BOT
+
     def test_truncation_is_recorded(self):
         game = translation_compound(finite_game_interface(bot_choice()), Direction.TIGHT_TO_LOOSE)
-        machine = MirrorStrategy(game)
+        machine = MirrorStrategy()
         trace = run_interaction(machine, scripted_adversary(["2.0", "2.0", "2.0"]), game, 2)
         assert trace.truncated
         assert len(trace.moves) == 2
 
     def test_replaying_a_trace_reproduces_it(self):
         game = translation_compound(finite_game_interface(bot_choice()), Direction.LOOSE_TO_TIGHT)
-        machine = RemapStrategy(game)
+        machine = RemapStrategy()
         adversary = random_adversary(game, seed=7, bounds=BOUNDS, budget=3)
         golden = run_interaction(machine, adversary, game, 40)
         script = [x.move for x in golden.moves if x.label is BOT]
@@ -102,7 +138,7 @@ class TestRunInteraction:
 
     def test_thousand_seeded_adversaries_all_lose(self):
         game = translation_compound(finite_game_interface(bot_choice()), Direction.LOOSE_TO_TIGHT)
-        machine = RemapStrategy(game)
+        machine = RemapStrategy()
         won = 0
         for seed in range(1000):
             adversary = random_adversary(game, seed, BOUNDS, budget=3)
@@ -112,7 +148,7 @@ class TestRunInteraction:
 
     def test_notes_align_with_machine_batches(self):
         game = translation_compound(finite_game_interface(bot_choice()), Direction.LOOSE_TO_TIGHT)
-        machine = RemapStrategy(game)
+        machine = RemapStrategy()
         trace = run_interaction(machine, scripted_adversary(["2.:", "2.1"]), game, 30)
         env_moves = [i for i, x in enumerate(trace.moves) if x.label is BOT]
         assert [n.reacted_to for n in trace.notes] == env_moves
@@ -139,15 +175,12 @@ class TestVerifyTranslation:
             verify_translation(first_mover_wins(), Direction.TIGHT_TO_LOOSE, BOUNDS, budget=1)
 
     def test_corrupted_routine_is_caught(self):
-        compound = translation_compound(
-            finite_game_interface(bot_choice()), Direction.LOOSE_TO_TIGHT
-        )
         report = verify_translation(
             bot_choice(),
             Direction.LOOSE_TO_TIGHT,
             BOUNDS,
             budget=2,
-            machine=BrokenRemapStrategy(compound),
+            machine=BrokenRemapStrategy(),
         )
         assert len(report.failures) >= 1
 

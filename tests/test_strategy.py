@@ -69,7 +69,7 @@ class TestMirrorStrategy:
         # the environment owns "a" in not(top_choice), so it can attack
         # the tight-co component; the machine answers in the loose one
         game = compound1(top_choice())
-        machine = MirrorStrategy(game)
+        machine = MirrorStrategy()
         state = machine.init()
         position = (lm(BOT, "1..a"),)
         state, moves = machine.react(state, position, position[-1])
@@ -78,7 +78,7 @@ class TestMirrorStrategy:
 
     def test_mirrors_loose_switch_after_growing(self):
         game = compound1(bot_choice())
-        machine = MirrorStrategy(game)
+        machine = MirrorStrategy()
         state = machine.init()
         position = (lm(BOT, "2.01"),)
         state, moves = machine.react(state, position, position[-1])
@@ -95,7 +95,7 @@ class TestMirrorStrategy:
 
     def test_mirrors_loose_move_after_growing(self):
         game = compound1(bot_choice())
-        machine = MirrorStrategy(game)
+        machine = MirrorStrategy()
         state = machine.init()
         position = (lm(BOT, "2.1.b"),)
         state, moves = machine.react(state, position, position[-1])
@@ -103,7 +103,7 @@ class TestMirrorStrategy:
 
     def test_stays_silent_on_garbage(self):
         game = compound1(bot_choice())
-        machine = MirrorStrategy(game)
+        machine = MirrorStrategy()
         trace = run_interaction(machine, scripted_adversary(["xyz"]), game, 20)
         assert trace.offender == Offender(0, BOT)
         assert trace.outcome is TOP
@@ -113,7 +113,7 @@ class TestMirrorStrategy:
 class TestRemapStrategy:
     def test_replication_splits_map_without_moving(self):
         game = compound2(bot_choice())
-        machine = RemapStrategy(game)
+        machine = RemapStrategy()
         state = machine.init()
         assert state.fmap == (("", ""),)
         position = (lm(BOT, "2.:"),)
@@ -124,7 +124,7 @@ class TestRemapStrategy:
 
     def test_switch_follows_zero_path_to_outer(self):
         game = compound2(bot_choice())
-        machine = RemapStrategy(game)
+        machine = RemapStrategy()
         state = machine.init()
         position = (lm(BOT, "2.:"),)
         state, _ = machine.react(state, position, position[-1])
@@ -135,7 +135,7 @@ class TestRemapStrategy:
 
     def test_switch_pads_inner_node_with_zeros(self):
         game = compound2(bot_choice())
-        machine = RemapStrategy(game)
+        machine = RemapStrategy()
         state = machine.init()
         position = ()
         for move in ("2.:", "2.0:"):
@@ -149,7 +149,7 @@ class TestRemapStrategy:
 
     def test_absorbs_off_ray_loose_move(self):
         game = compound2(top_choice())
-        machine = RemapStrategy(game)
+        machine = RemapStrategy()
         state = machine.init()
         position = (lm(BOT, "1.01.a"),)
         state, moves = machine.react(state, position, position[-1])
@@ -160,7 +160,7 @@ class TestRemapStrategy:
 
     def test_relays_on_ray_loose_move(self):
         game = compound2(top_choice())
-        machine = RemapStrategy(game)
+        machine = RemapStrategy()
         state = machine.init()
         position = (lm(BOT, "1.00.a"),)
         state, moves = machine.react(state, position, position[-1])
@@ -171,7 +171,7 @@ class TestRemapStrategy:
 
     def test_broadcasts_tight_move_to_all_outer_nodes(self):
         game = compound2(bot_choice())
-        machine = RemapStrategy(game)
+        machine = RemapStrategy()
         state = machine.init()
         position = ()
         for move in ("2.:", "2.0:"):
@@ -185,7 +185,7 @@ class TestRemapStrategy:
 
     def test_fmap_domain_tracks_outer_nodes(self):
         game = compound2(bot_choice())
-        machine = RemapStrategy(game)
+        machine = RemapStrategy()
         trace = run_interaction(
             machine, scripted_adversary(["2.:", "2.0:", "2.1", "2..b"]), game, 30
         )
@@ -198,7 +198,7 @@ class TestRemapStrategy:
 class TestScriptedAdversary:
     def test_empty_script_never_moves(self):
         game = compound1(leaf_top())
-        trace = run_interaction(MirrorStrategy(game), scripted_adversary([]), game, 10)
+        trace = run_interaction(MirrorStrategy(), scripted_adversary([]), game, 10)
         assert trace.moves == ()
 
     def test_plays_one_move_per_reaction(self):
@@ -213,13 +213,13 @@ class TestScriptedAdversary:
 class TestExhaustiveAdversaries:
     def test_budget_zero_single_behavior(self):
         game = compound1(leaf_top())
-        machine = MirrorStrategy(game)
+        machine = MirrorStrategy()
         traces = list(exhaustive_adversaries(game, machine, BOUNDS, budget=0))
         assert [t.moves for t in traces] == [()]
 
     def test_budget_one_counts_moves_plus_pass(self):
         game = compound1(leaf_top())
-        machine = MirrorStrategy(game)
+        machine = MirrorStrategy()
         k = len(game.legal_moves((), BOT, BOUNDS))
         assert k > 0
         count = sum(1 for _ in exhaustive_adversaries(game, machine, BOUNDS, budget=1, max_steps=20))
@@ -227,7 +227,7 @@ class TestExhaustiveAdversaries:
 
     def test_budget_two_matches_independent_recount(self):
         game = compound1(bot_choice())
-        machine = MirrorStrategy(game)
+        machine = MirrorStrategy()
 
         def recount(run, machine_state, depth):
             options = sorted(game.legal_moves(run, BOT, BOUNDS))
@@ -260,7 +260,7 @@ class TestExhaustiveAdversaries:
 
     def test_truncated_play_has_no_children(self):
         game = compound1(bot_choice())
-        machine = MirrorStrategy(game)
+        machine = MirrorStrategy()
         max_steps = 3
 
         def plays(run, machine_state, depth):
@@ -291,7 +291,7 @@ class TestExhaustiveAdversaries:
 class TestRandomAdversary:
     def test_same_seed_same_trace(self):
         game = compound1(bot_choice())
-        machine = MirrorStrategy(game)
+        machine = MirrorStrategy()
         adv = random_adversary(game, seed=42, bounds=BOUNDS, budget=3)
         first = run_interaction(machine, adv, game, 40)
         second = run_interaction(machine, adv, game, 40)
@@ -299,7 +299,7 @@ class TestRandomAdversary:
 
     def test_different_seeds_can_differ(self):
         game = compound1(bot_choice())
-        machine = MirrorStrategy(game)
+        machine = MirrorStrategy()
         traces = {
             run_interaction(
                 machine, random_adversary(game, seed, BOUNDS, 3), game, 40
