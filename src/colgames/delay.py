@@ -13,26 +13,28 @@ a property that must survive every delay survives them all exactly when
 it survives every single swap: the scans below and ``enumerate_delays``
 all take this one step.
 
-Static checking is brute force at desk scale: it enumerates every run up
-to a length bound whose moves are drawn from a finite pool (by default
-the game's own probe pool), classifies each as legal / first-offender,
-and checks every adjacent swap of every run.  The pool is a parameter
+Static checking is brute force at desk scale: it covers every run up to
+a length bound whose moves are drawn from a finite pool (by default the
+game's own probe pool), classified as legal or by its first offender,
+and every adjacent swap of every such run.  The pool is a parameter
 because "all runs" over unrestricted move strings is infinite; a probe
 pool keeps the scan exhaustive over a universe that still exercises
 every move shape.
 
-The run table holds no run tuples.  With the pool's k labelled moves
-numbered (TOP moves first), a run of length n is the id of its digit
-string in base k, and each level of the table is one byte per id: legal
-and won by T or by B, or first offended by T or by B.  A swap is then
-id arithmetic, and only the counterexample and the violations a scan
-reports are decoded back into runs.
+Only the legal runs are stored.  A swap's outcome depends only on the two
+runs up to their first offences.  So for each legal prefix P and moves x
+and y of different players, the scan walks gamma = P x y T and delta =
+P y x T along one shared tail T until both runs are offended, and counts
+the swaps below that point by their number, k^m at m more moves for a
+pool of k labelled moves.  Behind an illegal prefix gamma and delta share
+its first offender, so those swaps are counted without a walk.  A run is
+the id of its digit string in base k, TOP moves numbered first; only the
+counterexample and the violations a scan reports are decoded into runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .core import BOT, TOP, LabMove, Player, Run, label_subsequence, neg_player
@@ -126,111 +128,157 @@ class StaticVerdict:
 class LemmaReport:
     """Outcome of the illegality-propagation scan over adjacent swaps.
 
-    ``pairs_checked`` counts the swaps (gamma, delta, p) whose swapped run
-    delta has ``p`` as first offender; ``violations`` are those where gamma
-    does not.  A violating delay pair exists iff a violating swap does:
-    along the swap chain from gamma to delta, the first run with ``p`` as
-    first offender is one swap after a run without.
+    ``pairs_checked`` counts the swaps (gamma, delta, p) of every pool run
+    within bounds whose swapped run delta has ``p`` as first offender,
+    including the swaps the scan counts without visiting them; it is the
+    count a scan of every run would make.  ``violations`` are those swaps
+    where gamma does not have ``p`` as first offender, shortest first, then
+    by gamma's id and the swap's position.  A violating delay pair exists
+    iff a violating swap does: along the swap chain from gamma to delta,
+    the first run with ``p`` as first offender is one swap after a run
+    without.
     """
 
     violations: tuple[tuple[Run, Run, Player], ...]
     pairs_checked: int
 
 
-# Outcome codes, one byte per run: legal and won by T or B, or first
-# offended by T or B.
-WON_T, WON_B, OFF_T, OFF_B = range(4)
-# The player who wins a run with each code: a legal run's winner, or the
-# opponent of the culprit of an illegal one.
-_WINNER = (TOP, BOT, BOT, TOP)
+# The state of an offended run: the culprit of its first offence.  A
+# legal run's state is its node in the legal tree, counted from 0.
+OFF_T, OFF_B = -1, -2
 
 
-class _RunTable:
-    """Every run over a labmove pool up to a length bound, one byte each.
+class _SwapScan:
+    """One walk over every adjacent swap of the runs over a labmove pool.
 
     A pool of None stands for the game's probe pool.  ``labmoves`` are
     the pool's moves labelled TOP followed by the same moves labelled
     BOT, so with ``k = 2 |pool|`` a digit ``d < |pool|`` is a TOP move.
     A run of length n is numbered by its digit string read in base k,
-    first move most significant, and ``levels[n][id]`` is its code: WON_T
-    or WON_B if it is legal and won by that player, OFF_T or OFF_B if
-    that player made its first illegal move.  The levels shortest first,
-    each in ascending id, list the runs in the order a scan visits them,
-    so the first violation a scan reports is a shortest one.
+    first move most significant, and scans report in (length, id, swap
+    position) order, so the first counterexample is a shortest one.
 
-    Only legal runs are built as tuples, to ask the game for their winners
-    and the legality of their extensions; the k extensions of an offended
-    run copy its code.
+    Only legal runs are stored, as the nodes of a tree numbered shortest
+    first.  A run's state is its node, or OFF_T / OFF_B once it has a
+    first offender; ``kids[s][d]`` is the state after appending digit d
+    and ``winners[s]`` the player who wins a run in state s.  Both lists
+    end with the two offended states, so that negative states index them
+    and an offended run keeps its state and winner under every extension.
+    ``levels[n]`` lists the node and id of each legal run of length n, and
+    ``offended[n]`` counts the runs of length n that are not legal.
     """
 
-    def __init__(self, game: Game, bounds: EnumBounds, pool: Sequence[str] | None) -> None:
+    def __init__(self, game: Game, bounds: EnumBounds, pool: Sequence[str] | None,
+                 lemma: bool) -> None:
         if pool is None:
             pool = game.probe_moves(bounds)
         self.tops = len(pool)
         self.labmoves = [LabMove(TOP, m) for m in pool] + [LabMove(BOT, m) for m in pool]
+        self.max_len = bounds.max_run_len
+        self._build(game)
+        self._walk(lemma)
+
+    def _build(self, game: Game) -> None:
+        """Ask the game for the winner of every legal run and the legality
+        of each of its extensions, shortest runs first."""
         k = len(self.labmoves)
-        self.levels: list[bytearray] = []
-        level = bytearray(1)
-        legal: dict[int, Run] = {0: ()}
-        for n in range(bounds.max_run_len + 1):
-            for rid, run in legal.items():
-                level[rid] = WON_T if game.winner(run) is TOP else WON_B
+        runs: list[Run] = [()]
+        self.winners: list[Player] = [game.winner(())]
+        self.kids: list[list[int] | tuple[int, ...]] = []
+        self.levels: list[list[tuple[int, int]]] = []
+        self.offended: list[int] = []
+        level, offended = [(0, 0)], 0
+        for n in range(self.max_len + 1):
             self.levels.append(level)
-            if n == bounds.max_run_len:
+            self.offended.append(offended)
+            if n == self.max_len:
                 break
-            children = bytearray(k ** (n + 1))
-            for d in range(k):
-                children[d::k] = level
-            legal_children: dict[int, Run] = {}
-            for rid, run in legal.items():
-                for child, lm in enumerate(self.labmoves, rid * k):
-                    if game.extend_legal(run, lm):
-                        legal_children[child] = run + (lm,)
+            children: list[tuple[int, int]] = []
+            offended *= k
+            for node, rid in level:
+                row = []
+                for d, lm in enumerate(self.labmoves):
+                    if game.extend_legal(runs[node], lm):
+                        row.append(len(runs))
+                        children.append((len(runs), rid * k + d))
+                        runs.append(runs[node] + (lm,))
+                        self.winners.append(game.winner(runs[-1]))
                     else:
-                        children[child] = OFF_T if lm.label is TOP else OFF_B
-            level, legal = children, legal_children
+                        row.append(OFF_T if d < self.tops else OFF_B)
+                        offended += 1
+                self.kids.append(row)
+            level = children
+        self.kids += [(OFF_B,) * k, (OFF_T,) * k]
+        self.winners += [TOP, BOT]
 
-    def _run(self, n: int, rid: int) -> Run:
-        """The run of length n numbered rid."""
-        k = len(self.labmoves)
-        return tuple(self.labmoves[rid // k ** (n - 1 - i) % k] for i in range(n))
+    def _walk(self, lemma: bool) -> None:
+        """Find the first swap that p wins before but not after; with
+        ``lemma``, also count the swaps whose delta has p as first offender
+        and collect those whose gamma does not.  Without it, a branch also
+        stops once no longer tail can give a counterexample, and no branch
+        goes past the length of the first counterexample found so far."""
+        k, tops, longest = len(self.labmoves), self.tops, self.max_len
+        kids, winners = self.kids, self.winners
+        below = [sum(k ** m for m in range(1, longest - n + 1)) for n in range(longest + 1)]
+        first: tuple[int, int, int] | None = None
+        limit = longest
+        pairs = 0
+        found: list[tuple[int, int, int]] = []
+        for i, level in enumerate(self.levels):
+            if i + 2 > limit:
+                break
+            for node, pid in level:
+                row = kids[node]
+                for x in range(k):
+                    if x < tops:
+                        p, off_p, off_q, ys = TOP, OFF_T, OFF_B, range(tops, k)
+                    else:
+                        p, off_p, off_q, ys = BOT, OFF_B, OFF_T, range(tops)
+                    for y in ys:
+                        stack = [(kids[row[x]][y], kids[row[y]][x], i + 2, (pid * k + x) * k + y)]
+                        while stack:
+                            g, d, n, gid = stack.pop()
+                            if n > limit:
+                                continue
+                            if winners[g] is p and winners[d] is not p:
+                                if first is None or (n, gid, i) < first:
+                                    first = (n, gid, i)
+                                    if not lemma:
+                                        limit = n
+                            settled = g < 0 and d < 0
+                            if lemma and d == off_p:
+                                pairs += 1 + below[n] if settled else 1
+                                if g != off_p:
+                                    found.append((n, gid, i))
+                                    if settled:
+                                        for m in range(1, longest - n + 1):
+                                            km = k ** m
+                                            found.extend((n + m, gid * km + t, i) for t in range(km))
+                            if settled or n == limit or not lemma and (g == off_p or d == off_q):
+                                continue
+                            stack.extend(zip(kids[g], kids[d], [n + 1] * k, range(gid * k, gid * k + k)))
+        if lemma:
+            pairs += tops * tops * sum(self.offended[i] * k ** (n - i - 2)
+                                       for n in range(longest + 1) for i in range(n - 1))
+        found.sort()
+        self.first, self.pairs, self.found = first, pairs, found
 
-    def _swap_ids(self) -> Iterator[tuple[int, bytearray, int, int, Player]]:
-        """``_swaps`` over the table: ``(n, level, gamma, delta, p)`` with
-        gamma and delta ids in ``level``, the level of runs of length n.
-
-        Swapping digits a and b at positions i and i+1 adds
-        ``(b - a) * (k**(n-1-i) - k**(n-2-i))`` to a run's id.
-        """
-        tops, k = self.tops, len(self.labmoves)
-        for n, level in enumerate(self.levels):
-            steps = [k ** (n - 1 - i) - k ** (n - 2 - i) for i in range(n - 1)]
-            for gamma, digits in enumerate(product(range(k), repeat=n)):
-                for a, b, step in zip(digits, digits[1:], steps):
-                    if a < tops:
-                        if b >= tops:
-                            yield n, level, gamma, gamma + (b - a) * step, TOP
-                    elif b < tops:
-                        yield n, level, gamma, gamma + (b - a) * step, BOT
+    def _swap(self, n: int, gamma: int, i: int) -> tuple[Run, Run, Player]:
+        """The swap at position i of the run of length n numbered gamma."""
+        moves = []
+        for _ in range(n):
+            gamma, d = divmod(gamma, len(self.labmoves))
+            moves.append(self.labmoves[d])
+        run = tuple(reversed(moves))
+        return run, run[:i] + (run[i + 1], run[i]) + run[i + 2 :], run[i].label
 
     def static_verdict(self) -> StaticVerdict:
-        """The first swap (in table order) that p wins before but not after."""
-        for n, level, gamma, delta, p in self._swap_ids():
-            if _WINNER[level[gamma]] is p and _WINNER[level[delta]] is not p:
-                return StaticVerdict(False, (self._run(n, gamma), self._run(n, delta), p))
-        return StaticVerdict(True)
+        if self.first is None:
+            return StaticVerdict(True)
+        return StaticVerdict(False, self._swap(*self.first))
 
     def lemma_report(self) -> LemmaReport:
-        violations: list[tuple[Run, Run, Player]] = []
-        pairs = 0
-        for n, level, gamma, delta, p in self._swap_ids():
-            offence = OFF_T if p is TOP else OFF_B
-            if level[delta] != offence:
-                continue
-            pairs += 1
-            if level[gamma] != offence:
-                violations.append((self._run(n, gamma), self._run(n, delta), p))
-        return LemmaReport(tuple(violations), pairs)
+        return LemmaReport(tuple(self._swap(*swap) for swap in self.found), self.pairs)
 
 
 def is_static(game: Game, bounds: EnumBounds, pool: Sequence[str] | None = None) -> StaticVerdict:
@@ -238,10 +286,10 @@ def is_static(game: Game, bounds: EnumBounds, pool: Sequence[str] | None = None)
 
     Static means: for both players ``p``, every run won by ``p`` has all
     its ``p``-delays won by ``p`` too, with illegal runs resolved by the
-    offender rule.  The first violating adjacent swap (in the deterministic
-    enumeration order) is returned as a counterexample.
+    offender rule.  The first violating adjacent swap (shortest first,
+    then in run-id and position order) is returned as a counterexample.
     """
-    return _RunTable(game, bounds, pool).static_verdict()
+    return _SwapScan(game, bounds, pool, lemma=False).static_verdict()
 
 
 def check_illegality_lemma(game: Game, bounds: EnumBounds, pool: Sequence[str] | None = None) -> LemmaReport:
@@ -252,12 +300,12 @@ def check_illegality_lemma(game: Game, bounds: EnumBounds, pool: Sequence[str] |
     offender.  Checks the adjacent swaps and reports the violating ones
     (expected: none for recurrences of static bases).
     """
-    return _RunTable(game, bounds, pool).lemma_report()
+    return _SwapScan(game, bounds, pool, lemma=True).lemma_report()
 
 
 def static_and_lemma(
     game: Game, bounds: EnumBounds, pool: Sequence[str] | None = None
 ) -> tuple[StaticVerdict, LemmaReport]:
-    """Run both scans over a single shared run table."""
-    table = _RunTable(game, bounds, pool)
-    return table.static_verdict(), table.lemma_report()
+    """Run both scans in a single walk."""
+    scan = _SwapScan(game, bounds, pool, lemma=True)
+    return scan.static_verdict(), scan.lemma_report()

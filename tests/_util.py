@@ -128,7 +128,7 @@ def delay_profile(run, p):
 
 class ReferenceRunTable:
     """Every run over a labmove pool up to a length bound, classified, as
-    tuples: the reference for the library's integer run table.
+    tuples: the reference for the library's swap scan.
 
     ``runs`` lists the runs level by level (short runs first);
     ``offenders[run]`` is the first offender or None and ``winners`` holds
@@ -185,6 +185,97 @@ class ReferenceRunTable:
             gamma_off = self.offenders[gamma]
             if gamma_off is None or gamma_off.culprit is not p:
                 violations.append((gamma, delta, p))
+        return LemmaReport(tuple(violations), pairs)
+
+
+# Outcome codes of DenseRunTable, one byte per run: legal and won by T or
+# B, or first offended by T or B.
+WON_T, WON_B, OFF_T, OFF_B = range(4)
+# The player who wins a run with each code: a legal run's winner, or the
+# opponent of the culprit of an illegal one.
+_WINNER = (TOP, BOT, BOT, TOP)
+
+
+class DenseRunTable:
+    """Every run over a labmove pool up to a length bound, one byte each:
+    the dense reference for the library's swap scan, fast enough for the
+    k^n runs of length 5 where ``ReferenceRunTable`` builds every tuple.
+
+    A pool of None stands for the game's probe pool.  ``labmoves`` are
+    the pool's moves labelled TOP followed by the same moves labelled
+    BOT, so with ``k = 2 |pool|`` a digit ``d < |pool|`` is a TOP move.
+    A run of length n is numbered by its digit string read in base k,
+    first move most significant, and ``levels[n][id]`` is its code.  The
+    levels shortest first, each in ascending id, list the runs in the
+    order ``_swaps`` visits them; every swap of every run is visited.
+    """
+
+    def __init__(self, game, bounds, pool):
+        if pool is None:
+            pool = game.probe_moves(bounds)
+        self.tops = len(pool)
+        self.labmoves = [LabMove(TOP, m) for m in pool] + [LabMove(BOT, m) for m in pool]
+        k = len(self.labmoves)
+        self.levels = []
+        level = bytearray(1)
+        legal = {0: ()}
+        for n in range(bounds.max_run_len + 1):
+            for rid, run in legal.items():
+                level[rid] = WON_T if game.winner(run) is TOP else WON_B
+            self.levels.append(level)
+            if n == bounds.max_run_len:
+                break
+            children = bytearray(k ** (n + 1))
+            for d in range(k):
+                children[d::k] = level
+            legal_children = {}
+            for rid, run in legal.items():
+                for child, lm in enumerate(self.labmoves, rid * k):
+                    if game.extend_legal(run, lm):
+                        legal_children[child] = run + (lm,)
+                    else:
+                        children[child] = OFF_T if lm.label is TOP else OFF_B
+            level, legal = children, legal_children
+
+    def _run(self, n, rid):
+        k = len(self.labmoves)
+        return tuple(self.labmoves[rid // k ** (n - 1 - i) % k] for i in range(n))
+
+    def _swap_ids(self):
+        """``_swaps`` over the table: ``(n, level, gamma, delta, p)`` with
+        gamma and delta ids in ``level``, the level of runs of length n.
+
+        Swapping digits a and b at positions i and i+1 adds
+        ``(b - a) * (k**(n-1-i) - k**(n-2-i))`` to a run's id.
+        """
+        tops, k = self.tops, len(self.labmoves)
+        for n, level in enumerate(self.levels):
+            steps = [k ** (n - 1 - i) - k ** (n - 2 - i) for i in range(n - 1)]
+            for gamma, digits in enumerate(itertools.product(range(k), repeat=n)):
+                for a, b, step in zip(digits, digits[1:], steps):
+                    if a < tops:
+                        if b >= tops:
+                            yield n, level, gamma, gamma + (b - a) * step, TOP
+                    elif b < tops:
+                        yield n, level, gamma, gamma + (b - a) * step, BOT
+
+    def static_verdict(self):
+        """The first swap (in table order) that p wins before but not after."""
+        for n, level, gamma, delta, p in self._swap_ids():
+            if _WINNER[level[gamma]] is p and _WINNER[level[delta]] is not p:
+                return StaticVerdict(False, (self._run(n, gamma), self._run(n, delta), p))
+        return StaticVerdict(True)
+
+    def lemma_report(self):
+        violations = []
+        pairs = 0
+        for n, level, gamma, delta, p in self._swap_ids():
+            offence = OFF_T if p is TOP else OFF_B
+            if level[delta] != offence:
+                continue
+            pairs += 1
+            if level[gamma] != offence:
+                violations.append((self._run(n, gamma), self._run(n, delta), p))
         return LemmaReport(tuple(violations), pairs)
 
 

@@ -104,7 +104,7 @@ def test_criterion_2_delay_symmetry(capsys):
 
 
 def test_criterion_3_static_preservation(capsys):
-    bounds = EnumBounds(max_address_len=2, max_run_len=5)
+    bounds = EnumBounds(max_address_len=2, max_run_len=6)
     assert len(STATIC_SUITE) >= 3
     base_verdicts = [
         is_static(finite_game_interface(base), bounds) for base in STATIC_SUITE

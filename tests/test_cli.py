@@ -192,6 +192,13 @@ class TestStatic:
         code = main(["static", "--game", "tbr_l(top_choice)", "--max-run", "4", "--max-addr", "2"])
         assert code == 0
 
+    def test_long_runs_of_a_recurrence(self, capsys):
+        # 4-move probe pool, so 8^10 runs of length 10; the scan stores
+        # only the legal ones
+        code = main(["static", "--game", "tbr_l(top_choice)", "--max-run", "10", "--max-addr", "2"])
+        assert code == 0
+        assert capsys.readouterr().out == "static: yes\n"
+
     def test_deeply_nested_expression_is_a_parse_error(self, capsys):
         game = "not(" * 1200 + "leaf_top" + ")" * 1200
         assert main(["static", "--game", game]) == 2

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colgames import (
     BOT,
@@ -24,11 +25,12 @@ from colgames import (
     won_by,
 )
 from colgames.delay import static_and_lemma
-from colgames.games import Game
+from colgames.games import FiniteGame, Game, GameNode, leaf, node
 from colgames.recurrence import ALL_KINDS, TIGHT_RECURRENCE, Version
 from colgames.suite import STATIC_SUITE, bot_choice, first_mover_wins, leaf_top
 
 from _util import (
+    DenseRunTable,
     ReferenceRunTable,
     all_interleavings,
     all_runs,
@@ -301,31 +303,32 @@ class TestSwapScanAgainstPairwiseOracle:
 
 
 class TestRunTableAgainstReference:
-    """The integer run table reports exactly what the tuple-keyed reference
-    table reports: the same counterexample, and the same violations in the
-    same order with the same count of swaps checked."""
+    """The swap scan reports exactly what the run tables of the test
+    oracles report: the same counterexample, and the same violations in
+    the same order with the same count of swaps checked."""
 
     CASES = list(_oracle_cases())
-    BENCHMARK_CASES = [
-        (make_recurrence(finite_game_interface(first_mover_wins()), kind),
-         _BOTH_PAYLOAD_POOLS[kind.version])
-        for kind in ALL_KINDS
-    ]
 
     @staticmethod
-    def _assert_same(game, bounds, pool):
-        ref = ReferenceRunTable(game, bounds, pool)
-        assert static_and_lemma(game, bounds, pool) == (ref.static_verdict(), ref.lemma_report())
+    def _assert_same(game, bounds, pool, oracle=ReferenceRunTable):
+        table = oracle(game, bounds, pool)
+        expected = (table.static_verdict(), table.lemma_report())
+        assert static_and_lemma(game, bounds, pool) == expected
+        assert is_static(game, bounds, pool) == expected[0]
+        assert check_illegality_lemma(game, bounds, pool) == expected[1]
 
     @pytest.mark.parametrize("game, pool", CASES, ids=[g.name for g, _ in CASES])
     def test_suite_games(self, game, pool):
         self._assert_same(game, EnumBounds(2, 3), pool)
 
-    @pytest.mark.parametrize(
-        "game, pool", BENCHMARK_CASES, ids=[g.name for g, _ in BENCHMARK_CASES]
-    )
-    def test_first_mover_wins_recurrences_at_run_length_4(self, game, pool):
+    @pytest.mark.parametrize("game, pool", CASES, ids=[g.name for g, _ in CASES])
+    def test_suite_games_at_run_length_4(self, game, pool):
         self._assert_same(game, EnumBounds(2, 4), pool)
+        self._assert_same(game, EnumBounds(2, 4), pool, DenseRunTable)
+
+    @pytest.mark.parametrize("game, pool", CASES, ids=[g.name for g, _ in CASES])
+    def test_suite_games_at_run_length_5(self, game, pool):
+        self._assert_same(game, EnumBounds(2, 5), pool, DenseRunTable)
 
     @pytest.mark.parametrize("pool", [(), ("a",), ("a", "b")], ids=len)
     @pytest.mark.parametrize("max_run_len", [0, 1, 2])
@@ -338,3 +341,98 @@ class TestRunTableAgainstReference:
         for pool in ((), ("0.a",)):
             for max_run_len in (0, 1, 3):
                 self._assert_same(game, EnumBounds(2, max_run_len), pool)
+
+
+class TestLateCounterexamples:
+    """Games whose shortest counterexamples need a third move, so the walk
+    must keep following a swap's tail and report the first in (length,
+    id, position) order, not the first it meets."""
+
+    # After a and b, in either order, the third move decides; in the order
+    # T a, B b both c moves win for T, in the order B b, T a both lose.
+    LATE = FiniteGame("late", node(BOT, {
+        lm(TOP, "a"): node(BOT, {lm(BOT, "b"): node(BOT, {lm(TOP, "c"): leaf(TOP),
+                                                          lm(BOT, "c"): leaf(TOP)})}),
+        lm(BOT, "b"): node(BOT, {lm(TOP, "a"): node(BOT, {lm(TOP, "c"): leaf(BOT),
+                                                          lm(BOT, "c"): leaf(BOT)})}),
+    }))
+    # T a, B b is offended by B and so won by T; B b, T a is legal and won
+    # by T until T moves again.
+    CUT = FiniteGame("cut", node(TOP, {
+        lm(TOP, "a"): leaf(TOP),
+        lm(BOT, "b"): node(TOP, {lm(TOP, "a"): node(TOP, {})}),
+    }))
+    # T a, B b is legal and won by B; B b, T a is offended by T and so
+    # lost by T, and T a, B b wins for T once B moves again.
+    WAIT = FiniteGame("wait", node(BOT, {
+        lm(TOP, "a"): node(BOT, {lm(BOT, "b"): node(BOT, {lm(BOT, "c"): leaf(TOP)})}),
+        lm(BOT, "b"): node(BOT, {}),
+    }))
+
+    @pytest.mark.parametrize(
+        "base, third",
+        [(LATE, lm(TOP, "c")), (CUT, lm(TOP, "a")), (WAIT, lm(BOT, "a"))],
+        ids=["late", "cut", "wait"],
+    )
+    def test_first_counterexample_is_the_smallest_of_length_3(self, base, third):
+        game = finite_game_interface(base)
+        bounds = EnumBounds(0, 3)
+        ref = ReferenceRunTable(game, bounds, ("a", "b", "c"))
+        expected = (ref.static_verdict(), ref.lemma_report())
+        gamma = (lm(TOP, "a"), lm(BOT, "b"), third)
+        assert expected[0].counterexample == (gamma, (gamma[1], gamma[0], gamma[2]), TOP)
+        assert static_and_lemma(game, bounds, ("a", "b", "c")) == expected
+        assert is_static(game, bounds, ("a", "b", "c")) == expected[0]
+
+
+_PLAYERS = st.sampled_from((TOP, BOT))
+_LABMOVES = st.builds(LabMove, _PLAYERS, st.sampled_from(("a", "b", "c")))
+
+
+def _game_nodes(depth):
+    """Finite game trees of at most ``depth`` moves; any node may be a leaf."""
+    if depth == 0:
+        return st.builds(GameNode, _PLAYERS)
+    edges = st.lists(st.tuples(_LABMOVES, _game_nodes(depth - 1)),
+                     max_size=3, unique_by=lambda edge: edge[0])
+    return st.builds(GameNode, _PLAYERS, edges.map(tuple))
+
+
+# Random pools draw a finite base's moves from its alphabet plus a junk
+# move, and a recurrence's from every probe-move shape at addresses of
+# length <= 2: switches, replications and payload moves.
+_BASE_MOVES = ("a", "b", "c", "x")
+_STEMS = ("", "0", "1", "00", "01")
+_RECURRENCE_MOVES = (
+    tuple(w for w in _STEMS if w)
+    + tuple(w + ":" for w in _STEMS)
+    + tuple(f"{w}.{a}" for w in _STEMS for a in "abc")
+)
+
+
+@st.composite
+def _scan_cases(draw):
+    """(game, bounds, pool): a random finite tree of depth <= 3 over moves
+    a, b and c, or one of its four recurrences; pool None is the probe pool."""
+    game = finite_game_interface(FiniteGame("random", draw(_game_nodes(3))))
+    kind = draw(st.sampled_from((None,) + tuple(ALL_KINDS)))
+    moves = _BASE_MOVES
+    if kind is not None:
+        game, moves = make_recurrence(game, kind), _RECURRENCE_MOVES
+    pool = draw(st.none() | st.lists(st.sampled_from(moves), max_size=4, unique=True))
+    return game, EnumBounds(draw(st.integers(0, 2)), draw(st.integers(0, 3))), pool
+
+
+class TestSwapScanProperty:
+    """On random finite trees and their recurrences, with random pools, the
+    scan equals the tuple-keyed reference, including the swaps it counts
+    by multiplicity below settled pairs and behind illegal prefixes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_scan_cases())
+    def test_equals_reference(self, case):
+        game, bounds, pool = case
+        ref = ReferenceRunTable(game, bounds, pool)
+        expected = (ref.static_verdict(), ref.lemma_report())
+        assert static_and_lemma(game, bounds, pool) == expected
+        assert is_static(game, bounds, pool) == expected[0]
