@@ -39,7 +39,6 @@ from .games import (
     GameNode,
     Offender,
     disjoin,
-    finite_game_interface,
     leaf,
     negate,
     node,

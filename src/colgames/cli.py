@@ -28,22 +28,18 @@ from .core import (
 )
 from .delay import enumerate_delays, is_delay, is_static
 from .dsl import (
-    Atom,
     CbrL,
     CbrT,
     ElaborationError,
     ExprParseError,
-    Not,
-    Or,
     TbrL,
     TbrT,
     elaborate,
-    format_game_expr,
     parse_game_expr,
     translation_shape,
 )
 from .files import FileFormatError, TraceFile, dumps_trace, load_game_defs, loads_trace
-from .games import EnumBounds, finite_game_interface, offender, split_disjunction
+from .games import EnumBounds, offender, split_disjunction
 from .recurrence import actual_nodes, last_switch_stem
 from .sim import (
     Direction,
@@ -144,13 +140,6 @@ def cmd_static(args) -> int:
     return 1
 
 
-def _compound_expr_text(direction: Direction, atom: str) -> str:
-    inner = Atom(atom)
-    if direction is Direction.TIGHT_TO_LOOSE:
-        return format_game_expr(Or(CbrT(Not(inner)), TbrL(inner)))
-    return format_game_expr(Or(CbrL(Not(inner)), TbrT(inner)))
-
-
 def _write_trace(path: str, trace: Trace, game_text: str, seed: int | None, bounds: EnumBounds) -> None:
     tf = TraceFile(
         game=game_text,
@@ -165,31 +154,38 @@ def _write_trace(path: str, trace: Trace, game_text: str, seed: int | None, boun
     Path(path).write_text(dumps_trace(tf))
 
 
+def _seed(args) -> int:
+    """``--seed``, else the ``COL_SEED`` environment variable, else 0."""
+    if args.seed is not None:
+        return args.seed
+    text = os.environ.get("COL_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise FileFormatError(f"COL_SEED must be an integer, got {text!r}") from None
+
+
 def cmd_simulate(args) -> int:
-    defs = _load_defs(args.defs)
-    if args.atom not in defs:
-        raise ElaborationError(f"unknown atom {args.atom!r}")
-    base = defs[args.atom]
+    seed: int | None = _seed(args)
+    base = elaborate(parse_game_expr(args.atom), _load_defs(args.defs))
     direction = Direction(args.direction)
     bounds = _bounds(args)
-    game_text = _compound_expr_text(direction, args.atom)
+    compound = translation_compound(base, direction)
 
     if args.adversary == "exhaustive":
         report = verify_translation(
             base, direction, bounds, budget=args.budget, max_steps=args.max_steps
         )
-        print(f"game: {game_text}")
+        print(f"game: {compound.name}")
         print(f"adversaries: {report.adversaries}")
         print(f"failures: {len(report.failures)}")
         for failure in report.failures[:20]:
             print(f"  {failure.kind}: {failure.detail}")
         return 0 if report.ok else 1
 
-    compound = translation_compound(finite_game_interface(base), direction)
     machine = strategy_for(compound, direction)
     if args.adversary == "random":
-        adversary = random_adversary(compound, args.seed, bounds, args.budget)
-        seed: int | None = args.seed
+        adversary = random_adversary(compound, seed, bounds, args.budget)
     elif args.adversary.startswith("script:"):
         script_trace = _load_trace(args.adversary.split(":", 1)[1])
         adversary = scripted_adversary(
@@ -202,7 +198,7 @@ def cmd_simulate(args) -> int:
         )
     trace = run_interaction(machine, adversary, compound, args.max_steps)
     problems = audit_trace(trace, direction, compound)
-    print(f"game: {game_text}")
+    print(f"game: {compound.name}")
     print(f"run: {format_run(trace.moves)}")
     print(f"outcome: {trace.outcome.value}")
     if trace.offender is not None:
@@ -210,13 +206,13 @@ def cmd_simulate(args) -> int:
     for problem in problems:
         print(f"failure: {problem}")
     if args.out:
-        _write_trace(args.out, trace, game_text, seed, bounds)
+        _write_trace(args.out, trace, compound.name, seed, bounds)
     return 0 if not problems else 1
 
 
-def _print_position(game, run: Run, expr) -> None:
+def _print_position(run: Run, expr) -> None:
     print(f"position: {format_run(run)}")
-    shape = translation_shape(expr) if expr is not None else None
+    shape = translation_shape(expr)
     if shape is not None:
         parts = split_disjunction(run)
         if parts is not None:
@@ -253,8 +249,7 @@ class _Terminal:
     last move read (state: the run's length after it) and the position,
     then reads a move; a blank line or end of input is a pass."""
 
-    def __init__(self, game, expr) -> None:
-        self._game = game
+    def __init__(self, expr) -> None:
         self._expr = expr
 
     def init(self) -> int:
@@ -263,7 +258,7 @@ class _Terminal:
     def react(self, state: int, position: Run, latest: LabMove | None) -> tuple[int, tuple[str, ...]]:
         for reply in position[state:]:
             print(f"machine plays: {reply.move!r}")
-        _print_position(self._game, position, self._expr)
+        _print_position(position, self._expr)
         try:
             entered = input("environment move (blank to stop): ")
         except EOFError:
@@ -285,7 +280,7 @@ def cmd_play(args) -> int:
     else:
         machine = strategy_for(game, shape[0])
         print(f"machine plays the {shape[0].value} translation strategy")
-    trace = run_interaction(machine, _Terminal(game, expr), game, _PLAY_STEPS)
+    trace = run_interaction(machine, _Terminal(expr), game, _PLAY_STEPS)
     if trace.truncated:
         print(f"play stopped at {_PLAY_STEPS} moves")
     if trace.offender is not None:
@@ -337,12 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="play a translation strategy against adversaries")
     p.add_argument("--direction", choices=[d.value for d in Direction], required=True)
     p.add_argument("--defs", default=None)
-    p.add_argument("--atom", required=True, help="base game name")
+    p.add_argument("--atom", required=True, help="base game expression")
     p.add_argument("--adversary", default="exhaustive",
                    help="exhaustive | random | script:FILE")
     p.add_argument("--budget", type=int, default=3)
-    p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("COL_SEED", "0")))
+    p.add_argument("--seed", type=int, default=None,
+                   help="random adversary seed (default: $COL_SEED, else 0)")
     p.add_argument("--max-steps", type=int, default=64, dest="max_steps")
     p.add_argument("--max-run", type=int, default=5, dest="max_run")
     p.add_argument("--max-addr", type=int, default=2, dest="max_addr")

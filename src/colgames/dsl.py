@@ -10,8 +10,8 @@ Grammar (whitespace-insensitive)::
 
 ``tbr_*`` are the recurrences (environment switches), ``cbr_*`` the
 corecurrences (machine switches); ``_t``/``_l`` pick the tight or loose
-version.  Atom names resolve against a definitions mapping of finite
-games at elaboration time.
+version.  Atom names resolve against a definitions mapping of games at
+elaboration time.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .games import FiniteGame, Game, disjoin, finite_game_interface, negate
+from .games import Game, disjoin, negate
 from .recurrence import (
     LOOSE_CORECURRENCE,
     LOOSE_RECURRENCE,
@@ -166,12 +166,12 @@ def format_game_expr(expr: GameExpr) -> str:
     raise TypeError(f"not a game expression: {expr!r}")
 
 
-def elaborate(expr: GameExpr, defs: Mapping[str, FiniteGame]) -> Game:
+def elaborate(expr: GameExpr, defs: Mapping[str, Game]) -> Game:
     """Build the game an expression denotes, resolving atoms in ``defs``."""
     if isinstance(expr, Atom):
         if expr.name not in defs:
             raise ElaborationError(f"unknown atom {expr.name!r}")
-        return finite_game_interface(defs[expr.name])
+        return defs[expr.name]
     if isinstance(expr, Not):
         return negate(elaborate(expr.arg, defs))
     if isinstance(expr, Or):

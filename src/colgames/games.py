@@ -1,4 +1,4 @@
-"""Constant-game interfaces: finite tree games, negation, parallel disjunction.
+"""Constant games: finite trees, negation, parallel disjunction.
 
 A game is a prefix-closed legality predicate on runs, a winner function
 total on legal runs, and a bound-parameterized enumerator of legal moves.
@@ -9,6 +9,9 @@ legal moves at a position.
 The winner is defined at every node of a finite game, not only at leaves:
 a legal run that stops early is a completed play won by the label of the
 node it reached.
+
+Every constructor here and in ``recurrence`` is a :class:`Game`, the
+finite tree included, so any game can be the base of another.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ class Game:
     are immutable after construction and all operations are pure.
     """
 
-    name: str = "game"
+    name: str
 
     def extend_legal(self, position: Run, lm: LabMove) -> bool:
         raise NotImplementedError
@@ -123,20 +126,14 @@ def node(winner: Player, edges: dict[LabMove, GameNode]) -> GameNode:
 
 
 @dataclass(frozen=True)
-class FiniteGame:
+class FiniteGame(Game):
     """A named finite rooted game tree."""
 
     name: str
     root: GameNode
 
-
-class _FiniteInterface(Game):
-    def __init__(self, game: FiniteGame) -> None:
-        self._root = game.root
-        self.name = game.name
-
     def _node_at(self, run: Run) -> GameNode | None:
-        current = self._root
+        current = self.root
         for lm in run:
             for edge, child in current.edges:
                 if edge == lm:
@@ -164,7 +161,7 @@ class _FiniteInterface(Game):
 
     def probe_moves(self, bounds: EnumBounds) -> tuple[str, ...]:
         moves: set[str] = set()
-        stack = [self._root]
+        stack = [self.root]
         while stack:
             current = stack.pop()
             for edge, child in current.edges:
@@ -176,9 +173,9 @@ class _FiniteInterface(Game):
         return tuple(sorted(moves))
 
 
-def finite_game_interface(game: FiniteGame) -> Game:
-    """Wrap a finite game tree as a Game."""
-    return _FiniteInterface(game)
+# Old names kept only for perfbench/, which binds them; nothing else uses them.
+_FiniteInterface = FiniteGame
+def finite_game_interface(game: FiniteGame) -> FiniteGame: return game
 
 
 class _Negated(Game):

@@ -5,7 +5,7 @@ the exhaustive adversary enumerator live in ``strategy``; the first two
 are re-exported here.
 
 ``verify_translation`` builds one of the two translation compounds over
-a finite base game, plays the matching routine against every exhaustive
+any base game, plays the matching routine against every exhaustive
 adversary, and audits each trace: machine-won, machine never the first
 offender, the decisive projections of the two components mirror each
 other, and (for the map-maintaining routine) the node map stays
@@ -31,11 +31,9 @@ from .core import (
 from .delay import is_static, static_and_lemma
 from .games import (
     EnumBounds,
-    FiniteGame,
     Game,
     PreconditionError,
     disjoin,
-    finite_game_interface,
     negate,
     offender,
     split_disjunction,
@@ -154,7 +152,7 @@ class VerificationReport:
 
 
 def verify_translation(
-    base: FiniteGame,
+    base: Game,
     direction: Direction,
     bounds: EnumBounds,
     budget: int,
@@ -169,14 +167,13 @@ def verify_translation(
     diagnostic.  Every resulting trace is audited; the report aggregates
     all violations.
     """
-    iface = finite_game_interface(base)
     precheck = EnumBounds(bounds.max_address_len, min(bounds.max_run_len, 4))
-    verdict = is_static(iface, precheck)
+    verdict = is_static(base, precheck)
     if not verdict.static:
         raise PreconditionError(
             f"base game {base.name!r} is not static; counterexample: {verdict.counterexample}"
         )
-    compound = translation_compound(iface, direction)
+    compound = translation_compound(base, direction)
     mach = machine if machine is not None else strategy_for(compound, direction)
     failures: list[Failure] = []
     count = 0
@@ -187,14 +184,13 @@ def verify_translation(
     return VerificationReport(compound.name, bounds, count, tuple(failures))
 
 
-def verify_static_preservation(base: FiniteGame, bounds: EnumBounds) -> VerificationReport:
+def verify_static_preservation(base: Game, bounds: EnumBounds) -> VerificationReport:
     """Static preservation and illegality propagation for all four kinds.
 
     A non-static base is reported as a precondition failure, not as a
     property violation.
     """
-    iface = finite_game_interface(base)
-    base_verdict = is_static(iface, bounds)
+    base_verdict = is_static(base, bounds)
     if not base_verdict.static:
         failure = Failure(
             "precondition",
@@ -203,7 +199,7 @@ def verify_static_preservation(base: FiniteGame, bounds: EnumBounds) -> Verifica
         return VerificationReport(base.name, bounds, 0, (failure,))
     failures: list[Failure] = []
     for kind in ALL_KINDS:
-        rec = make_recurrence(iface, kind)
+        rec = make_recurrence(base, kind)
         verdict, lemma = static_and_lemma(rec, bounds)
         if not verdict.static:
             failures.append(

@@ -17,7 +17,6 @@ from colgames import (
     EnumBounds,
     LabMove,
     Ray,
-    finite_game_interface,
     is_delay,
     is_static,
     label_subsequence,
@@ -107,7 +106,7 @@ def test_criterion_3_static_preservation(capsys):
     bounds = EnumBounds(max_address_len=2, max_run_len=6)
     assert len(STATIC_SUITE) >= 3
     base_verdicts = [
-        is_static(finite_game_interface(base), bounds) for base in STATIC_SUITE
+        is_static(base, bounds) for base in STATIC_SUITE
     ]
     bases_ok = all(v.static for v in base_verdicts)
     failures = []
@@ -143,8 +142,7 @@ def test_criterion_4_translation_both_directions(capsys):
 
 def test_criterion_5_de_morgan_duality(capsys):
     bad = None
-    for base_game in STATIC_SUITE:
-        base = finite_game_interface(base_game)
+    for base in STATIC_SUITE:
         for co_kind, rec_kind in (
             (TIGHT_CORECURRENCE, TIGHT_RECURRENCE),
             (LOOSE_CORECURRENCE, LOOSE_RECURRENCE),
@@ -155,7 +153,7 @@ def test_criterion_5_de_morgan_duality(capsys):
             pool = sorted(set(left.probe_moves(bounds)) | set(right.probe_moves(bounds)))
             difference = first_difference(left, right, pool, 4)
             if difference is not None:
-                bad = (base_game.name, co_kind, difference)
+                bad = (base.name, co_kind, difference)
     ok = bad is None
     _report(capsys, 5, ok, "corecurrence = negated recurrence of negation, runs <= 4")
     assert bad is None, bad

@@ -303,6 +303,60 @@ class TestSimulate:
         assert code == 0
         assert loads_trace(out_path.read_text()).seed == 9
 
+    def test_malformed_col_seed_is_malformed_input(self, monkeypatch, capsys):
+        monkeypatch.setenv("COL_SEED", "abc")
+        code = main([
+            "simulate", "--direction", "tight-to-loose", "--atom", "leaf_top",
+            "--adversary", "random",
+        ])
+        assert code == 2
+        assert_one_line_error(capsys)
+
+    def test_col_seed_is_read_only_by_simulate(self, monkeypatch, capsys):
+        monkeypatch.setenv("COL_SEED", "abc")
+        assert main(["static", "--game", "bot_choice"]) == 0
+        assert capsys.readouterr().out == "static: yes\n"
+        code = main([
+            "simulate", "--direction", "tight-to-loose", "--atom", "leaf_top",
+            "--adversary", "random", "--seed", "3",
+        ])
+        assert code == 0
+
+
+class TestSimulateCompositeBase:
+    """``--atom`` takes any base expression, not only a definition name."""
+
+    BASE = "not(bot_choice)"
+    GAME = "or(cbr_t(not(not(bot_choice))), tbr_l(not(bot_choice)))"
+
+    def test_exhaustive_on_a_negation(self, capsys):
+        code = main([
+            "simulate", "--direction", "tight-to-loose", "--atom", self.BASE, "--budget", "2",
+        ])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == [f"game: {self.GAME}", "adversaries: 92", "failures: 0"]
+
+    @pytest.mark.parametrize("atom", ["nope", "not(("])
+    def test_bad_base_expression_is_malformed(self, atom, capsys):
+        code = main(["simulate", "--direction", "tight-to-loose", "--atom", atom])
+        assert code == 2
+        assert_one_line_error(capsys)
+
+    def test_random_trace_is_read_back_by_eval(self, tmp_path, capsys):
+        out_path = tmp_path / "trace.json"
+        code = main([
+            "simulate", "--direction", "tight-to-loose", "--atom", self.BASE,
+            "--adversary", "random", "--seed", "5", "--budget", "3", "--out", str(out_path),
+        ])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"game: {self.GAME}"
+        tf = loads_trace(out_path.read_text())
+        assert tf.game == self.GAME
+        assert len(tf.moves) == 6
+        assert main(["eval", "--game", tf.game, "--trace", str(out_path)]) == 0
+        assert capsys.readouterr().out == "legal; winner: T\n"
+
 
 class TestPlay:
     def test_scripted_session(self, capsys, monkeypatch):

@@ -15,7 +15,6 @@ from colgames import (
     LabMove,
     check_illegality_lemma,
     enumerate_delays,
-    finite_game_interface,
     is_delay,
     is_static,
     label_subsequence,
@@ -162,12 +161,12 @@ class _SetWinnerGame(Game):
 
 class TestIsStatic:
     def test_leaf_game_is_static(self):
-        verdict = is_static(finite_game_interface(leaf_top()), BOUNDS)
+        verdict = is_static(leaf_top(), BOUNDS)
         assert verdict.static
         assert verdict.counterexample is None
 
     def test_first_mover_wins_is_not_static(self):
-        verdict = is_static(finite_game_interface(first_mover_wins()), BOUNDS)
+        verdict = is_static(first_mover_wins(), BOUNDS)
         assert not verdict.static
         gamma, delta, p = verdict.counterexample
         assert gamma == (lm(TOP, "a"), lm(BOT, "b"))
@@ -176,7 +175,7 @@ class TestIsStatic:
         # independently confirm the counterexample
         from colgames import won_by
 
-        g = finite_game_interface(first_mover_wins())
+        g = first_mover_wins()
         assert is_delay_naive(delta, gamma, p)
         assert won_by(g, gamma, p)
         assert not won_by(g, delta, p)
@@ -196,21 +195,21 @@ class TestIsStatic:
 
     def test_explicit_pool_override(self):
         verdict = is_static(
-            finite_game_interface(leaf_top()), BOUNDS, pool=["p", "q"]
+            leaf_top(), BOUNDS, pool=["p", "q"]
         )
         assert verdict.static
 
 
 class TestIllegalityLemma:
     def test_zero_violations_on_recurrence_of_static_base(self):
-        base = finite_game_interface(bot_choice())
+        base = bot_choice()
         game = make_recurrence(base, TIGHT_RECURRENCE)
         report = check_illegality_lemma(game, BOUNDS)
         assert report.violations == ()
         assert report.pairs_checked > 0
 
     def test_vacuous_on_empty_universe(self):
-        base = finite_game_interface(leaf_top())
+        base = leaf_top()
         game = make_recurrence(base, TIGHT_RECURRENCE)
         report = check_illegality_lemma(game, EnumBounds(0, 0), pool=[])
         assert report.violations == ()
@@ -219,7 +218,7 @@ class TestIllegalityLemma:
     def test_reflexive_pairs_are_consistent(self):
         # a run that offends for p is trivially its own p-delay; the scan
         # never flags identical pairs
-        base = finite_game_interface(bot_choice())
+        base = bot_choice()
         game = make_recurrence(base, TIGHT_RECURRENCE)
         report = check_illegality_lemma(game, EnumBounds(1, 3))
         assert report.violations == ()
@@ -228,7 +227,7 @@ class TestIllegalityLemma:
 class TestStaticPreservation:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_recurrences_of_bot_choice_are_static(self, kind):
-        base = finite_game_interface(bot_choice())
+        base = bot_choice()
         game = make_recurrence(base, kind)
         verdict = is_static(game, EnumBounds(2, 4))
         assert verdict.static, verdict.counterexample
@@ -246,11 +245,10 @@ def _oracle_cases():
     """(game, pool) for each static suite base and first_mover_wins, and
     their four recurrences; pool None means the game's probe pool."""
     for base in STATIC_SUITE + (first_mover_wins(),):
-        iface = finite_game_interface(base)
-        yield iface, None
+        yield base, None
         for kind in ALL_KINDS:
             pool = _BOTH_PAYLOAD_POOLS[kind.version] if base.name == "first_mover_wins" else None
-            yield make_recurrence(iface, kind), pool
+            yield make_recurrence(base, kind), pool
 
 
 def _is_adjacent_swap(gamma, delta, p):
@@ -333,11 +331,11 @@ class TestRunTableAgainstReference:
     @pytest.mark.parametrize("pool", [(), ("a",), ("a", "b")], ids=len)
     @pytest.mark.parametrize("max_run_len", [0, 1, 2])
     def test_edge_tables(self, pool, max_run_len):
-        game = finite_game_interface(first_mover_wins())
+        game = first_mover_wins()
         self._assert_same(game, EnumBounds(0, max_run_len), pool)
 
     def test_edge_tables_on_a_recurrence(self):
-        game = make_recurrence(finite_game_interface(first_mover_wins()), TIGHT_RECURRENCE)
+        game = make_recurrence(first_mover_wins(), TIGHT_RECURRENCE)
         for pool in ((), ("0.a",)):
             for max_run_len in (0, 1, 3):
                 self._assert_same(game, EnumBounds(2, max_run_len), pool)
@@ -370,12 +368,11 @@ class TestLateCounterexamples:
     }))
 
     @pytest.mark.parametrize(
-        "base, third",
+        "game, third",
         [(LATE, lm(TOP, "c")), (CUT, lm(TOP, "a")), (WAIT, lm(BOT, "a"))],
         ids=["late", "cut", "wait"],
     )
-    def test_first_counterexample_is_the_smallest_of_length_3(self, base, third):
-        game = finite_game_interface(base)
+    def test_first_counterexample_is_the_smallest_of_length_3(self, game, third):
         bounds = EnumBounds(0, 3)
         ref = ReferenceRunTable(game, bounds, ("a", "b", "c"))
         expected = (ref.static_verdict(), ref.lemma_report())
@@ -414,7 +411,7 @@ _RECURRENCE_MOVES = (
 def _scan_cases(draw):
     """(game, bounds, pool): a random finite tree of depth <= 3 over moves
     a, b and c, or one of its four recurrences; pool None is the probe pool."""
-    game = finite_game_interface(FiniteGame("random", draw(_game_nodes(3))))
+    game = FiniteGame("random", draw(_game_nodes(3)))
     kind = draw(st.sampled_from((None,) + tuple(ALL_KINDS)))
     moves = _BASE_MOVES
     if kind is not None:

@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from colgames import BOT, TOP, EnumBounds, LabMove, Offender, finite_game_interface
+from colgames import BOT, TOP, EnumBounds, LabMove, Offender
 from colgames.files import (
     MAX_TREE_DEPTH,
     FileFormatError,
@@ -55,8 +55,8 @@ class TestGameDefs:
         reloaded = load_game_defs(dump_game_defs(defs))
         assert set(reloaded) == set(defs)
         for name in defs:
-            original = finite_game_interface(defs[name])
-            copy = finite_game_interface(reloaded[name])
+            original = defs[name]
+            copy = reloaded[name]
             pool = original.probe_moves(EnumBounds(2, 3))
             for run in all_runs(pool, 3):
                 assert original.is_legal(run) == copy.is_legal(run)
@@ -88,7 +88,7 @@ class TestGameDefs:
     def test_tree_at_the_depth_cap_loads(self):
         game = load_game_defs(chain_defs(MAX_TREE_DEPTH))["deep"]
         run = tuple(LabMove(BOT, "m") for _ in range(MAX_TREE_DEPTH))
-        assert finite_game_interface(game).is_legal(run)
+        assert game.is_legal(run)
 
     @pytest.mark.parametrize("depth", [MAX_TREE_DEPTH + 1, 1200])
     def test_tree_past_the_depth_cap_is_a_format_error(self, depth):

@@ -14,7 +14,6 @@ from colgames import (
     LabMove,
     Offender,
     disjoin,
-    finite_game_interface,
     leaf,
     negate,
     offender,
@@ -34,17 +33,17 @@ def lm(label, move):
 
 class TestFiniteGameInterface:
     def test_leaf_game(self):
-        g = finite_game_interface(leaf_top())
+        g = leaf_top()
         assert g.is_legal(())
         assert g.winner(()) is TOP
         assert not g.is_legal((lm(TOP, "x"),))
 
     def test_child_winner(self):
-        g = finite_game_interface(bot_choice())
+        g = bot_choice()
         assert g.winner((lm(BOT, "b"),)) is BOT
 
     def test_winner_defined_at_every_node(self):
-        g = finite_game_interface(bot_choice())
+        g = bot_choice()
         assert g.winner(()) is TOP  # stopping early is a completed play
 
     def test_duplicate_edges_rejected(self):
@@ -53,13 +52,13 @@ class TestFiniteGameInterface:
             GameNode(TOP, ((lm(BOT, "m"), child), (lm(BOT, "m"), child)))
 
     def test_legal_moves_by_player(self):
-        g = finite_game_interface(first_mover_wins())
+        g = first_mover_wins()
         assert g.legal_moves((), TOP, BOUNDS) == {"a"}
         assert g.legal_moves((), BOT, BOUNDS) == {"b"}
 
     def test_prefix_closure_exhaustive(self):
         for suite_game in STATIC_SUITE:
-            g = finite_game_interface(suite_game)
+            g = suite_game
             pool = g.probe_moves(BOUNDS)
             for run in all_runs(pool, 5):
                 if g.is_legal(run):
@@ -69,15 +68,15 @@ class TestFiniteGameInterface:
 
 class TestOffender:
     def test_legal_run_has_no_offender(self):
-        g = finite_game_interface(bot_choice())
+        g = bot_choice()
         assert offender(g, (lm(BOT, "b"),)) is None
 
     def test_leaf_game_first_move_offends(self):
-        g = finite_game_interface(leaf_top())
+        g = leaf_top()
         assert offender(g, (lm(TOP, "x"),)) == Offender(0, TOP)
 
     def test_agrees_with_prefix_scan(self):
-        g = finite_game_interface(first_mover_wins())
+        g = first_mover_wins()
         pool = g.probe_moves(BOUNDS)
         for run in all_runs(pool, 4):
             expected = None
@@ -90,12 +89,12 @@ class TestOffender:
 
 class TestWonBy:
     def test_leaf_trivials(self):
-        g = finite_game_interface(leaf_top())
+        g = leaf_top()
         assert won_by(g, (), TOP)
         assert won_by(g, (lm(BOT, "junk"),), TOP)  # the environment offends
 
     def test_first_mover_winner_table(self):
-        g = finite_game_interface(first_mover_wins())
+        g = first_mover_wins()
         table = {
             (): BOT,
             (lm(TOP, "a"),): TOP,
@@ -109,7 +108,7 @@ class TestWonBy:
 
     def test_exclusivity_exhaustive(self):
         for suite_game in STATIC_SUITE + (first_mover_wins(),):
-            g = finite_game_interface(suite_game)
+            g = suite_game
             pool = g.probe_moves(BOUNDS)
             for run in all_runs(pool, 4):
                 assert won_by(g, run, TOP) != won_by(g, run, BOT)
@@ -117,11 +116,11 @@ class TestWonBy:
 
 class TestNegate:
     def test_leaf(self):
-        g = negate(finite_game_interface(leaf_top()))
+        g = negate(leaf_top())
         assert g.winner(()) is BOT
 
     def test_legality_matches_flip_label_oracle(self):
-        inner = finite_game_interface(first_mover_wins())
+        inner = first_mover_wins()
         neg = negate(inner)
         pool = inner.probe_moves(BOUNDS)
         for run in all_runs(pool, 3):
@@ -130,27 +129,27 @@ class TestNegate:
 
     def test_involution_behavioral(self):
         for suite_game in STATIC_SUITE:
-            g = finite_game_interface(suite_game)
+            g = suite_game
             double = negate(negate(g))
             assert first_difference(g, double, g.probe_moves(BOUNDS), 4) is None
 
     def test_legal_moves_role_swapped(self):
-        g = negate(finite_game_interface(first_mover_wins()))
+        g = negate(first_mover_wins())
         assert g.legal_moves((), TOP, BOUNDS) == {"b"}
         assert g.legal_moves((), BOT, BOUNDS) == {"a"}
 
 
 class TestDisjoin:
     def test_winner_trivials(self):
-        bot_leaf = finite_game_interface(FiniteGame("bl", leaf(BOT)))
-        top_leaf = finite_game_interface(leaf_top())
+        bot_leaf = FiniteGame("bl", leaf(BOT))
+        top_leaf = leaf_top()
         assert disjoin(bot_leaf, bot_leaf).winner(()) is BOT
         assert disjoin(top_leaf, bot_leaf).winner(()) is TOP
         assert disjoin(bot_leaf, top_leaf).winner(()) is TOP
 
     def test_moves_need_component_prefix(self):
         g = disjoin(
-            finite_game_interface(top_choice()), finite_game_interface(bot_choice())
+            top_choice(), bot_choice()
         )
         assert g.is_legal((lm(TOP, "1.a"),))
         assert g.is_legal((lm(BOT, "2.b"),))
@@ -158,8 +157,8 @@ class TestDisjoin:
         assert offender(g, (lm(TOP, "a"),)) == Offender(0, TOP)
 
     def test_legality_is_conjunction_of_components(self):
-        left = finite_game_interface(top_choice())
-        right = finite_game_interface(bot_choice())
+        left = top_choice()
+        right = bot_choice()
         g = disjoin(left, right)
         pool = g.probe_moves(BOUNDS)
         for run in all_runs(pool, 4):
@@ -174,8 +173,8 @@ class TestDisjoin:
     def test_split_concatenation_identity(self):
         # Splitting then re-tagging each component reproduces the original
         # interleaving move for move; checked against an independent splitter.
-        left = finite_game_interface(top_choice())
-        right = finite_game_interface(bot_choice())
+        left = top_choice()
+        right = bot_choice()
         g = disjoin(left, right)
         pool = g.probe_moves(BOUNDS)
         for run in all_runs(pool, 5):
@@ -193,7 +192,7 @@ class TestDisjoin:
 
     def test_legal_moves_are_prefixed_union(self):
         g = disjoin(
-            finite_game_interface(top_choice()), finite_game_interface(bot_choice())
+            top_choice(), bot_choice()
         )
         assert g.legal_moves((), TOP, BOUNDS) == {"1.a"}
         assert g.legal_moves((), BOT, BOUNDS) == {"2.b"}

@@ -14,7 +14,6 @@ from colgames import (
     NodeTree,
     Ray,
     actual_nodes,
-    finite_game_interface,
     loose_extension_legal,
     make_recurrence,
     negate,
@@ -91,7 +90,7 @@ class TestActualNodes:
 
 class TestTightExtension:
     def setup_method(self):
-        self.base = finite_game_interface(bot_choice())
+        self.base = bot_choice()
 
     def test_switch_to_root_by_structural(self):
         assert tight_extension_legal(self.base, (), lm(BOT, ""), BOT)
@@ -129,7 +128,7 @@ class TestTightExtension:
 
 class TestLooseExtension:
     def setup_method(self):
-        self.base = finite_game_interface(top_choice())
+        self.base = top_choice()
 
     def test_switch_to_any_bitstring(self):
         assert loose_extension_legal(self.base, (), lm(BOT, "1101"), BOT)
@@ -158,7 +157,7 @@ class TestWholeRunLooseDefinition:
     def test_incremental_agrees_with_whole_run_check(self):
         # The run-level definition: all moves well shaped for their author
         # and every ray-class projection legal in the base.
-        base = finite_game_interface(first_mover_wins())
+        base = first_mover_wins()
         game = make_recurrence(base, LOOSE_RECURRENCE)
         pool = game.probe_moves(BOUNDS)
         from colgames import ray_classes
@@ -179,7 +178,7 @@ class TestWholeRunLooseDefinition:
 
 class TestTightProjectionInvariant:
     def test_all_ray_projections_of_legal_positions_are_legal(self):
-        base = finite_game_interface(first_mover_wins())
+        base = first_mover_wins()
         game = make_recurrence(base, TIGHT_RECURRENCE)
         pool = game.probe_moves(BOUNDS)
         for run in all_runs(pool, 4):
@@ -191,17 +190,17 @@ class TestTightProjectionInvariant:
 class TestRecurrenceWinner:
     def test_leaf_trivials(self):
         assert make_recurrence(
-            finite_game_interface(leaf_top()), TIGHT_RECURRENCE
+            leaf_top(), TIGHT_RECURRENCE
         ).winner(()) is TOP
         assert make_recurrence(
-            finite_game_interface(leaf_bot()), TIGHT_CORECURRENCE
+            leaf_bot(), TIGHT_CORECURRENCE
         ).winner(()) is BOT
 
     def test_last_switch_decides(self):
         # Enumerate legal runs of <= 4 moves with <= 2 switches and check
         # the winner against an independent recomputation from the stem of
         # the last structural switch.
-        base = finite_game_interface(top_choice())
+        base = top_choice()
         for kind in (TIGHT_RECURRENCE, LOOSE_RECURRENCE):
             game = make_recurrence(base, kind)
             pool = game.probe_moves(BOUNDS) + ("1",)
@@ -219,7 +218,7 @@ class TestRecurrenceWinner:
             assert checked > 10
 
     def test_two_switches_only_last_counts(self):
-        base = finite_game_interface(top_choice())
+        base = top_choice()
         game = make_recurrence(base, LOOSE_RECURRENCE)
         run = (lm(TOP, "1.a"), lm(BOT, "1"), lm(BOT, "0"))
         assert game.is_legal(run)
@@ -240,7 +239,7 @@ class TestLegalMoveEnumeration:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("player", [TOP, BOT])
     def test_matches_extension_legality_on_candidates(self, kind, player):
-        base = finite_game_interface(first_mover_wins())
+        base = first_mover_wins()
         game = make_recurrence(base, kind)
         bounds = EnumBounds(max_address_len=1, max_run_len=5)
         for position in [(), (lm(kind.structural, ":"),) if kind.version.value == "tight" else (lm(kind.structural, "0"),)]:
@@ -254,21 +253,21 @@ class TestLegalMoveEnumeration:
             assert enumerated == oracle
 
     def test_tight_root_moves_exclude_unreplicated_addresses(self):
-        base = finite_game_interface(bot_choice())
+        base = bot_choice()
         game = make_recurrence(base, TIGHT_RECURRENCE)
         moves = game.legal_moves((), BOT, EnumBounds(1, 5))
         assert moves == {"", ":", ".b"}
         assert "0.b" not in moves
 
     def test_loose_root_moves_include_unreplicated_addresses(self):
-        base = finite_game_interface(bot_choice())
+        base = bot_choice()
         game = make_recurrence(base, LOOSE_RECURRENCE)
         moves = game.legal_moves((), BOT, EnumBounds(1, 5))
         assert {"0.b", "1.b", ".b", "", "0", "1"} <= moves
         assert ":" not in moves
 
     def test_every_enumerated_move_extends_legally(self):
-        base = finite_game_interface(first_mover_wins())
+        base = first_mover_wins()
         for kind in ALL_KINDS:
             game = make_recurrence(base, kind)
             position = ()
@@ -285,7 +284,7 @@ class TestDeMorgan:
     def test_corecurrence_is_negated_recurrence_of_negation(self, version_pair):
         co_kind, rec_kind = version_pair
         for suite_game in STATIC_SUITE:
-            base = finite_game_interface(suite_game)
+            base = suite_game
             left = make_recurrence(base, co_kind)
             right = negate(make_recurrence(negate(base), rec_kind))
             pool = sorted(set(left.probe_moves(BOUNDS)) | set(right.probe_moves(BOUNDS)))

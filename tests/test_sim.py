@@ -17,8 +17,8 @@ from colgames import (
     RemapStrategy,
     audit_trace,
     disjoin,
-    finite_game_interface,
     leaf,
+    negate,
     offender,
     pass_strategy,
     random_adversary,
@@ -64,8 +64,8 @@ def lm(label, move):
 class TestRunInteraction:
     def test_mutual_pass_on_disjoined_leaves(self):
         game = disjoin(
-            finite_game_interface(FiniteGame("lb", leaf(BOT))),
-            finite_game_interface(leaf_top()),
+            FiniteGame("lb", leaf(BOT)),
+            leaf_top(),
         )
         trace = run_interaction(pass_strategy(), pass_strategy(), game, 10)
         assert trace.moves == ()
@@ -73,14 +73,14 @@ class TestRunInteraction:
         assert trace.offender is None
 
     def test_outcome_recomputes_from_run(self):
-        game = translation_compound(finite_game_interface(bot_choice()), Direction.TIGHT_TO_LOOSE)
+        game = translation_compound(bot_choice(), Direction.TIGHT_TO_LOOSE)
         machine = MirrorStrategy()
         trace = run_interaction(machine, scripted_adversary(["2.0", "2..b"]), game, 30)
         assert (trace.outcome is TOP) == won_by(game, trace.moves, TOP)
         assert trace.offender == offender(game, trace.moves)
 
     def test_first_illegal_adversary_move_is_flagged(self):
-        game = translation_compound(finite_game_interface(bot_choice()), Direction.TIGHT_TO_LOOSE)
+        game = translation_compound(bot_choice(), Direction.TIGHT_TO_LOOSE)
         machine = MirrorStrategy()
         trace = run_interaction(machine, scripted_adversary(["2.0", "1.0"]), game, 30)
         # "1.0" is a switch in the tight-co component, which belongs to the
@@ -90,7 +90,7 @@ class TestRunInteraction:
         assert trace.outcome is TOP
 
     def test_machine_is_not_asked_after_the_adversary_offends(self):
-        game = translation_compound(finite_game_interface(bot_choice()), Direction.TIGHT_TO_LOOSE)
+        game = translation_compound(bot_choice(), Direction.TIGHT_TO_LOOSE)
         machine = _Recording(MirrorStrategy())
         trace = run_interaction(machine, scripted_adversary(["xyz", "2.0"]), game, 30)
         assert trace.offender == Offender(0, BOT)
@@ -100,7 +100,7 @@ class TestRunInteraction:
         assert (trace.outcome is TOP) == won_by(game, trace.moves, TOP)
 
     def test_machine_is_not_asked_after_its_own_offence(self):
-        game = translation_compound(finite_game_interface(bot_choice()), Direction.TIGHT_TO_LOOSE)
+        game = translation_compound(bot_choice(), Direction.TIGHT_TO_LOOSE)
         machine = _Recording(scripted_adversary(["xyz"]))
         trace = run_interaction(machine, scripted_adversary(["2.0", "2..b"]), game, 30)
         assert trace.offender == Offender(1, TOP)
@@ -110,14 +110,14 @@ class TestRunInteraction:
         assert trace.outcome is BOT
 
     def test_truncation_is_recorded(self):
-        game = translation_compound(finite_game_interface(bot_choice()), Direction.TIGHT_TO_LOOSE)
+        game = translation_compound(bot_choice(), Direction.TIGHT_TO_LOOSE)
         machine = MirrorStrategy()
         trace = run_interaction(machine, scripted_adversary(["2.0", "2.0", "2.0"]), game, 2)
         assert trace.truncated
         assert len(trace.moves) == 2
 
     def test_replaying_a_trace_reproduces_it(self):
-        game = translation_compound(finite_game_interface(bot_choice()), Direction.LOOSE_TO_TIGHT)
+        game = translation_compound(bot_choice(), Direction.LOOSE_TO_TIGHT)
         machine = RemapStrategy()
         adversary = random_adversary(game, seed=7, bounds=BOUNDS, budget=3)
         golden = run_interaction(machine, adversary, game, 40)
@@ -137,7 +137,7 @@ class TestRunInteraction:
         assert serialize(replayed) == serialize(golden)
 
     def test_thousand_seeded_adversaries_all_lose(self):
-        game = translation_compound(finite_game_interface(bot_choice()), Direction.LOOSE_TO_TIGHT)
+        game = translation_compound(bot_choice(), Direction.LOOSE_TO_TIGHT)
         machine = RemapStrategy()
         won = 0
         for seed in range(1000):
@@ -147,7 +147,7 @@ class TestRunInteraction:
         assert won == 1000
 
     def test_notes_align_with_machine_batches(self):
-        game = translation_compound(finite_game_interface(bot_choice()), Direction.LOOSE_TO_TIGHT)
+        game = translation_compound(bot_choice(), Direction.LOOSE_TO_TIGHT)
         machine = RemapStrategy()
         trace = run_interaction(machine, scripted_adversary(["2.:", "2.1"]), game, 30)
         env_moves = [i for i, x in enumerate(trace.moves) if x.label is BOT]
@@ -190,11 +190,43 @@ class TestVerifyTranslation:
         assert first == second
 
 
+class TestCompositeBases:
+    """The drivers take any static base, not only a finite tree."""
+
+    @pytest.mark.parametrize(
+        "base, budget, counts",
+        [
+            (negate(bot_choice()), 3, (950, 420)),
+            (disjoin(bot_choice(), top_choice()), 2, (253, 88)),
+        ],
+        ids=["not", "or"],
+    )
+    def test_translation_wins_in_both_directions(self, base, budget, counts):
+        for direction, count in zip(Direction, counts):
+            report = verify_translation(base, direction, BOUNDS, budget=budget)
+            assert report.adversaries == count
+            assert report.failures == ()
+
+    def test_corrupted_routine_is_caught_on_a_negation(self):
+        report = verify_translation(
+            negate(bot_choice()),
+            Direction.LOOSE_TO_TIGHT,
+            BOUNDS,
+            budget=3,
+            machine=BrokenRemapStrategy(),
+        )
+        assert len(report.failures) >= 1
+
+    def test_static_preservation_on_a_negation(self):
+        report = verify_static_preservation(negate(bot_choice()), EnumBounds(2, 5))
+        assert report.ok
+
+
 class TestAuditTrace:
     def test_flags_wrong_outcome_traces(self):
         # hand-build a legal but machine-lost trace: the adversary plays its
         # base move in the loose component and the machine never answers
-        game = translation_compound(finite_game_interface(bot_choice()), Direction.TIGHT_TO_LOOSE)
+        game = translation_compound(bot_choice(), Direction.TIGHT_TO_LOOSE)
         trace = run_interaction(pass_strategy(), scripted_adversary(["2..b"]), game, 10)
         problems = audit_trace(trace, Direction.TIGHT_TO_LOOSE, game)
         assert any("outcome" in p for p in problems)

@@ -15,7 +15,6 @@ from colgames import (
     RemapStrategy,
     actual_nodes,
     exhaustive_adversaries,
-    finite_game_interface,
     fmap_prefix_free,
     grow_to_actual,
     pass_strategy,
@@ -36,11 +35,11 @@ def lm(label, move):
 
 
 def compound1(base_game):
-    return translation_compound(finite_game_interface(base_game), Direction.TIGHT_TO_LOOSE)
+    return translation_compound(base_game, Direction.TIGHT_TO_LOOSE)
 
 
 def compound2(base_game):
-    return translation_compound(finite_game_interface(base_game), Direction.LOOSE_TO_TIGHT)
+    return translation_compound(base_game, Direction.LOOSE_TO_TIGHT)
 
 
 class TestGrowToActual:
@@ -84,7 +83,7 @@ class TestMirrorStrategy:
         state, moves = machine.react(state, position, position[-1])
         assert moves == ("1.:", "1.0:", "1.01")
         # each intermediate move is legal in the tight-co component
-        base = finite_game_interface(bot_choice())
+        base = bot_choice()
         from colgames import negate
 
         not_base = negate(base)
@@ -249,7 +248,7 @@ class TestExhaustiveAdversaries:
     @pytest.mark.parametrize("base", [bot_choice, alternating])
     @pytest.mark.parametrize("direction", list(Direction))
     def test_every_trace_is_the_play_of_its_own_script(self, base, direction):
-        game = translation_compound(finite_game_interface(base()), direction)
+        game = translation_compound(base(), direction)
         machine = strategy_for(game, direction)
         scripts = []
         for trace in exhaustive_adversaries(game, machine, BOUNDS, budget=2, max_steps=30):
