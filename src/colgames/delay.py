@@ -21,10 +21,13 @@ because "all runs" over unrestricted move strings is infinite; a probe
 pool keeps the scan exhaustive over a universe that still exercises
 every move shape.
 
-Only the legal runs are stored.  A swap's outcome depends only on the two
-runs up to their first offences.  So for each legal prefix P and moves x
-and y of different players, the scan walks gamma = P x y T and delta =
-P y x T along one shared tail T until both runs are offended, and counts
+Only the legal runs are stored, built shortest first: the game state of
+each legal run is stepped by every pool move, so a run costs one
+``step`` and, when legal, one ``outcome`` call, and the states are
+dropped once the tree is built.  A swap's outcome depends only on the
+two runs up to their first offences.  So for each legal prefix P and
+moves x and y of different players, the scan walks gamma = P x y T and
+delta = P y x T along one shared tail T until both runs are offended, and counts
 the swaps below that point by their number, k^m at m more moves for a
 pool of k labelled moves.  Behind an illegal prefix gamma and delta share
 its first offender, so those swaps are counted without a walk.  A run is
@@ -179,11 +182,11 @@ class _SwapScan:
         self._walk(lemma)
 
     def _build(self, game: Game) -> None:
-        """Ask the game for the winner of every legal run and the legality
-        of each of its extensions, shortest runs first."""
+        """Step the game's state of every legal run by each labmove, and
+        ask for the winner of each legal run, shortest runs first."""
         k = len(self.labmoves)
-        runs: list[Run] = [()]
-        self.winners: list[Player] = [game.winner(())]
+        states = [game.start()]
+        self.winners: list[Player] = [game.outcome(states[0])]
         self.kids: list[list[int] | tuple[int, ...]] = []
         self.levels: list[list[tuple[int, int]]] = []
         self.offended: list[int] = []
@@ -196,13 +199,15 @@ class _SwapScan:
             children: list[tuple[int, int]] = []
             offended *= k
             for node, rid in level:
+                state = states[node]
                 row = []
                 for d, lm in enumerate(self.labmoves):
-                    if game.extend_legal(runs[node], lm):
-                        row.append(len(runs))
-                        children.append((len(runs), rid * k + d))
-                        runs.append(runs[node] + (lm,))
-                        self.winners.append(game.winner(runs[-1]))
+                    child = game.step(state, lm)
+                    if child is not None:
+                        row.append(len(states))
+                        children.append((len(states), rid * k + d))
+                        states.append(child)
+                        self.winners.append(game.outcome(child))
                     else:
                         row.append(OFF_T if d < self.tops else OFF_B)
                         offended += 1

@@ -1,10 +1,14 @@
 """Constant games: finite trees, negation, parallel disjunction.
 
-A game is a prefix-closed legality predicate on runs, a winner function
-total on legal runs, and a bound-parameterized enumerator of legal moves.
-Legality checking is exact and unbounded; only enumeration takes bounds,
-because some constructors (the loose recurrences) admit unboundedly many
-legal moves at a position.
+A game is a state machine over labelled moves: ``start()`` is the state
+of the empty run, ``step(state, lm)`` the state after one more move (or
+None when the move is illegal there), and ``outcome(state)`` the winner
+of a legal run in that state.  The whole-run views, ``extend_legal`` and
+``winner``, are derived once in :class:`Game` by replaying ``step`` from
+``start()``.  A game also has a bound-parameterized enumerator of legal
+moves.  Legality checking is exact and unbounded; only enumeration takes
+bounds, because some constructors (the loose recurrences) admit
+unboundedly many legal moves at a position.
 
 The winner is defined at every node of a finite game, not only at leaves:
 a legal run that stops early is a completed play won by the label of the
@@ -17,9 +21,12 @@ finite tree included, so any game can be the base of another.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from .core import BOT, TOP, LabMove, Player, Run, flip_labels, neg_player
+
+# A game's state after a legal run; its shape is private to the constructor.
+State = Any
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,19 +49,49 @@ class PreconditionError(ValueError):
 class Game:
     """Base interface shared by every game constructor in the package.
 
-    Subclasses implement :meth:`extend_legal` (legality of appending one
-    labeled move to a known-legal position), :meth:`winner` (total on
-    legal runs), :meth:`legal_moves` and :meth:`probe_moves`.  Instances
-    are immutable after construction and all operations are pure.
+    Subclasses implement :meth:`start`, :meth:`step` and :meth:`outcome`,
+    the game as a state machine over labelled moves, plus
+    :meth:`legal_moves` and :meth:`probe_moves`.  States are immutable
+    and never None, so one state may be stepped many ways.  The
+    whole-run methods :meth:`extend_legal` and :meth:`winner` are
+    defined here once, by replaying the run.  Instances are immutable
+    after construction and all operations are pure.
     """
 
     name: str
 
-    def extend_legal(self, position: Run, lm: LabMove) -> bool:
+    def start(self) -> State:
+        """The state of the empty run."""
         raise NotImplementedError
 
-    def winner(self, run: Run) -> Player:
+    def step(self, state: State, lm: LabMove) -> State | None:
+        """The state after ``lm`` is played in ``state``; None if illegal."""
         raise NotImplementedError
+
+    def outcome(self, state: State) -> Player:
+        """The winner of a legal run that ends in ``state``."""
+        raise NotImplementedError
+
+    def replay(self, run: Run) -> State | None:
+        """The state after ``run``; None if the run is illegal."""
+        state = self.start()
+        for lm in run:
+            state = self.step(state, lm)
+            if state is None:
+                return None
+        return state
+
+    def extend_legal(self, position: Run, lm: LabMove) -> bool:
+        """May ``lm`` legally extend the legal run ``position``?"""
+        state = self.replay(position)
+        return state is not None and self.step(state, lm) is not None
+
+    def winner(self, run: Run) -> Player:
+        """The winner of the legal run ``run``."""
+        state = self.replay(run)
+        if state is None:
+            raise ValueError("winner is only defined on legal runs")
+        return self.outcome(state)
 
     def legal_moves(self, position: Run, player: Player, bounds: EnumBounds) -> frozenset[str]:
         raise NotImplementedError
@@ -132,29 +169,24 @@ class FiniteGame(Game):
     name: str
     root: GameNode
 
-    def _node_at(self, run: Run) -> GameNode | None:
-        current = self.root
-        for lm in run:
-            for edge, child in current.edges:
-                if edge == lm:
-                    current = child
-                    break
-            else:
-                return None
-        return current
+    def start(self) -> GameNode:
+        return self.root
 
-    def extend_legal(self, position: Run, lm: LabMove) -> bool:
-        current = self._node_at(position)
-        return current is not None and any(edge == lm for edge, _ in current.edges)
+    def step(self, state: GameNode, lm: LabMove) -> GameNode | None:
+        for edge, child in state.edges:
+            if edge == lm:
+                return child
+        return None
 
-    def winner(self, run: Run) -> Player:
-        current = self._node_at(run)
-        if current is None:
-            raise ValueError("winner is only defined on legal runs")
-        return current.winner
+    def outcome(self, state: GameNode) -> Player:
+        return state.winner
+
+    # Kept for perfbench/, which patches these names in each class's own
+    # __dict__, until ROADMAP item 1 changes the benchmark.
+    extend_legal, winner = Game.extend_legal, Game.winner
 
     def legal_moves(self, position: Run, player: Player, bounds: EnumBounds) -> frozenset[str]:
-        current = self._node_at(position)
+        current = self.replay(position)
         if current is None:
             return frozenset()
         return frozenset(edge.move for edge, _ in current.edges if edge.label is player)
@@ -183,12 +215,17 @@ class _Negated(Game):
         self.inner = inner
         self.name = f"not({inner.name})"
 
-    def extend_legal(self, position: Run, lm: LabMove) -> bool:
-        flipped = LabMove(neg_player(lm.label), lm.move)
-        return self.inner.extend_legal(flip_labels(position), flipped)
+    def start(self) -> State:
+        return self.inner.start()
 
-    def winner(self, run: Run) -> Player:
-        return neg_player(self.inner.winner(flip_labels(run)))
+    def step(self, state: State, lm: LabMove) -> State | None:
+        return self.inner.step(state, LabMove(neg_player(lm.label), lm.move))
+
+    def outcome(self, state: State) -> Player:
+        return neg_player(self.inner.outcome(state))
+
+    # Kept for perfbench/ until ROADMAP item 1 (see FiniteGame).
+    extend_legal, winner = Game.extend_legal, Game.winner
 
     def legal_moves(self, position: Run, player: Player, bounds: EnumBounds) -> frozenset[str]:
         return self.inner.legal_moves(flip_labels(position), neg_player(player), bounds)
@@ -232,24 +269,27 @@ class _Disjoined(Game):
         self.right = right
         self.name = f"or({left.name}, {right.name})"
 
-    def extend_legal(self, position: Run, lm: LabMove) -> bool:
+    def start(self) -> tuple[State, State]:
+        return self.left.start(), self.right.start()
+
+    def step(self, state: tuple[State, State], lm: LabMove) -> tuple[State, State] | None:
         split = _split_move(lm.move)
         if split is None:
-            return False
-        parts = split_disjunction(position)
-        if parts is None:
-            return False
+            return None
         index, rest = split
         component = self.left if index == 0 else self.right
-        return component.extend_legal(parts[index], LabMove(lm.label, rest))
+        stepped = component.step(state[index], LabMove(lm.label, rest))
+        if stepped is None:
+            return None
+        return (stepped, state[1]) if index == 0 else (state[0], stepped)
 
-    def winner(self, run: Run) -> Player:
-        parts = split_disjunction(run)
-        if parts is None:
-            raise ValueError("winner is only defined on legal runs")
-        if self.left.winner(parts[0]) is TOP or self.right.winner(parts[1]) is TOP:
+    def outcome(self, state: tuple[State, State]) -> Player:
+        if self.left.outcome(state[0]) is TOP or self.right.outcome(state[1]) is TOP:
             return TOP
         return BOT
+
+    # Kept for perfbench/ until ROADMAP item 1 (see FiniteGame).
+    extend_legal, winner = Game.extend_legal, Game.winner
 
     def legal_moves(self, position: Run, player: Player, bounds: EnumBounds) -> frozenset[str]:
         parts = split_disjunction(position)

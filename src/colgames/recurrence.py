@@ -13,6 +13,17 @@ bookkeeping entirely: switches may name any finite bitstring, addressed
 moves may use any address, and there are no replication moves; the only
 global constraint is that the projection along every infinite bitstring
 is a legal run of the base.
+
+A recurrence's state (:class:`RayState`) holds the replicated set (tight
+only), the structural player's last switch stem, and one base state per
+class of rays.  Rays in one class agree on their first ``depth`` bits,
+where ``depth`` is the length of the longest addressed move so far, so
+they project the run identically.  A longer address splits every class,
+and the new classes copy their parent's base state; an addressed move
+``u.x`` steps with ``x`` the base state of each class whose key starts
+with ``u``, and the move is legal iff every one of those steps is.  The
+outcome is the base outcome of the class holding the last switch stem
+padded with zeros.
 """
 
 from __future__ import annotations
@@ -20,20 +31,20 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     BOT,
     TOP,
     LabMove,
     Player,
-    Ray,
     Run,
     ShapeKind,
     parse_move,
     project,
     ray_classes,
 )
-from .games import EnumBounds, Game
+from .games import EnumBounds, Game, State
 
 
 class Version(enum.Enum):
@@ -159,21 +170,8 @@ def tight_extension_legal(base: Game, position: Run, lm: LabMove, structural: Pl
     projection along every infinite bitstring below the address to a legal
     base run.
     """
-    sh = parse_move(lm.move)
-    if sh.kind is ShapeKind.MALFORMED:
-        return False
-    tree = actual_nodes(position, structural)
-    if sh.kind is ShapeKind.SWITCH:
-        return lm.label is structural and tree.is_actual(sh.address)
-    if sh.kind is ShapeKind.REPLICATIVE:
-        return lm.label is structural and sh.address in tree.outer()
-    if not tree.is_actual(sh.address):
-        return False
-    extended = position + (lm,)
-    return all(
-        base.is_legal(project(extended, ray))
-        for ray in ray_classes(extended, sh.address)
-    )
+    polarity = Polarity.RECURRENCE if structural is BOT else Polarity.CORECURRENCE
+    return RecurrenceGame(base, RecurrenceKind(Version.TIGHT, polarity)).extend_legal(position, lm)
 
 
 def loose_extension_legal(base: Game, position: Run, lm: LabMove, structural: Player) -> bool:
@@ -184,15 +182,8 @@ def loose_extension_legal(base: Game, position: Run, lm: LabMove, structural: Pl
     by projection legality; replication-shaped moves have no clause here
     and are illegal for their author.
     """
-    sh = parse_move(lm.move)
-    if sh.kind is ShapeKind.SWITCH:
-        return lm.label is structural
-    if sh.kind is not ShapeKind.NONREPLICATIVE:
-        return False
-    extended = position + (lm,)
-    return all(
-        base.is_legal(project(extended, ray)) for ray in ray_classes(extended, "")
-    )
+    polarity = Polarity.RECURRENCE if structural is BOT else Polarity.CORECURRENCE
+    return RecurrenceGame(base, RecurrenceKind(Version.LOOSE, polarity)).extend_legal(position, lm)
 
 
 def last_switch_stem(run: Run, structural: Player) -> str:
@@ -205,18 +196,70 @@ def last_switch_stem(run: Run, structural: Player) -> str:
     return ""
 
 
+class RayState(NamedTuple):
+    """A recurrence's state after a legal run.
+
+    ``tree`` holds the actual nodes (None in the loose version) and
+    ``stem`` the address of the structural player's last switch.  The
+    rays are split into classes by the ``depth`` first bits, where
+    ``depth`` is the length of the longest addressed move so far; rays in
+    one class project the run identically.  ``classes[i]`` is the base
+    state of the projection along the class whose key is the ``depth``
+    bits of ``i``.
+    """
+
+    tree: NodeTree | None
+    stem: str
+    depth: int
+    classes: tuple[State, ...]
+
+
 class RecurrenceGame(Game):
     def __init__(self, base: Game, kind: RecurrenceKind) -> None:
         self.base = base
         self.kind = kind
         self.name = f"{_OP_NAMES[kind]}({base.name})"
+        self.structural = kind.structural
+        tree = NodeTree(frozenset()) if kind.version is Version.TIGHT else None
+        self._start = RayState(tree, "", 0, (base.start(),))
 
-    def extend_legal(self, position: Run, lm: LabMove) -> bool:
-        if self.kind.version is Version.TIGHT:
-            return tight_extension_legal(self.base, position, lm, self.kind.structural)
-        return loose_extension_legal(self.base, position, lm, self.kind.structural)
+    def start(self) -> RayState:
+        return self._start
 
-    def winner(self, run: Run) -> Player:
+    def step(self, state: RayState, lm: LabMove) -> RayState | None:
+        """Switches and replications change the stem and the tree; an
+        addressed move ``u.x`` steps the base state of every class below
+        ``u`` with ``x``, after splitting each class in copies of itself
+        when ``u`` is longer than the classes' keys."""
+        sh = parse_move(lm.move)
+        tree, stem, depth, classes = state
+        if sh.kind is ShapeKind.SWITCH:
+            if lm.label is not self.structural or tree is not None and not tree.is_actual(sh.address):
+                return None
+            return RayState(tree, sh.address, depth, classes)
+        if sh.kind is ShapeKind.REPLICATIVE:
+            if tree is None or lm.label is not self.structural or sh.address not in tree.outer():
+                return None
+            return RayState(tree.replicate(sh.address), stem, depth, classes)
+        if sh.kind is not ShapeKind.NONREPLICATIVE or tree is not None and not tree.is_actual(sh.address):
+            return None
+        u = sh.address
+        if len(u) > depth:
+            copies = 1 << (len(u) - depth)
+            classes = tuple(inner for inner in classes for _ in range(copies))
+            depth = len(u)
+        width = 1 << (depth - len(u))
+        low = int(u, 2) * width if u else 0
+        payload = LabMove(lm.label, sh.payload)
+        stepped = []
+        for inner in classes[low : low + width]:
+            inner = self.base.step(inner, payload)
+            if inner is None:
+                return None
+            stepped.append(inner)
+        return RayState(tree, stem, depth, classes[:low] + tuple(stepped) + classes[low + width :])
+
+    def outcome(self, state: RayState) -> Player:
         """Winner of a legal run: the base winner of the decisive projection.
 
         The decisive branch is the last switch made by the structural
@@ -225,31 +268,37 @@ class RecurrenceGame(Game):
         so the endless-switching outcome (a loss for the switching player)
         can never arise here and the winner never consults switch counts.
         """
-        stem = last_switch_stem(run, self.kind.structural)
-        return self.base.winner(project(run, Ray(stem)))
+        key = (state.stem + "0" * state.depth)[: state.depth]
+        return self.base.outcome(state.classes[int(key, 2) if key else 0])
+
+    # Kept for perfbench/ until ROADMAP item 1 (see games.FiniteGame).
+    extend_legal, winner = Game.extend_legal, Game.winner
 
     def legal_moves(self, position: Run, player: Player, bounds: EnumBounds) -> frozenset[str]:
+        state = self.replay(position)
+        if state is None:
+            return frozenset()
         limit = bounds.max_address_len
         candidates: set[str] = set()
-        if self.kind.version is Version.TIGHT:
-            tree = actual_nodes(position, self.kind.structural)
+        if state.tree is not None:
+            tree = state.tree
             addresses = sorted(w for w in tree.nodes() if len(w) <= limit)
-            if player is self.kind.structural:
+            if player is self.structural:
                 candidates.update(addresses)
                 candidates.update(
                     w + ":" for w in tree.outer() if len(w) <= limit
                 )
         else:
             addresses = _all_stems(limit)
-            if player is self.kind.structural:
+            if player is self.structural:
                 candidates.update(addresses)
         for w in addresses:
             payloads: set[str] = set()
-            for ray in ray_classes(position, w):
-                payloads |= self.base.legal_moves(project(position, ray), player, bounds)
+            for projection in {project(position, ray) for ray in ray_classes(position, w)}:
+                payloads |= self.base.legal_moves(projection, player, bounds)
             candidates.update(f"{w}.{a}" for a in payloads)
         return frozenset(
-            m for m in candidates if self.extend_legal(position, LabMove(player, m))
+            m for m in candidates if self.step(state, LabMove(player, m)) is not None
         )
 
     def probe_moves(self, bounds: EnumBounds) -> tuple[str, ...]:

@@ -1,7 +1,10 @@
 """Independent oracles shared by the test modules.
 
 Everything here recomputes expected values from first principles, without
-going through the implementation paths under test.
+going through the implementation paths under test.  The run tables judge
+a game through ``WholeRunGame``, which reads each run whole the way the
+constructors did before they became state machines, so they share no
+``start``/``step``/``outcome`` code with the library scan they check.
 """
 
 from __future__ import annotations
@@ -9,9 +12,36 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 
+from hypothesis import strategies as st
+
 from colgames import BOT, TOP, LabMove, RemapStrategy, label_subsequence
+from colgames.core import (
+    Ray,
+    ShapeKind,
+    flip_labels,
+    neg_player,
+    parse_move,
+    project,
+    ray_classes,
+)
 from colgames.delay import LemmaReport, StaticVerdict, _swaps
-from colgames.games import Offender
+from colgames.games import (
+    FiniteGame,
+    Game,
+    GameNode,
+    Offender,
+    _Disjoined,
+    _Negated,
+    _split_move,
+    split_disjunction,
+)
+from colgames.recurrence import (
+    RecurrenceGame,
+    Version,
+    _all_stems,
+    actual_nodes,
+    last_switch_stem,
+)
 
 
 class BrokenRemapStrategy(RemapStrategy):
@@ -61,6 +91,20 @@ def project_brute(run, stem: str):
         if padded[: len(address)] == address:
             out.append(LabMove(lm.label, payload))
     return tuple(out)
+
+
+_PLAYERS = st.sampled_from((TOP, BOT))
+_LABMOVES = st.builds(LabMove, _PLAYERS, st.sampled_from(("a", "b", "c")))
+
+
+def game_nodes(depth):
+    """Finite game trees of at most ``depth`` moves over moves a, b and c;
+    any node may be a leaf."""
+    if depth == 0:
+        return st.builds(GameNode, _PLAYERS)
+    edges = st.lists(st.tuples(_LABMOVES, game_nodes(depth - 1)),
+                     max_size=3, unique_by=lambda edge: edge[0])
+    return st.builds(GameNode, _PLAYERS, edges.map(tuple))
 
 
 def all_runs(pool_moves, max_len, labels=(TOP, BOT)):
@@ -126,6 +170,162 @@ def delay_profile(run, p):
     return tuple(out)
 
 
+def _node_at(root, run):
+    current = root
+    for lm in run:
+        for edge, child in current.edges:
+            if edge == lm:
+                current = child
+                break
+        else:
+            return None
+    return current
+
+
+def _tight_extension_legal(base, position, lm, structural):
+    sh = parse_move(lm.move)
+    if sh.kind is ShapeKind.MALFORMED:
+        return False
+    tree = actual_nodes(position, structural)
+    if sh.kind is ShapeKind.SWITCH:
+        return lm.label is structural and tree.is_actual(sh.address)
+    if sh.kind is ShapeKind.REPLICATIVE:
+        return lm.label is structural and sh.address in tree.outer()
+    if not tree.is_actual(sh.address):
+        return False
+    extended = position + (lm,)
+    return all(
+        base.is_legal(project(extended, ray))
+        for ray in ray_classes(extended, sh.address)
+    )
+
+
+def _loose_extension_legal(base, position, lm, structural):
+    sh = parse_move(lm.move)
+    if sh.kind is ShapeKind.SWITCH:
+        return lm.label is structural
+    if sh.kind is not ShapeKind.NONREPLICATIVE:
+        return False
+    extended = position + (lm,)
+    return all(
+        base.is_legal(project(extended, ray)) for ray in ray_classes(extended, "")
+    )
+
+
+class WholeRunGame(Game):
+    """A library game judged run by run: every ``extend_legal``,
+    ``winner`` and ``legal_moves`` call re-reads the whole position.
+
+    A finite game walks its tree from the root, a negation flips every
+    label of the run, a disjunction splits the run into its components,
+    and a recurrence projects the run along one ray per class, checking
+    each projection with the base's ``offender``.  The wrapper recurses
+    through each constructor's components, so no ``step`` of the library
+    is called; a game of another type is asked directly.
+    """
+
+    def __init__(self, game):
+        self.game = game
+        self.name = game.name
+        if isinstance(game, _Negated):
+            self.inner = WholeRunGame(game.inner)
+        elif isinstance(game, _Disjoined):
+            self.left, self.right = WholeRunGame(game.left), WholeRunGame(game.right)
+        elif isinstance(game, RecurrenceGame):
+            self.base = WholeRunGame(game.base)
+
+    def extend_legal(self, position, lm):
+        game = self.game
+        if isinstance(game, FiniteGame):
+            current = _node_at(game.root, position)
+            return current is not None and any(edge == lm for edge, _ in current.edges)
+        if isinstance(game, _Negated):
+            flipped = LabMove(neg_player(lm.label), lm.move)
+            return self.inner.extend_legal(flip_labels(position), flipped)
+        if isinstance(game, _Disjoined):
+            split = _split_move(lm.move)
+            if split is None:
+                return False
+            parts = split_disjunction(position)
+            if parts is None:
+                return False
+            index, rest = split
+            component = self.left if index == 0 else self.right
+            return component.extend_legal(parts[index], LabMove(lm.label, rest))
+        if isinstance(game, RecurrenceGame):
+            if game.kind.version is Version.TIGHT:
+                return _tight_extension_legal(self.base, position, lm, game.kind.structural)
+            return _loose_extension_legal(self.base, position, lm, game.kind.structural)
+        return game.extend_legal(position, lm)
+
+    def winner(self, run):
+        game = self.game
+        if isinstance(game, FiniteGame):
+            current = _node_at(game.root, run)
+            if current is None:
+                raise ValueError("winner is only defined on legal runs")
+            return current.winner
+        if isinstance(game, _Negated):
+            return neg_player(self.inner.winner(flip_labels(run)))
+        if isinstance(game, _Disjoined):
+            parts = split_disjunction(run)
+            if parts is None:
+                raise ValueError("winner is only defined on legal runs")
+            if self.left.winner(parts[0]) is TOP or self.right.winner(parts[1]) is TOP:
+                return TOP
+            return BOT
+        if isinstance(game, RecurrenceGame):
+            stem = last_switch_stem(run, game.kind.structural)
+            return self.base.winner(project(run, Ray(stem)))
+        return game.winner(run)
+
+    def legal_moves(self, position, player, bounds):
+        game = self.game
+        if isinstance(game, FiniteGame):
+            current = _node_at(game.root, position)
+            if current is None:
+                return frozenset()
+            return frozenset(edge.move for edge, _ in current.edges if edge.label is player)
+        if isinstance(game, _Negated):
+            return self.inner.legal_moves(flip_labels(position), neg_player(player), bounds)
+        if isinstance(game, _Disjoined):
+            parts = split_disjunction(position)
+            if parts is None:
+                return frozenset()
+            out = {"1." + m for m in self.left.legal_moves(parts[0], player, bounds)}
+            out |= {"2." + m for m in self.right.legal_moves(parts[1], player, bounds)}
+            return frozenset(out)
+        if isinstance(game, RecurrenceGame):
+            return self._recurrence_legal_moves(position, player, bounds)
+        return game.legal_moves(position, player, bounds)
+
+    def _recurrence_legal_moves(self, position, player, bounds):
+        kind = self.game.kind
+        limit = bounds.max_address_len
+        candidates = set()
+        if kind.version is Version.TIGHT:
+            tree = actual_nodes(position, kind.structural)
+            addresses = sorted(w for w in tree.nodes() if len(w) <= limit)
+            if player is kind.structural:
+                candidates.update(addresses)
+                candidates.update(w + ":" for w in tree.outer() if len(w) <= limit)
+        else:
+            addresses = _all_stems(limit)
+            if player is kind.structural:
+                candidates.update(addresses)
+        for w in addresses:
+            payloads = set()
+            for ray in ray_classes(position, w):
+                payloads |= self.base.legal_moves(project(position, ray), player, bounds)
+            candidates.update(f"{w}.{a}" for a in payloads)
+        return frozenset(
+            m for m in candidates if self.extend_legal(position, LabMove(player, m))
+        )
+
+    def probe_moves(self, bounds):
+        return self.game.probe_moves(bounds)
+
+
 class ReferenceRunTable:
     """Every run over a labmove pool up to a length bound, classified, as
     tuples: the reference for the library's swap scan.
@@ -133,10 +333,11 @@ class ReferenceRunTable:
     ``runs`` lists the runs level by level (short runs first);
     ``offenders[run]`` is the first offender or None and ``winners`` holds
     the winner of each legal run.  A pool of None stands for the game's
-    probe pool.
+    probe pool.  The game is judged through ``WholeRunGame``.
     """
 
     def __init__(self, game, bounds, pool):
+        game = WholeRunGame(game)
         if pool is None:
             pool = game.probe_moves(bounds)
         labmoves = [LabMove(p, m) for p in (TOP, BOT) for m in pool]
@@ -208,9 +409,11 @@ class DenseRunTable:
     first move most significant, and ``levels[n][id]`` is its code.  The
     levels shortest first, each in ascending id, list the runs in the
     order ``_swaps`` visits them; every swap of every run is visited.
+    The game is judged through ``WholeRunGame``.
     """
 
     def __init__(self, game, bounds, pool):
+        game = WholeRunGame(game)
         if pool is None:
             pool = game.probe_moves(bounds)
         self.tops = len(pool)

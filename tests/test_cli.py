@@ -199,6 +199,15 @@ class TestStatic:
         assert code == 0
         assert capsys.readouterr().out == "static: yes\n"
 
+    def test_deep_recurrence_nesting(self, capsys):
+        # each level asks its base for legal moves once per distinct
+        # projection, not once per ray class, so probing 50 levels stays
+        # linear in the depth instead of doubling per level
+        game = "tbr_t(" * 50 + "bot_choice" + ")" * 50
+        code = main(["static", "--game", game, "--max-run", "2", "--max-addr", "1"])
+        assert code == 0
+        assert capsys.readouterr().out == "static: yes\n"
+
     def test_deeply_nested_expression_is_a_parse_error(self, capsys):
         game = "not(" * 1200 + "leaf_top" + ")" * 1200
         assert main(["static", "--game", game]) == 2

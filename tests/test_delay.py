@@ -24,7 +24,7 @@ from colgames import (
     won_by,
 )
 from colgames.delay import static_and_lemma
-from colgames.games import FiniteGame, Game, GameNode, leaf, node
+from colgames.games import FiniteGame, Game, leaf, node
 from colgames.recurrence import ALL_KINDS, TIGHT_RECURRENCE, Version
 from colgames.suite import STATIC_SUITE, bot_choice, first_mover_wins, leaf_top
 
@@ -33,6 +33,7 @@ from _util import (
     ReferenceRunTable,
     all_interleavings,
     all_runs,
+    game_nodes,
     is_delay_naive,
     pairwise_lemma_scan,
     pairwise_static_scan,
@@ -139,18 +140,22 @@ class TestDelayWitness:
 
 class _SetWinnerGame(Game):
     """Depth-one game: every move always legal, winner a function of the
-    set of labeled moves played.  Such games are static by construction."""
+    set of labeled moves played.  Such games are static by construction.
+    The state is the set of labeled moves played."""
 
     def __init__(self, alphabet, winner_fn):
         self._alphabet = tuple(alphabet)
         self._winner_fn = winner_fn
         self.name = "set_winner"
 
-    def extend_legal(self, position, lab_move):
-        return lab_move.move in self._alphabet
+    def start(self):
+        return frozenset()
 
-    def winner(self, run):
-        return self._winner_fn(frozenset(run))
+    def step(self, state, lab_move):
+        return state | {lab_move} if lab_move.move in self._alphabet else None
+
+    def outcome(self, state):
+        return self._winner_fn(state)
 
     def legal_moves(self, position, player, bounds):
         return frozenset(self._alphabet)
@@ -382,19 +387,6 @@ class TestLateCounterexamples:
         assert is_static(game, bounds, ("a", "b", "c")) == expected[0]
 
 
-_PLAYERS = st.sampled_from((TOP, BOT))
-_LABMOVES = st.builds(LabMove, _PLAYERS, st.sampled_from(("a", "b", "c")))
-
-
-def _game_nodes(depth):
-    """Finite game trees of at most ``depth`` moves; any node may be a leaf."""
-    if depth == 0:
-        return st.builds(GameNode, _PLAYERS)
-    edges = st.lists(st.tuples(_LABMOVES, _game_nodes(depth - 1)),
-                     max_size=3, unique_by=lambda edge: edge[0])
-    return st.builds(GameNode, _PLAYERS, edges.map(tuple))
-
-
 # Random pools draw a finite base's moves from its alphabet plus a junk
 # move, and a recurrence's from every probe-move shape at addresses of
 # length <= 2: switches, replications and payload moves.
@@ -411,7 +403,7 @@ _RECURRENCE_MOVES = (
 def _scan_cases(draw):
     """(game, bounds, pool): a random finite tree of depth <= 3 over moves
     a, b and c, or one of its four recurrences; pool None is the probe pool."""
-    game = FiniteGame("random", draw(_game_nodes(3)))
+    game = FiniteGame("random", draw(game_nodes(3)))
     kind = draw(st.sampled_from((None,) + tuple(ALL_KINDS)))
     moves = _BASE_MOVES
     if kind is not None:
