@@ -57,14 +57,22 @@ from .suite import suite_defs
 _PLAYERS = {"T": TOP, "B": BOT}
 
 
+def _read_text(path: str) -> str:
+    """The file's text, read as UTF-8 whatever the locale."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def _load_defs(path: str | None):
     if path is None:
         return suite_defs()
-    return load_game_defs(Path(path).read_text())
+    return load_game_defs(_read_text(path))
 
 
 def _load_trace(path: str) -> TraceFile:
-    return loads_trace(Path(path).read_text())
+    return loads_trace(_read_text(path))
 
 
 def _player_arg(tag: str) -> Player:

@@ -33,6 +33,10 @@ pool of k labelled moves.  Behind an illegal prefix gamma and delta share
 its first offender, so those swaps are counted without a walk.  A run is
 the id of its digit string in base k, TOP moves numbered first; only the
 counterexample and the violations a scan reports are decoded into runs.
+A lemma violation below a settled pair is the swap at its head, the pair
+where both runs were first offended, with one tail appended to both runs,
+so each head is decoded once and every tail of a given length comes from
+one shared table.
 """
 
 from __future__ import annotations
@@ -136,9 +140,11 @@ class LemmaReport:
     including the swaps the scan counts without visiting them; it is the
     count a scan of every run would make.  ``violations`` are those swaps
     where gamma does not have ``p`` as first offender, shortest first, then
-    by gamma's id and the swap's position.  A violating delay pair exists
-    iff a violating swap does: along the swap chain from gamma to delta,
-    the first run with ``p`` as first offender is one swap after a run
+    by gamma's id and the swap's position.  The violations below one
+    settled pair share the prefixes of its decoded head swap and take
+    their tails from one table.  A violating delay pair exists iff a
+    violating swap does: along the swap chain from gamma to delta, the
+    first run with ``p`` as first offender is one swap after a run
     without.
     """
 
@@ -219,16 +225,18 @@ class _SwapScan:
     def _walk(self, lemma: bool) -> None:
         """Find the first swap that p wins before but not after; with
         ``lemma``, also count the swaps whose delta has p as first offender
-        and collect those whose gamma does not.  Without it, a branch also
-        stops once no longer tail can give a counterexample, and no branch
-        goes past the length of the first counterexample found so far."""
+        and collect those whose gamma does not, each as (length, id,
+        position, length of the head it was found under).  Without it, a
+        branch also stops once no longer tail can give a counterexample,
+        and no branch goes past the length of the first counterexample
+        found so far."""
         k, tops, longest = len(self.labmoves), self.tops, self.max_len
         kids, winners = self.kids, self.winners
         below = [sum(k ** m for m in range(1, longest - n + 1)) for n in range(longest + 1)]
         first: tuple[int, int, int] | None = None
         limit = longest
         pairs = 0
-        found: list[tuple[int, int, int]] = []
+        found: list[tuple[int, int, int, int]] = []
         for i, level in enumerate(self.levels):
             if i + 2 > limit:
                 break
@@ -254,11 +262,12 @@ class _SwapScan:
                             if lemma and d == off_p:
                                 pairs += 1 + below[n] if settled else 1
                                 if g != off_p:
-                                    found.append((n, gid, i))
+                                    found.append((n, gid, i, n))
                                     if settled:
                                         for m in range(1, longest - n + 1):
                                             km = k ** m
-                                            found.extend((n + m, gid * km + t, i) for t in range(km))
+                                            lowest = gid * km
+                                            found.extend((n + m, lowest + t, i, n) for t in range(km))
                             if settled or n == limit or not lemma and (g == off_p or d == off_q):
                                 continue
                             stack.extend(zip(kids[g], kids[d], [n + 1] * k, range(gid * k, gid * k + k)))
@@ -283,7 +292,27 @@ class _SwapScan:
         return StaticVerdict(False, self._swap(*self.first))
 
     def lemma_report(self) -> LemmaReport:
-        return LemmaReport(tuple(self._swap(*swap) for swap in self.found), self.pairs)
+        """Decode each reported swap as its head's swap plus a shared tail.
+
+        A swap (n, gamma, i) found under the head of length h numbered
+        gamma // k^(n-h) is that head's swap with the tail numbered
+        gamma mod k^(n-h) appended to both runs.  Each head is decoded
+        once, and ``tails[m]`` lists the k^m tails of m moves by id."""
+        k = len(self.labmoves)
+        tails: list[list[Run]] = [[()]]
+        for _ in range(max((n - h for n, _, _, h in self.found), default=0)):
+            tails.append([tail + (lm,) for tail in tails[-1] for lm in self.labmoves])
+        heads: dict[tuple[int, int, int], tuple[Run, Run, Player]] = {}
+        violations = []
+        for n, gid, i, h in self.found:
+            m = n - h
+            hid, t = divmod(gid, k ** m)
+            head = heads.get((h, hid, i))
+            if head is None:
+                head = heads[h, hid, i] = self._swap(h, hid, i)
+            tail = tails[m][t]
+            violations.append((head[0] + tail, head[1] + tail, head[2]))
+        return LemmaReport(tuple(violations), self.pairs)
 
 
 def is_static(game: Game, bounds: EnumBounds, pool: Sequence[str] | None = None) -> StaticVerdict:

@@ -58,7 +58,7 @@ def _string(obj: Mapping[str, Any], key: str, context: str) -> str:
 
 
 def _player(tag: Any, context: str) -> Player:
-    if tag not in _PLAYERS:
+    if not isinstance(tag, str) or tag not in _PLAYERS:
         raise FileFormatError(f"{context}: label must be 'T' or 'B', got {tag!r}")
     return _PLAYERS[tag]
 
@@ -79,8 +79,11 @@ def _node_from_obj(obj: Any, context: str, depth: int = 0) -> GameNode:
     if not isinstance(obj, dict):
         raise FileFormatError(f"{context}: node must be an object")
     winner = _player(_require(obj, "winner", context), context)
+    moves = obj.get("moves", [])
+    if not isinstance(moves, list):
+        raise FileFormatError(f"{context}: moves must be a list of edges")
     edges = []
-    for i, edge in enumerate(obj.get("moves", [])):
+    for i, edge in enumerate(moves):
         edge_context = f"{context}.moves[{i}]"
         if not isinstance(edge, dict):
             raise FileFormatError(f"{edge_context}: edge must be an object")

@@ -64,6 +64,34 @@ class TestProject:
         assert len(captured.err.strip().splitlines()) == 1
 
 
+class TestMalformedFiles:
+    """A file the loaders cannot read exits 2 with one line on stderr."""
+
+    _TRACE = '{"game": "A", "version": "0.1.0", "moves": [], "outcome": %s}'
+
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            ("defs", b'{"g": {"winner": ["T"]}}'),
+            ("defs", b'{"g": {"winner": "T", "moves": 5}}'),
+            ("trace", (_TRACE % "{}").encode()),
+            ("defs", b'\xff\xfe{"g": {"winner": "T"}}'),
+            ("trace", b'\xff\xfe' + (_TRACE % '"T"').encode()),
+        ],
+        ids=["unhashable-winner", "moves-not-a-list", "unhashable-outcome",
+             "defs-not-utf8", "trace-not-utf8"],
+    )
+    def test_exits_two(self, command, data, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_bytes(data)
+        if command == "defs":
+            argv = ["static", "--defs", str(path), "--game", "g"]
+        else:
+            argv = ["project", "--trace", str(path), "--ray", "0"]
+        assert main(argv) == 2
+        assert_one_line_error(capsys)
+
+
 class TestEval:
     def test_legal_empty_run(self, tmp_path, capsys):
         trace = write_trace(tmp_path, ())

@@ -24,7 +24,7 @@ from colgames import (
     won_by,
 )
 from colgames.delay import static_and_lemma
-from colgames.games import FiniteGame, Game, leaf, node
+from colgames.games import FiniteGame, Game, GameNode, leaf, node
 from colgames.recurrence import ALL_KINDS, TIGHT_RECURRENCE, Version
 from colgames.suite import STATIC_SUITE, bot_choice, first_mover_wins, leaf_top
 
@@ -399,29 +399,61 @@ _RECURRENCE_MOVES = (
 )
 
 
+def _random_game(draw, root):
+    """The finite tree ``root`` or one of its four recurrences, and the
+    moves its pools draw from."""
+    game = FiniteGame("random", root)
+    kind = draw(st.sampled_from((None,) + tuple(ALL_KINDS)))
+    if kind is None:
+        return game, _BASE_MOVES
+    return make_recurrence(game, kind), _RECURRENCE_MOVES
+
+
 @st.composite
 def _scan_cases(draw):
     """(game, bounds, pool): a random finite tree of depth <= 3 over moves
-    a, b and c, or one of its four recurrences; pool None is the probe pool."""
-    game = FiniteGame("random", draw(game_nodes(3)))
-    kind = draw(st.sampled_from((None,) + tuple(ALL_KINDS)))
-    moves = _BASE_MOVES
-    if kind is not None:
-        game, moves = make_recurrence(game, kind), _RECURRENCE_MOVES
+    a, b and c, or one of its four recurrences, at run length <= 3; pool
+    None is the probe pool."""
+    game, moves = _random_game(draw, draw(game_nodes(3)))
     pool = draw(st.none() | st.lists(st.sampled_from(moves), max_size=4, unique=True))
     return game, EnumBounds(draw(st.integers(0, 2)), draw(st.integers(0, 3))), pool
+
+
+@st.composite
+def _long_scan_cases(draw):
+    """(game, bounds, pool) at run length 4 with at most 3 pool moves, so a
+    pair settled at length 2 has tails of two moves below it.  The tree's
+    root offers a move to each player, so that the two orders of those
+    moves can settle at length 2 with a lemma violation."""
+    moves = st.sampled_from(("a", "b", "c"))
+    root = GameNode(draw(st.sampled_from((TOP, BOT))), (
+        (LabMove(TOP, draw(moves)), draw(game_nodes(2))),
+        (LabMove(BOT, draw(moves)), draw(game_nodes(2))),
+    ))
+    game, moves = _random_game(draw, root)
+    pool = draw(st.lists(st.sampled_from(moves), min_size=1, max_size=3, unique=True))
+    return game, EnumBounds(draw(st.integers(0, 2)), 4), pool
 
 
 class TestSwapScanProperty:
     """On random finite trees and their recurrences, with random pools, the
     scan equals the tuple-keyed reference, including the swaps it counts
-    by multiplicity below settled pairs and behind illegal prefixes."""
+    by multiplicity below settled pairs and behind illegal prefixes, and
+    the violations it decodes from a settled head and a tail."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(_scan_cases())
-    def test_equals_reference(self, case):
-        game, bounds, pool = case
+    @staticmethod
+    def _assert_equals_reference(game, bounds, pool):
         ref = ReferenceRunTable(game, bounds, pool)
         expected = (ref.static_verdict(), ref.lemma_report())
         assert static_and_lemma(game, bounds, pool) == expected
         assert is_static(game, bounds, pool) == expected[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_scan_cases())
+    def test_equals_reference(self, case):
+        self._assert_equals_reference(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_long_scan_cases())
+    def test_equals_reference_with_long_tails(self, case):
+        self._assert_equals_reference(*case)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from colgames import BOT, TOP, EnumBounds, LabMove, Offender
 from colgames.files import (
@@ -168,3 +168,67 @@ class TestTraceFiles:
             loads_trace('{"game": "A", "version": "0", "moves": [["T"]], "outcome": "T"}')
         with pytest.raises(FileFormatError):
             loads_trace('{"game": "A", "version": "0", "moves": [], "outcome": "Q"}')
+
+
+# JSON documents of any shape whose object keys are mostly the field names
+# of the two formats, so that random values reach the nested readers.
+_FIELDS = ("winner", "moves", "label", "move", "child", "game", "version", "seed",
+           "bounds", "max_address_len", "max_run_len", "outcome", "offender",
+           "index", "player", "truncated")
+json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["T", "B", "", "a", "0:"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=2), children, max_size=5),
+    max_leaves=16,
+)
+
+
+def _with_value_at(doc, path, value):
+    """A copy of ``doc`` with the value at ``path`` (keys and indices) replaced."""
+    if not path:
+        return value
+    head, *rest = path
+    copy = list(doc) if isinstance(doc, list) else dict(doc)
+    copy[head] = _with_value_at(doc[head], rest, value)
+    return copy
+
+
+def _paths(doc, prefix=()):
+    """The path of every value in ``doc``, ``doc`` itself first."""
+    yield prefix
+    items = enumerate(doc) if isinstance(doc, list) else doc.items() if isinstance(doc, dict) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+_VALID_DOCUMENTS = (
+    json.loads(dump_game_defs(suite_defs())),
+    {"game": "A", "version": "0.1.0", "seed": 3,
+     "bounds": {"max_address_len": 2, "max_run_len": 5},
+     "moves": [["B", "b"], ["T", "a"]], "outcome": "T",
+     "offender": {"index": 0, "player": "B"}, "truncated": False},
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid definitions or trace document with one value replaced."""
+    doc = draw(st.sampled_from(_VALID_DOCUMENTS))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    return _with_value_at(doc, path, draw(json_documents))
+
+
+class TestAnyJson:
+    """Whatever JSON document a file holds, each loader returns or raises
+    FileFormatError, never another exception."""
+
+    @settings(max_examples=300)
+    @given(json_documents | mutated_documents())
+    def test_loads_or_is_a_format_error(self, doc):
+        text = json.dumps(doc)
+        for load in (load_game_defs, loads_trace):
+            try:
+                load(text)
+            except FileFormatError:
+                pass
