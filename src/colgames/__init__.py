@@ -53,7 +53,6 @@ from .recurrence import (
     TIGHT_CORECURRENCE,
     TIGHT_RECURRENCE,
     NodeTree,
-    Polarity,
     RecurrenceKind,
     Version,
     actual_nodes,

@@ -27,20 +27,10 @@ from .core import (
     project,
 )
 from .delay import enumerate_delays, is_delay, is_static
-from .dsl import (
-    CbrL,
-    CbrT,
-    ElaborationError,
-    ExprParseError,
-    TbrL,
-    TbrT,
-    elaborate,
-    parse_game_expr,
-    translation_shape,
-)
+from .dsl import ElaborationError, ExprParseError, Rec, elaborate, parse_game_expr, translation_shape
 from .files import FileFormatError, TraceFile, dumps_trace, load_game_defs, loads_trace
 from .games import EnumBounds, offender, split_disjunction
-from .recurrence import actual_nodes, last_switch_stem
+from .recurrence import Version, actual_nodes, last_switch_stem
 from .sim import (
     Direction,
     PreconditionError,
@@ -174,7 +164,8 @@ def _seed(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    seed: int | None = _seed(args)
+    if args.adversary == "exhaustive" and args.out:
+        raise FileFormatError("--out takes the trace of one play; an exhaustive run plays many")
     base = elaborate(parse_game_expr(args.atom), _load_defs(args.defs))
     direction = Direction(args.direction)
     bounds = _bounds(args)
@@ -193,6 +184,7 @@ def cmd_simulate(args) -> int:
 
     machine = strategy_for(compound, direction)
     if args.adversary == "random":
+        seed: int | None = _seed(args)
         adversary = random_adversary(compound, seed, bounds, args.budget)
     elif args.adversary.startswith("script:"):
         script_trace = _load_trace(args.adversary.split(":", 1)[1])
@@ -219,33 +211,28 @@ def cmd_simulate(args) -> int:
 
 
 def _print_position(run: Run, expr) -> None:
+    """The position; for a recurrence, or each component of a translation
+    compound, the projection along the structural player's last switch,
+    after the actual and outer nodes (a compound's tight component's only)."""
     print(f"position: {format_run(run)}")
-    shape = translation_shape(expr)
-    if shape is not None:
+    if translation_shape(expr) is not None:
         parts = split_disjunction(run)
-        if parts is not None:
-            direction = shape[0]
-            tight_index, structural = (
-                (0, TOP) if direction is Direction.TIGHT_TO_LOOSE else (1, BOT)
-            )
-            tree = actual_nodes(parts[tight_index], structural)
-            print(f"tight component actual: {sorted(tree.nodes())}")
-            print(f"tight component outer:  {sorted(tree.outer())}")
-            for index, component in enumerate(parts):
-                # switches belong to the machine in component 1 (the
-                # corecurrence) and to the environment in component 2
-                stem = last_switch_stem(component, TOP if index == 0 else BOT)
-                print(
-                    f"component {index + 1} along last switch"
-                    f" ({stem or 'root'}): {format_run(project(component, Ray(stem)))}"
-                )
-    elif isinstance(expr, (TbrT, TbrL, CbrT, CbrL)):
-        structural = BOT if isinstance(expr, (TbrT, TbrL)) else TOP
-        tree = actual_nodes(run, structural)
-        print(f"actual: {sorted(tree.nodes())}")
-        print(f"outer:  {sorted(tree.outer())}")
-        stem = last_switch_stem(run, structural)
-        print(f"along last switch ({stem or 'root'}): {format_run(project(run, Ray(stem)))}")
+        if parts is None:
+            return
+        shown = list(zip(("component 1 ", "component 2 "), (expr.left.kind, expr.right.kind), parts))
+        tree_label = "tight component "
+    elif isinstance(expr, Rec):
+        shown, tree_label = [("", expr.kind, run)], ""
+    else:
+        return
+    for _, kind, part in shown:
+        if len(shown) == 1 or kind.version is Version.TIGHT:
+            tree = actual_nodes(part, kind.structural)
+            print(f"{tree_label}actual: {sorted(tree.nodes())}")
+            print(f"{tree_label}outer:  {sorted(tree.outer())}")
+    for label, kind, part in shown:
+        stem = last_switch_stem(part, kind.structural)
+        print(f"{label}along last switch ({stem or 'root'}): {format_run(project(part, Ray(stem)))}")
 
 
 # The longest play ``colgames play`` records, in labeled moves.

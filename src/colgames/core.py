@@ -56,8 +56,6 @@ class LabMove:
 
 Run = tuple[LabMove, ...]
 
-EMPTY_RUN: Run = ()
-
 
 def flip_labels(run: Run) -> Run:
     """The same moves with every label replaced by its adversary."""

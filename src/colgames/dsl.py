@@ -1,4 +1,4 @@
-"""Game-expression DSL: parsing, printing, and elaboration to games.
+"""Game-expression DSL: parsing and elaboration to games.
 
 Grammar (whitespace-insensitive)::
 
@@ -10,8 +10,11 @@ Grammar (whitespace-insensitive)::
 
 ``tbr_*`` are the recurrences (environment switches), ``cbr_*`` the
 corecurrences (machine switches); ``_t``/``_l`` pick the tight or loose
-version.  Atom names resolve against a definitions mapping of games at
-elaboration time.
+version.  The four keywords are ``recurrence.OP_NAMES``.  Atom names
+resolve against a definitions mapping of games at elaboration time.
+There is no printer: when every atom's game is named after the atom, as
+in the built-in and loaded definitions, an elaborated game's ``name`` is
+the expression text and parses back to the expression.
 """
 
 from __future__ import annotations
@@ -20,15 +23,8 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .games import Game, disjoin, negate
-from .recurrence import (
-    LOOSE_CORECURRENCE,
-    LOOSE_RECURRENCE,
-    TIGHT_CORECURRENCE,
-    TIGHT_RECURRENCE,
-    RecurrenceKind,
-    make_recurrence,
-)
-from .sim import Direction
+from .recurrence import OP_NAMES, RecurrenceKind, make_recurrence
+from .sim import COMPOUND_KINDS, Direction
 
 
 @dataclass(frozen=True)
@@ -48,30 +44,17 @@ class Or:
 
 
 @dataclass(frozen=True)
-class TbrT:
+class Rec:
+    """One of the four (co)recurrences of ``arg``."""
+
+    kind: RecurrenceKind
     arg: "GameExpr"
 
 
-@dataclass(frozen=True)
-class TbrL:
-    arg: "GameExpr"
+GameExpr = Union[Atom, Not, Or, Rec]
 
-
-@dataclass(frozen=True)
-class CbrT:
-    arg: "GameExpr"
-
-
-@dataclass(frozen=True)
-class CbrL:
-    arg: "GameExpr"
-
-
-GameExpr = Union[Atom, Not, Or, TbrT, TbrL, CbrT, CbrL]
-
-_UNARY = {"not": Not, "tbr_t": TbrT, "tbr_l": TbrL, "cbr_t": CbrT, "cbr_l": CbrL}
-_KIND_OF = {TbrT: TIGHT_RECURRENCE, TbrL: LOOSE_RECURRENCE,
-            CbrT: TIGHT_CORECURRENCE, CbrL: LOOSE_CORECURRENCE}
+_KIND_NAMED = {name: kind for kind, name in OP_NAMES.items()}
+_COMPOUND_DIRECTION = {kinds: direction for direction, kinds in COMPOUND_KINDS.items()}
 
 
 # Deepest operator nesting an expression may have; the parser and every
@@ -136,11 +119,11 @@ class _Parser:
                 right = self.expr(depth + 1)
                 self.expect(")")
                 return Or(left, right)
-            if head in _UNARY:
-                arg = self.expr(depth + 1)
-                self.expect(")")
-                return _UNARY[head](arg)
-            raise self.error(f"unknown operator {head!r}")
+            if head != "not" and head not in _KIND_NAMED:
+                raise self.error(f"unknown operator {head!r}")
+            arg = self.expr(depth + 1)
+            self.expect(")")
+            return Not(arg) if head == "not" else Rec(_KIND_NAMED[head], arg)
         return Atom(head)
 
     def parse(self) -> GameExpr:
@@ -155,17 +138,6 @@ def parse_game_expr(text: str) -> GameExpr:
     return _Parser(text).parse()
 
 
-def format_game_expr(expr: GameExpr) -> str:
-    if isinstance(expr, Atom):
-        return expr.name
-    if isinstance(expr, Or):
-        return f"or({format_game_expr(expr.left)}, {format_game_expr(expr.right)})"
-    for keyword, cls in _UNARY.items():
-        if isinstance(expr, cls):
-            return f"{keyword}({format_game_expr(expr.arg)})"
-    raise TypeError(f"not a game expression: {expr!r}")
-
-
 def elaborate(expr: GameExpr, defs: Mapping[str, Game]) -> Game:
     """Build the game an expression denotes, resolving atoms in ``defs``."""
     if isinstance(expr, Atom):
@@ -176,32 +148,19 @@ def elaborate(expr: GameExpr, defs: Mapping[str, Game]) -> Game:
         return negate(elaborate(expr.arg, defs))
     if isinstance(expr, Or):
         return disjoin(elaborate(expr.left, defs), elaborate(expr.right, defs))
-    kind: RecurrenceKind = _KIND_OF[type(expr)]
-    return make_recurrence(elaborate(expr.arg, defs), kind)
+    return make_recurrence(elaborate(expr.arg, defs), expr.kind)
 
 
 def translation_shape(expr: GameExpr) -> tuple[Direction, GameExpr] | None:
-    """Recognize the two translation compounds.
-
-    ``or(cbr_t(not(X)), tbr_l(X))`` is the tight-to-loose shape and
-    ``or(cbr_l(not(X)), tbr_t(X))`` the loose-to-tight one; returns the
-    direction and the shared subexpression X, or None.
-    """
-    if not isinstance(expr, Or):
+    """Recognize the two translation compounds ``or(co(not(X)), rec(X))``
+    of ``sim.COMPOUND_KINDS``; returns the direction and the shared
+    subexpression X, or None."""
+    if not (
+        isinstance(expr, Or)
+        and isinstance(expr.left, Rec)
+        and isinstance(expr.right, Rec)
+        and expr.left.arg == Not(expr.right.arg)
+    ):
         return None
-    left, right = expr.left, expr.right
-    if (
-        isinstance(left, CbrT)
-        and isinstance(left.arg, Not)
-        and isinstance(right, TbrL)
-        and left.arg.arg == right.arg
-    ):
-        return Direction.TIGHT_TO_LOOSE, right.arg
-    if (
-        isinstance(left, CbrL)
-        and isinstance(left.arg, Not)
-        and isinstance(right, TbrT)
-        and left.arg.arg == right.arg
-    ):
-        return Direction.LOOSE_TO_TIGHT, right.arg
-    return None
+    direction = _COMPOUND_DIRECTION.get((expr.left.kind, expr.right.kind))
+    return None if direction is None else (direction, expr.right.arg)

@@ -52,30 +52,26 @@ class Version(enum.Enum):
     LOOSE = "loose"
 
 
-class Polarity(enum.Enum):
-    RECURRENCE = "recurrence"
-    CORECURRENCE = "corecurrence"
-
-
 @dataclass(frozen=True, slots=True)
 class RecurrenceKind:
+    """A version and the structural player, who owns switch (and, when
+    tight, replication) moves: the environment in a recurrence, the
+    machine in a corecurrence."""
+
     version: Version
-    polarity: Polarity
-
-    @property
-    def structural(self) -> Player:
-        """The player who owns switch (and, when tight, replication) moves."""
-        return BOT if self.polarity is Polarity.RECURRENCE else TOP
+    structural: Player
 
 
-TIGHT_RECURRENCE = RecurrenceKind(Version.TIGHT, Polarity.RECURRENCE)
-TIGHT_CORECURRENCE = RecurrenceKind(Version.TIGHT, Polarity.CORECURRENCE)
-LOOSE_RECURRENCE = RecurrenceKind(Version.LOOSE, Polarity.RECURRENCE)
-LOOSE_CORECURRENCE = RecurrenceKind(Version.LOOSE, Polarity.CORECURRENCE)
+TIGHT_RECURRENCE = RecurrenceKind(Version.TIGHT, BOT)
+TIGHT_CORECURRENCE = RecurrenceKind(Version.TIGHT, TOP)
+LOOSE_RECURRENCE = RecurrenceKind(Version.LOOSE, BOT)
+LOOSE_CORECURRENCE = RecurrenceKind(Version.LOOSE, TOP)
 
 ALL_KINDS = (TIGHT_RECURRENCE, TIGHT_CORECURRENCE, LOOSE_RECURRENCE, LOOSE_CORECURRENCE)
 
-_OP_NAMES = {
+# The operator keyword of each kind: the game-expression syntax and every
+# recurrence's name.
+OP_NAMES = {
     TIGHT_RECURRENCE: "tbr_t",
     TIGHT_CORECURRENCE: "cbr_t",
     LOOSE_RECURRENCE: "tbr_l",
@@ -170,8 +166,7 @@ def tight_extension_legal(base: Game, position: Run, lm: LabMove, structural: Pl
     projection along every infinite bitstring below the address to a legal
     base run.
     """
-    polarity = Polarity.RECURRENCE if structural is BOT else Polarity.CORECURRENCE
-    return RecurrenceGame(base, RecurrenceKind(Version.TIGHT, polarity)).extend_legal(position, lm)
+    return RecurrenceGame(base, RecurrenceKind(Version.TIGHT, structural)).extend_legal(position, lm)
 
 
 def loose_extension_legal(base: Game, position: Run, lm: LabMove, structural: Player) -> bool:
@@ -182,8 +177,7 @@ def loose_extension_legal(base: Game, position: Run, lm: LabMove, structural: Pl
     by projection legality; replication-shaped moves have no clause here
     and are illegal for their author.
     """
-    polarity = Polarity.RECURRENCE if structural is BOT else Polarity.CORECURRENCE
-    return RecurrenceGame(base, RecurrenceKind(Version.LOOSE, polarity)).extend_legal(position, lm)
+    return RecurrenceGame(base, RecurrenceKind(Version.LOOSE, structural)).extend_legal(position, lm)
 
 
 def last_switch_stem(run: Run, structural: Player) -> str:
@@ -218,7 +212,7 @@ class RecurrenceGame(Game):
     def __init__(self, base: Game, kind: RecurrenceKind) -> None:
         self.base = base
         self.kind = kind
-        self.name = f"{_OP_NAMES[kind]}({base.name})"
+        self.name = f"{OP_NAMES[kind]}({base.name})"
         self.structural = kind.structural
         tree = NodeTree(frozenset()) if kind.version is Version.TIGHT else None
         self._start = RayState(tree, "", 0, (base.start(),))

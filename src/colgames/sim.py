@@ -63,17 +63,18 @@ class Direction(enum.Enum):
     LOOSE_TO_TIGHT = "loose-to-tight"
 
 
+# The corecurrence and recurrence kinds of each direction's compound
+# ``or(co(not(A)), rec(A))``.
+COMPOUND_KINDS = {
+    Direction.TIGHT_TO_LOOSE: (TIGHT_CORECURRENCE, LOOSE_RECURRENCE),
+    Direction.LOOSE_TO_TIGHT: (LOOSE_CORECURRENCE, TIGHT_RECURRENCE),
+}
+
+
 def translation_compound(base: Game, direction: Direction) -> Game:
     """The compound game the corresponding translation routine plays."""
-    if direction is Direction.TIGHT_TO_LOOSE:
-        return disjoin(
-            make_recurrence(negate(base), TIGHT_CORECURRENCE),
-            make_recurrence(base, LOOSE_RECURRENCE),
-        )
-    return disjoin(
-        make_recurrence(negate(base), LOOSE_CORECURRENCE),
-        make_recurrence(base, TIGHT_RECURRENCE),
-    )
+    co, rec = COMPOUND_KINDS[direction]
+    return disjoin(make_recurrence(negate(base), co), make_recurrence(base, rec))
 
 
 def strategy_for(compound: Game, direction: Direction):

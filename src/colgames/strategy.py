@@ -91,14 +91,12 @@ class MirrorStrategy:
         parts = split_disjunction(position)
         assert parts is not None
         tight_position = parts[0]
-        if component == "2" and sh.kind is ShapeKind.SWITCH:
+        if component == "2" and sh.kind in (ShapeKind.SWITCH, ShapeKind.NONREPLICATIVE):
+            # Grow the tight tree to the address, then repeat the move there.
             chain = grow_to_actual(tight_position, sh.address, TOP)
             moves = tuple("1." + c for c in chain) + ("1." + rest,)
-            return replace(state, last_case="mirror-switch"), moves
-        if component == "2" and sh.kind is ShapeKind.NONREPLICATIVE:
-            chain = grow_to_actual(tight_position, sh.address, TOP)
-            moves = tuple("1." + c for c in chain) + ("1." + rest,)
-            return replace(state, last_case="mirror-move"), moves
+            case = "mirror-switch" if sh.kind is ShapeKind.SWITCH else "mirror-move"
+            return replace(state, last_case=case), moves
         return replace(state, last_case=None), ()
 
 

@@ -360,6 +360,36 @@ class TestSimulate:
         assert code == 0
 
 
+    def test_col_seed_is_not_read_by_exhaustive_runs(self, monkeypatch, capsys):
+        monkeypatch.setenv("COL_SEED", "abc")
+        code = main([
+            "simulate", "--direction", "tight-to-loose", "--atom", "bot_choice", "--budget", "1",
+        ])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[2] == "failures: 0"
+
+    def test_col_seed_is_not_read_by_script_runs(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COL_SEED", "abc")
+        script = write_trace(tmp_path, [LabMove(BOT, "2.0.b")])
+        out_path = tmp_path / "replay.json"
+        code = main([
+            "simulate", "--direction", "tight-to-loose", "--atom", "bot_choice",
+            "--adversary", f"script:{script}", "--out", str(out_path),
+        ])
+        assert code == 0
+        assert loads_trace(out_path.read_text()).seed is None
+
+    def test_out_is_rejected_for_exhaustive_runs(self, tmp_path, capsys):
+        out_path = tmp_path / "trace.json"
+        code = main([
+            "simulate", "--direction", "tight-to-loose", "--atom", "bot_choice",
+            "--adversary", "exhaustive", "--out", str(out_path),
+        ])
+        assert code == 2
+        assert_one_line_error(capsys)
+        assert not out_path.exists()
+
+
 class TestSimulateCompositeBase:
     """``--atom`` takes any base expression, not only a definition name."""
 
@@ -430,6 +460,112 @@ class TestPlay:
         monkeypatch.setattr("builtins.input", closed)
         assert main(["play", "--game", "tbr_t(leaf_top)"]) == 0
         assert "outcome: won by T" in capsys.readouterr().out
+
+    # The whole of a session's output: the position display before each
+    # prompt covers both translation compounds (tight component and both
+    # decisive projections) and a plain recurrence of each polarity.
+    SESSIONS = {
+        "or(cbr_l(not(bot_choice)), tbr_t(bot_choice))": (["2.:", "2.1", "2.1.b", ""], """\
+machine plays the loose-to-tight translation strategy
+position: <>
+tight component actual: ['']
+tight component outer:  ['']
+component 1 along last switch (root): <>
+component 2 along last switch (root): <>
+position: <B"2.:">
+tight component actual: ['', '0', '1']
+tight component outer:  ['0', '1']
+component 1 along last switch (root): <>
+component 2 along last switch (root): <>
+machine plays: '1.1'
+position: <B"2.:", B"2.1", T"1.1">
+tight component actual: ['', '0', '1']
+tight component outer:  ['0', '1']
+component 1 along last switch (1): <>
+component 2 along last switch (1): <>
+machine plays: '1.1.b'
+position: <B"2.:", B"2.1", T"1.1", B"2.1.b", T"1.1.b">
+tight component actual: ['', '0', '1']
+tight component outer:  ['0', '1']
+component 1 along last switch (1): <T"b">
+component 2 along last switch (1): <B"b">
+outcome: won by T
+"""),
+        "or(cbr_t(not(bot_choice)), tbr_l(bot_choice))": (["2.01", "2.01.b", "1.0.b", ""], """\
+machine plays the tight-to-loose translation strategy
+position: <>
+tight component actual: ['']
+tight component outer:  ['']
+component 1 along last switch (root): <>
+component 2 along last switch (root): <>
+machine plays: '1.:'
+machine plays: '1.0:'
+machine plays: '1.01'
+position: <B"2.01", T"1.:", T"1.0:", T"1.01">
+tight component actual: ['', '0', '00', '01', '1']
+tight component outer:  ['00', '01', '1']
+component 1 along last switch (01): <>
+component 2 along last switch (01): <>
+machine plays: '1.01.b'
+position: <B"2.01", T"1.:", T"1.0:", T"1.01", B"2.01.b", T"1.01.b">
+tight component actual: ['', '0', '00', '01', '1']
+tight component outer:  ['00', '01', '1']
+component 1 along last switch (01): <T"b">
+component 2 along last switch (01): <B"b">
+position: <B"2.01", T"1.:", T"1.0:", T"1.01", B"2.01.b", T"1.01.b", B"1.0.b">
+tight component actual: ['', '0', '00', '01', '1']
+tight component outer:  ['00', '01', '1']
+component 1 along last switch (01): <T"b", B"b">
+component 2 along last switch (01): <B"b">
+offender: index 6 by B
+outcome: won by T
+"""),
+        "tbr_t(leaf_top)": ([":", "0:", "01", ""], """\
+no machine strategy for this expression; you play the environment
+position: <>
+actual: ['']
+outer:  ['']
+along last switch (root): <>
+position: <B":">
+actual: ['', '0', '1']
+outer:  ['0', '1']
+along last switch (root): <>
+position: <B":", B"0:">
+actual: ['', '0', '00', '01', '1']
+outer:  ['00', '01', '1']
+along last switch (root): <>
+position: <B":", B"0:", B"01">
+actual: ['', '0', '00', '01', '1']
+outer:  ['00', '01', '1']
+along last switch (01): <>
+outcome: won by T
+"""),
+        "cbr_l(bot_choice)": (["0.b", "1", ""], """\
+no machine strategy for this expression; you play the environment
+position: <>
+actual: ['']
+outer:  ['']
+along last switch (root): <>
+position: <B"0.b">
+actual: ['']
+outer:  ['']
+along last switch (root): <B"b">
+position: <B"0.b", B"1">
+actual: ['']
+outer:  ['']
+along last switch (root): <B"b">
+offender: index 1 by B
+outcome: won by T
+"""),
+    }
+
+    @pytest.mark.parametrize("game", list(SESSIONS))
+    def test_position_display(self, game, capsys, monkeypatch):
+        entered, expected = self.SESSIONS[game]
+        lines = iter(entered)
+        monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
+        assert main(["play", "--game", game]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_endless_input_stops_at_the_step_cap(self, capsys, monkeypatch):
         monkeypatch.setattr("builtins.input", lambda prompt="": "x")
