@@ -29,7 +29,7 @@ from .core import (
 from .delay import enumerate_delays, is_delay, is_static
 from .dsl import ElaborationError, ExprParseError, Rec, elaborate, parse_game_expr, translation_shape
 from .files import FileFormatError, TraceFile, dumps_trace, load_game_defs, loads_trace
-from .games import EnumBounds, offender, split_disjunction
+from .games import EnumBounds, State, offender, split_disjunction
 from .recurrence import Version, actual_nodes, last_switch_stem
 from .sim import (
     Direction,
@@ -166,6 +166,8 @@ def _seed(args) -> int:
 def cmd_simulate(args) -> int:
     if args.adversary == "exhaustive" and args.out:
         raise FileFormatError("--out takes the trace of one play; an exhaustive run plays many")
+    if args.seed is not None and args.adversary != "random":
+        raise FileFormatError("--seed seeds the random adversary; this run draws no moves at random")
     base = elaborate(parse_game_expr(args.atom), _load_defs(args.defs))
     direction = Direction(args.direction)
     bounds = _bounds(args)
@@ -240,19 +242,26 @@ _PLAY_STEPS = 1000
 
 
 class _Terminal:
-    """The environment at the terminal: shows the machine's replies since the
-    last move read (state: the run's length after it) and the position,
-    then reads a move; a blank line or end of input is a pass."""
+    """The environment at the terminal (state: the run's length when it
+    last read a move, and the game state there): shows the machine's
+    replies since, stops at the first illegal move, else shows the
+    position and reads a move; a blank line or end of input is a pass."""
 
-    def __init__(self, expr) -> None:
-        self._expr = expr
+    def __init__(self, expr, game) -> None:
+        self._expr, self._game = expr, game
 
-    def init(self) -> int:
-        return 0
+    def init(self) -> tuple[int, State]:
+        return 0, self._game.start()
 
-    def react(self, state: int, position: Run, latest: LabMove | None) -> tuple[int, tuple[str, ...]]:
-        for reply in position[state:]:
-            print(f"machine plays: {reply.move!r}")
+    def react(self, state: tuple[int, State], position: Run,
+              latest: LabMove | None) -> tuple[tuple[int, State], tuple[str, ...]]:
+        seen, current = state
+        for lm in position[seen:]:
+            if lm.label is TOP:
+                print(f"machine plays: {lm.move!r}")
+            current = self._game.step(current, lm)
+            if current is None:
+                return state, ()
         _print_position(position, self._expr)
         try:
             entered = input("environment move (blank to stop): ")
@@ -261,7 +270,7 @@ class _Terminal:
             return state, ()
         if entered == "":
             return state, ()
-        return len(position) + 1, (entered,)
+        return (len(position), current), (entered,)
 
 
 def cmd_play(args) -> int:
@@ -275,7 +284,7 @@ def cmd_play(args) -> int:
     else:
         machine = strategy_for(game, shape[0])
         print(f"machine plays the {shape[0].value} translation strategy")
-    trace = run_interaction(machine, _Terminal(expr), game, _PLAY_STEPS)
+    trace = run_interaction(machine, _Terminal(expr, game), game, _PLAY_STEPS)
     if trace.truncated:
         print(f"play stopped at {_PLAY_STEPS} moves")
     if trace.offender is not None:

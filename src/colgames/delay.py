@@ -14,38 +14,31 @@ it survives every single swap: the scans below and ``enumerate_delays``
 all take this one step.
 
 Static checking is brute force at desk scale: it covers every run up to
-a length bound whose moves are drawn from a finite pool (by default the
-game's own probe pool), classified as legal or by its first offender,
-and every adjacent swap of every such run.  The pool is a parameter
-because "all runs" over unrestricted move strings is infinite; a probe
-pool keeps the scan exhaustive over a universe that still exercises
-every move shape.
+a length bound over a finite pool of moves (by default the game's own
+probe pool), classified as legal or by its first offender, and every
+adjacent swap of every such run; "all runs" over unrestricted move
+strings would be infinite.
 
-Only the legal runs are stored, built shortest first: the game state of
-each legal run is stepped by every pool move, so a run costs one
-``step`` and, when legal, one ``outcome`` call, and the states are
-dropped once the tree is built.  A swap's outcome depends only on the
-two runs up to their first offences.  So for each legal prefix P and
-moves x and y of different players, the scan walks gamma = P x y T and
-delta = P y x T along one shared tail T until both runs are offended, and counts
-the swaps below that point by their number, k^m at m more moves for a
-pool of k labelled moves.  Behind an illegal prefix gamma and delta share
-its first offender, so those swaps are counted without a walk.  A run is
-the id of its digit string in base k, TOP moves numbered first; only the
-counterexample and the violations a scan reports are decoded into runs.
-A lemma violation below a settled pair is the swap at its head, the pair
-where both runs were first offended, with one tail appended to both runs,
-so each head is decoded once and every tail of a given length comes from
-one shared table.
+The scans count runs by game state: equal states have equal futures (the
+contract of :class:`Game`), so each distinct state is stepped once by
+each pool move, and the legal runs of each length are a count per state.
+A swap gamma = P x y T, delta = P y x T is decided by the pair of states
+the two runs reach.  Pairs start from each state's head swaps, weighted
+by its runs, and follow the tails one move at a time, both states
+stepped by the same move; swaps behind an illegal prefix share its first
+offender and are counted in closed form.  The counterexample and the
+shortest lemma violations are found by a depth-first search over
+gamma's digits, pruned by memoised checks that a bad pair is reachable.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import BOT, TOP, LabMove, Player, Run, label_subsequence, neg_player
-from .games import EnumBounds, Game, PreconditionError
+from .games import EnumBounds, Game, PreconditionError, State
 
 
 def _delay_profile(run: Run, p: Player) -> tuple[int, ...]:
@@ -136,183 +129,175 @@ class LemmaReport:
     """Outcome of the illegality-propagation scan over adjacent swaps.
 
     ``pairs_checked`` counts the swaps (gamma, delta, p) of every pool run
-    within bounds whose swapped run delta has ``p`` as first offender,
-    including the swaps the scan counts without visiting them; it is the
-    count a scan of every run would make.  ``violations`` are those swaps
-    where gamma does not have ``p`` as first offender, shortest first, then
-    by gamma's id and the swap's position.  The violations below one
-    settled pair share the prefixes of its decoded head swap and take
-    their tails from one table.  A violating delay pair exists iff a
+    within bounds whose delta has ``p`` as first offender, and
+    ``violation_count`` those among them whose gamma does not.  The full
+    list grows exponentially with the length, so ``violations`` lists the
+    violations of the shortest violating length only, by gamma's id and
+    then the swap's position.  A violating delay pair exists iff a
     violating swap does: along the swap chain from gamma to delta, the
-    first run with ``p`` as first offender is one swap after a run
-    without.
+    first run with ``p`` as first offender is one swap after a run without.
     """
 
     violations: tuple[tuple[Run, Run, Player], ...]
     pairs_checked: int
+    violation_count: int
 
 
-# The state of an offended run: the culprit of its first offence.  A
-# legal run's state is its node in the legal tree, counted from 0.
-OFF_T, OFF_B = -1, -2
+# An offended run's state id is the bit of its first offence's culprit, 0
+# for TOP and 1 for BOT.  Legal states count from 2, the start state first.
+OFF_T, OFF_B = 0, 1
 
 
-class _SwapScan:
-    """One walk over every adjacent swap of the runs over a labmove pool.
+class _StateScan:
+    """Every adjacent swap of the runs over a labmove pool (None: the probe
+    pool), counted over the distinct game states the runs reach.
 
-    A pool of None stands for the game's probe pool.  ``labmoves`` are
-    the pool's moves labelled TOP followed by the same moves labelled
-    BOT, so with ``k = 2 |pool|`` a digit ``d < |pool|`` is a TOP move.
-    A run of length n is numbered by its digit string read in base k,
-    first move most significant, and scans report in (length, id, swap
-    position) order, so the first counterexample is a shortest one.
-
-    Only legal runs are stored, as the nodes of a tree numbered shortest
-    first.  A run's state is its node, or OFF_T / OFF_B once it has a
-    first offender; ``kids[s][d]`` is the state after appending digit d
-    and ``winners[s]`` the player who wins a run in state s.  Both lists
-    end with the two offended states, so that negative states index them
-    and an offended run keeps its state and winner under every extension.
-    ``levels[n]`` lists the node and id of each legal run of length n, and
-    ``offended[n]`` counts the runs of length n that are not legal.
+    ``labmoves`` are the pool's moves labelled TOP, then labelled BOT, so
+    with ``k = 2 |pool|`` a digit ``d < |pool|`` is a TOP move.  A run of
+    length n is numbered by its digit string read in base k, first move
+    most significant; reports come in (length, id, position) order.
+    ``rows[s][d]`` is the state after digit d in state s, ``wins[s]`` the
+    bit of the player who wins in s, and a swap's pair (g, d, p) holds
+    gamma's and delta's states and p's bit.
     """
 
-    def __init__(self, game: Game, bounds: EnumBounds, pool: Sequence[str] | None,
-                 lemma: bool) -> None:
-        if pool is None:
-            pool = game.probe_moves(bounds)
+    def __init__(self, game: Game, bounds: EnumBounds, pool: Sequence[str] | None) -> None:
+        pool = game.probe_moves(bounds) if pool is None else pool
         self.tops = len(pool)
         self.labmoves = [LabMove(TOP, m) for m in pool] + [LabMove(BOT, m) for m in pool]
-        self.max_len = bounds.max_run_len
-        self._build(game)
-        self._walk(lemma)
+        self.rows: list[list[int] | None] = [[OFF_T] * len(self.labmoves), [OFF_B] * len(self.labmoves)]
+        self.wins = [1, 0]
+        self._build(game, bounds.max_run_len)
 
-    def _build(self, game: Game) -> None:
-        """Step the game's state of every legal run by each labmove, and
-        ask for the winner of each legal run, shortest runs first."""
-        k = len(self.labmoves)
-        states = [game.start()]
-        self.winners: list[Player] = [game.outcome(states[0])]
-        self.kids: list[list[int] | tuple[int, ...]] = []
-        self.levels: list[list[tuple[int, int]]] = []
-        self.offended: list[int] = []
-        level, offended = [(0, 0)], 0
-        for n in range(self.max_len + 1):
+    def _build(self, game: Game, longest: int) -> None:
+        """Count the legal runs of each length by state (``levels``) and the
+        others (``offended``); a state is stepped once, by every labmove."""
+        rows, wins, ids, states = self.rows, self.wins, {}, [None, None]
+
+        def intern(state: State) -> int:
+            s = ids.get(state)
+            if s is None:
+                s = ids[state] = len(states)
+                states.append(state)
+                rows.append(None)
+                wins.append(0 if game.outcome(state) is TOP else 1)
+            return s
+
+        self.levels, self.offended = [{intern(game.start()): 1}], [0]
+        for _ in range(longest):
+            level, offended = {}, self.offended[-1] * len(self.labmoves)
+            for s, c in self.levels[-1].items():
+                if rows[s] is None:
+                    rows[s] = [(OFF_T if d < self.tops else OFF_B) if (t := game.step(states[s], lm)) is None
+                               else intern(t) for d, lm in enumerate(self.labmoves)]
+                for t in rows[s]:
+                    if t > OFF_B:
+                        level[t] = level.get(t, 0) + c
+                    else:
+                        offended += c
             self.levels.append(level)
             self.offended.append(offended)
-            if n == self.max_len:
-                break
-            children: list[tuple[int, int]] = []
-            offended *= k
-            for node, rid in level:
-                state = states[node]
-                row = []
-                for d, lm in enumerate(self.labmoves):
-                    child = game.step(state, lm)
-                    if child is not None:
-                        row.append(len(states))
-                        children.append((len(states), rid * k + d))
-                        states.append(child)
-                        self.winners.append(game.outcome(child))
-                    else:
-                        row.append(OFF_T if d < self.tops else OFF_B)
-                        offended += 1
-                self.kids.append(row)
-            level = children
-        self.kids += [(OFF_B,) * k, (OFF_T,) * k]
-        self.winners += [TOP, BOT]
 
-    def _walk(self, lemma: bool) -> None:
-        """Find the first swap that p wins before but not after; with
-        ``lemma``, also count the swaps whose delta has p as first offender
-        and collect those whose gamma does not, each as (length, id,
-        position, length of the head it was found under).  Without it, a
-        branch also stops once no longer tail can give a counterexample,
-        and no branch goes past the length of the first counterexample
-        found so far."""
-        k, tops, longest = len(self.labmoves), self.tops, self.max_len
-        kids, winners = self.kids, self.winners
-        below = [sum(k ** m for m in range(1, longest - n + 1)) for n in range(longest + 1)]
-        first: tuple[int, int, int] | None = None
-        limit = longest
-        pairs = 0
-        found: list[tuple[int, int, int, int]] = []
-        for i, level in enumerate(self.levels):
-            if i + 2 > limit:
-                break
-            for node, pid in level:
-                row = kids[node]
-                for x in range(k):
-                    if x < tops:
-                        p, off_p, off_q, ys = TOP, OFF_T, OFF_B, range(tops, k)
-                    else:
-                        p, off_p, off_q, ys = BOT, OFF_B, OFF_T, range(tops)
-                    for y in ys:
-                        stack = [(kids[row[x]][y], kids[row[y]][x], i + 2, (pid * k + x) * k + y)]
-                        while stack:
-                            g, d, n, gid = stack.pop()
-                            if n > limit:
-                                continue
-                            if winners[g] is p and winners[d] is not p:
-                                if first is None or (n, gid, i) < first:
-                                    first = (n, gid, i)
-                                    if not lemma:
-                                        limit = n
-                            settled = g < 0 and d < 0
-                            if lemma and d == off_p:
-                                pairs += 1 + below[n] if settled else 1
-                                if g != off_p:
-                                    found.append((n, gid, i, n))
-                                    if settled:
-                                        for m in range(1, longest - n + 1):
-                                            km = k ** m
-                                            lowest = gid * km
-                                            found.extend((n + m, lowest + t, i, n) for t in range(km))
-                            if settled or n == limit or not lemma and (g == off_p or d == off_q):
-                                continue
-                            stack.extend(zip(kids[g], kids[d], [n + 1] * k, range(gid * k, gid * k + k)))
-        if lemma:
-            pairs += tops * tops * sum(self.offended[i] * k ** (n - i - 2)
-                                       for n in range(longest + 1) for i in range(n - 1))
-        found.sort()
-        self.first, self.pairs, self.found = first, pairs, found
+    def _count(self) -> tuple[int, list[int]]:
+        """Follow the swap pairs to every length, counting by weight the swaps
+        whose delta has p as first offender, and per length the violations."""
+        k, tops, longest = len(self.labmoves), self.tops, len(self.levels) - 1
+        rows, heads, counts = self.rows, {}, [0] * (longest + 1)
+        pairs = tops * tops * sum(self.offended[i] * k ** (n - i - 2)
+                                  for n in range(longest + 1) for i in range(n - 1))
+        here: dict[tuple[int, int, int], int] = {}
+        for n in range(2, longest + 1):
+            for s, c in self.levels[n - 2].items():
+                if s not in heads:
+                    kids = [rows[t] for t in rows[s]]
+                    found = Counter([(kids[x][y], kids[y][x]) for x in range(tops) for y in range(tops, k)])
+                    heads[s] = [(key, m) for (a, b), m in found.items() for key in ((a, b, 0), (b, a, 1))]
+                for key, m in heads[s]:
+                    here[key] = here.get(key, 0) + c * m
+            after: dict[tuple[int, int, int], int] = {}
+            for key, w in here.items():
+                g, d, p = key
+                if d == p:
+                    pairs += w
+                    if g != p:
+                        counts[n] += w
+                if n == longest:
+                    continue
+                for a, b in zip(rows[g], rows[d]):
+                    key = (a, b, p)
+                    after[key] = after.get(key, 0) + w
+            here = after
+        return pairs, counts
+
+    def _bad_swaps(self, lengths: Iterable[int], bad: Callable[[int, int, int], bool]) -> Iterator:
+        """(length, gamma's id, position) of each swap of the given lengths
+        whose pair is bad, in that order: a depth-first walk over gamma's
+        digits, entering a digit only while a swap begun or to begin can end
+        bad.  A pair is never bad if its runs agree or p offended in gamma."""
+        rows, tops, k = self.rows, self.tops, len(self.labmoves)
+        reachable, opening = {}, {}  # keyed by (g, d, p, m) and by (s, x, m)
+
+        def reach(g: int, d: int, p: int, m: int) -> bool:
+            """Some tail of m moves takes the pair to a bad one."""
+            if m == 0:
+                return bad(g, d, p)
+            if g == d or g == p:
+                return False
+            key = (g, d, p, m)
+            found = reachable.get(key)
+            if found is None:
+                found = reachable[key] = any(reach(a, b, p, m - 1) for a, b in zip(rows[g], rows[d]))
+            return found
+
+        def viable(s: int, x: int, m: int) -> bool:
+            """After digit x from state s and m more moves, a swap of x or of
+            a later move can be bad."""
+            key = (s, x, m)
+            found = opening.get(key)
+            if found is None:
+                row, p = rows[s], (0 if x < tops else 1)
+                found = opening[key] = row[x] > OFF_B and (
+                    m > 0 and any(reach(rows[row[x]][y], rows[row[y]][x], p, m - 1)
+                                  for y in (range(tops, k) if p == 0 else range(tops)))
+                    or m > 1 and any(viable(row[x], y, m - 1) for y in range(k)))
+            return found
+
+        def walk(n: int, j: int, gid: int, before: int, s: int, x: int, begun: list) -> Iterator:
+            """Below gamma's first j of n digits, numbered gid, the last x from
+            state ``before`` to s; ``begun``: (i, delta's state, p) of live swaps."""
+            if j == n:
+                yield from ((n, gid, i) for i, _, _ in begun)
+                return
+            left, row = n - j - 1, rows[s]
+            for t in range(k):
+                after = row[t]
+                kept = [(i, rows[d][t], p) for i, d, p in begun if reach(after, rows[d][t], p, left)]
+                if j and (x < tops) != (t < tops):
+                    p, d = (0 if x < tops else 1), rows[rows[before][t]][x]
+                    if reach(after, d, p, left):
+                        kept.append((j - 1, d, p))
+                if kept or s > OFF_B and viable(s, t, left):
+                    yield from walk(n, j + 1, gid * k + t, s, after, t, kept)
+
+        for n in lengths:
+            yield from walk(n, 0, 0, OFF_B + 1, OFF_B + 1, 0, [])
 
     def _swap(self, n: int, gamma: int, i: int) -> tuple[Run, Run, Player]:
         """The swap at position i of the run of length n numbered gamma."""
-        moves = []
-        for _ in range(n):
-            gamma, d = divmod(gamma, len(self.labmoves))
-            moves.append(self.labmoves[d])
-        run = tuple(reversed(moves))
+        k = len(self.labmoves)
+        run = tuple(self.labmoves[gamma // k ** (n - 1 - j) % k] for j in range(n))
         return run, run[:i] + (run[i + 1], run[i]) + run[i + 2 :], run[i].label
 
     def static_verdict(self) -> StaticVerdict:
-        if self.first is None:
-            return StaticVerdict(True)
-        return StaticVerdict(False, self._swap(*self.first))
+        wins = self.wins
+        first = next(self._bad_swaps(range(2, len(self.levels)), lambda g, d, p: wins[g] == p != wins[d]), None)
+        return StaticVerdict(True) if first is None else StaticVerdict(False, self._swap(*first))
 
     def lemma_report(self) -> LemmaReport:
-        """Decode each reported swap as its head's swap plus a shared tail.
-
-        A swap (n, gamma, i) found under the head of length h numbered
-        gamma // k^(n-h) is that head's swap with the tail numbered
-        gamma mod k^(n-h) appended to both runs.  Each head is decoded
-        once, and ``tails[m]`` lists the k^m tails of m moves by id."""
-        k = len(self.labmoves)
-        tails: list[list[Run]] = [[()]]
-        for _ in range(max((n - h for n, _, _, h in self.found), default=0)):
-            tails.append([tail + (lm,) for tail in tails[-1] for lm in self.labmoves])
-        heads: dict[tuple[int, int, int], tuple[Run, Run, Player]] = {}
-        violations = []
-        for n, gid, i, h in self.found:
-            m = n - h
-            hid, t = divmod(gid, k ** m)
-            head = heads.get((h, hid, i))
-            if head is None:
-                head = heads[h, hid, i] = self._swap(h, hid, i)
-            tail = tails[m][t]
-            violations.append((head[0] + tail, head[1] + tail, head[2]))
-        return LemmaReport(tuple(violations), self.pairs)
+        pairs, counts = self._count()
+        shortest = [n for n, c in enumerate(counts) if c][:1]
+        found = self._bad_swaps(shortest, lambda g, d, p: d == p != g)
+        return LemmaReport(tuple(self._swap(*f) for f in found), pairs, sum(counts))
 
 
 def is_static(game: Game, bounds: EnumBounds, pool: Sequence[str] | None = None) -> StaticVerdict:
@@ -323,7 +308,7 @@ def is_static(game: Game, bounds: EnumBounds, pool: Sequence[str] | None = None)
     offender rule.  The first violating adjacent swap (shortest first,
     then in run-id and position order) is returned as a counterexample.
     """
-    return _SwapScan(game, bounds, pool, lemma=False).static_verdict()
+    return _StateScan(game, bounds, pool).static_verdict()
 
 
 def check_illegality_lemma(game: Game, bounds: EnumBounds, pool: Sequence[str] | None = None) -> LemmaReport:
@@ -334,12 +319,11 @@ def check_illegality_lemma(game: Game, bounds: EnumBounds, pool: Sequence[str] |
     offender.  Checks the adjacent swaps and reports the violating ones
     (expected: none for recurrences of static bases).
     """
-    return _SwapScan(game, bounds, pool, lemma=True).lemma_report()
+    return _StateScan(game, bounds, pool).lemma_report()
 
 
-def static_and_lemma(
-    game: Game, bounds: EnumBounds, pool: Sequence[str] | None = None
-) -> tuple[StaticVerdict, LemmaReport]:
-    """Run both scans in a single walk."""
-    scan = _SwapScan(game, bounds, pool, lemma=True)
+def static_and_lemma(game: Game, bounds: EnumBounds,
+                     pool: Sequence[str] | None = None) -> tuple[StaticVerdict, LemmaReport]:
+    """Run both scans over one interning of the states."""
+    scan = _StateScan(game, bounds, pool)
     return scan.static_verdict(), scan.lemma_report()

@@ -51,11 +51,12 @@ class Game:
 
     Subclasses implement :meth:`start`, :meth:`step` and :meth:`outcome`,
     the game as a state machine over labelled moves, plus
-    :meth:`legal_moves` and :meth:`probe_moves`.  States are immutable
-    and never None, so one state may be stepped many ways.  The
-    whole-run methods :meth:`extend_legal` and :meth:`winner` are
-    defined here once, by replaying the run.  Instances are immutable
-    after construction and all operations are pure.
+    :meth:`legal_moves` and :meth:`probe_moves`.  States are immutable,
+    hashable and never None, and equal states have equal futures: the
+    same moves step them to equal states, with equal outcomes; the delay
+    scans step each distinct state once.  The whole-run methods
+    :meth:`extend_legal` and :meth:`winner` replay the run.  Instances
+    are immutable after construction and all operations are pure.
     """
 
     name: str
@@ -152,6 +153,11 @@ class GameNode:
         keys = [lm for lm, _ in self.edges]
         if len(keys) != len(set(keys)):
             raise ValueError("duplicate (label, move) edge in game node")
+        # the structural hash, once: each child's is already cached
+        object.__setattr__(self, "_hash", hash((self.winner, self.edges)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def leaf(winner: Player) -> GameNode:

@@ -210,7 +210,8 @@ def verify_static_preservation(base: Game, bounds: EnumBounds) -> VerificationRe
             failures.append(
                 Failure(
                     "illegality-lemma",
-                    f"{rec.name}: delay pair {gamma} / {delta} for {p.name}",
+                    f"{rec.name}: delay pair {gamma} / {delta} for {p.name}"
+                    f" (a shortest one of {lemma.violation_count} violations)",
                 )
             )
     return VerificationReport(base.name, bounds, 0, tuple(failures))

@@ -1,22 +1,27 @@
 """Independent oracles shared by the test modules.
 
 Everything here recomputes expected values from first principles, without
-going through the implementation paths under test.  The run tables judge
+going through the implementation paths under test.  The run table judges
 a game through ``WholeRunGame``, which reads each run whole the way the
-constructors did before they became state machines, so they share no
-``start``/``step``/``outcome`` code with the library scan they check.
+constructors did before they became state machines, so it shares no
+``start``/``step``/``outcome`` code with the library scan it checks.  The
+swap scan walks the runs one by one, where the library counts them by
+game state, and lists every violation it finds.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict
+from typing import Sequence
 
 from hypothesis import strategies as st
 
 from colgames import BOT, TOP, LabMove, RemapStrategy, label_subsequence
 from colgames.core import (
+    Player,
     Ray,
+    Run,
     ShapeKind,
     flip_labels,
     neg_player,
@@ -26,6 +31,7 @@ from colgames.core import (
 )
 from colgames.delay import LemmaReport, StaticVerdict, _swaps
 from colgames.games import (
+    EnumBounds,
     FiniteGame,
     Game,
     GameNode,
@@ -386,100 +392,180 @@ class ReferenceRunTable:
             gamma_off = self.offenders[gamma]
             if gamma_off is None or gamma_off.culprit is not p:
                 violations.append((gamma, delta, p))
-        return LemmaReport(tuple(violations), pairs)
+        return reduced_report(violations, pairs)
 
 
-# Outcome codes of DenseRunTable, one byte per run: legal and won by T or
-# B, or first offended by T or B.
-WON_T, WON_B, OFF_T, OFF_B = range(4)
-# The player who wins a run with each code: a legal run's winner, or the
-# opponent of the culprit of an illegal one.
-_WINNER = (TOP, BOT, BOT, TOP)
+def reduced_report(violations, pairs):
+    """The library's report for a full list of lemma violations: their
+    number, and those of the shortest length in the list's order."""
+    shortest = min((len(gamma) for gamma, _, _ in violations), default=0)
+    return LemmaReport(tuple(v for v in violations if len(v[0]) == shortest), pairs, len(violations))
 
 
-class DenseRunTable:
-    """Every run over a labmove pool up to a length bound, one byte each:
-    the dense reference for the library's swap scan, fast enough for the
-    k^n runs of length 5 where ``ReferenceRunTable`` builds every tuple.
+# The state of an offended run: the culprit of its first offence.  A
+# legal run's state is its node in the legal tree, counted from 0.
+OFF_T, OFF_B = -1, -2
+
+
+class SwapScan:
+    """One walk over every adjacent swap of the runs over a labmove pool:
+    the library's scan before it counted runs by game state, kept as the
+    oracle that visits each swap.  It lists every lemma violation, and
+    ``lemma_report`` reduces the list with ``reduced_report``.
 
     A pool of None stands for the game's probe pool.  ``labmoves`` are
     the pool's moves labelled TOP followed by the same moves labelled
     BOT, so with ``k = 2 |pool|`` a digit ``d < |pool|`` is a TOP move.
     A run of length n is numbered by its digit string read in base k,
-    first move most significant, and ``levels[n][id]`` is its code.  The
-    levels shortest first, each in ascending id, list the runs in the
-    order ``_swaps`` visits them; every swap of every run is visited.
-    The game is judged through ``WholeRunGame``.
+    first move most significant, and scans report in (length, id, swap
+    position) order, so the first counterexample is a shortest one.
+
+    Only legal runs are stored, as the nodes of a tree numbered shortest
+    first.  A run's state is its node, or OFF_T / OFF_B once it has a
+    first offender; ``kids[s][d]`` is the state after appending digit d
+    and ``winners[s]`` the player who wins a run in state s.  Both lists
+    end with the two offended states, so that negative states index them
+    and an offended run keeps its state and winner under every extension.
+    ``levels[n]`` lists the node and id of each legal run of length n, and
+    ``offended[n]`` counts the runs of length n that are not legal.
     """
 
-    def __init__(self, game, bounds, pool):
-        game = WholeRunGame(game)
+    def __init__(self, game: Game, bounds: EnumBounds, pool: Sequence[str] | None,
+                 lemma: bool) -> None:
         if pool is None:
             pool = game.probe_moves(bounds)
         self.tops = len(pool)
         self.labmoves = [LabMove(TOP, m) for m in pool] + [LabMove(BOT, m) for m in pool]
+        self.max_len = bounds.max_run_len
+        self._build(game)
+        self._walk(lemma)
+
+    def _build(self, game: Game) -> None:
+        """Step the game's state of every legal run by each labmove, and
+        ask for the winner of each legal run, shortest runs first."""
         k = len(self.labmoves)
-        self.levels = []
-        level = bytearray(1)
-        legal = {0: ()}
-        for n in range(bounds.max_run_len + 1):
-            for rid, run in legal.items():
-                level[rid] = WON_T if game.winner(run) is TOP else WON_B
+        states = [game.start()]
+        self.winners: list[Player] = [game.outcome(states[0])]
+        self.kids: list[list[int] | tuple[int, ...]] = []
+        self.levels: list[list[tuple[int, int]]] = []
+        self.offended: list[int] = []
+        level, offended = [(0, 0)], 0
+        for n in range(self.max_len + 1):
             self.levels.append(level)
-            if n == bounds.max_run_len:
+            self.offended.append(offended)
+            if n == self.max_len:
                 break
-            children = bytearray(k ** (n + 1))
-            for d in range(k):
-                children[d::k] = level
-            legal_children = {}
-            for rid, run in legal.items():
-                for child, lm in enumerate(self.labmoves, rid * k):
-                    if game.extend_legal(run, lm):
-                        legal_children[child] = run + (lm,)
+            children: list[tuple[int, int]] = []
+            offended *= k
+            for node, rid in level:
+                state = states[node]
+                row = []
+                for d, lm in enumerate(self.labmoves):
+                    child = game.step(state, lm)
+                    if child is not None:
+                        row.append(len(states))
+                        children.append((len(states), rid * k + d))
+                        states.append(child)
+                        self.winners.append(game.outcome(child))
                     else:
-                        children[child] = OFF_T if lm.label is TOP else OFF_B
-            level, legal = children, legal_children
+                        row.append(OFF_T if d < self.tops else OFF_B)
+                        offended += 1
+                self.kids.append(row)
+            level = children
+        self.kids += [(OFF_B,) * k, (OFF_T,) * k]
+        self.winners += [TOP, BOT]
 
-    def _run(self, n, rid):
-        k = len(self.labmoves)
-        return tuple(self.labmoves[rid // k ** (n - 1 - i) % k] for i in range(n))
-
-    def _swap_ids(self):
-        """``_swaps`` over the table: ``(n, level, gamma, delta, p)`` with
-        gamma and delta ids in ``level``, the level of runs of length n.
-
-        Swapping digits a and b at positions i and i+1 adds
-        ``(b - a) * (k**(n-1-i) - k**(n-2-i))`` to a run's id.
-        """
-        tops, k = self.tops, len(self.labmoves)
-        for n, level in enumerate(self.levels):
-            steps = [k ** (n - 1 - i) - k ** (n - 2 - i) for i in range(n - 1)]
-            for gamma, digits in enumerate(itertools.product(range(k), repeat=n)):
-                for a, b, step in zip(digits, digits[1:], steps):
-                    if a < tops:
-                        if b >= tops:
-                            yield n, level, gamma, gamma + (b - a) * step, TOP
-                    elif b < tops:
-                        yield n, level, gamma, gamma + (b - a) * step, BOT
-
-    def static_verdict(self):
-        """The first swap (in table order) that p wins before but not after."""
-        for n, level, gamma, delta, p in self._swap_ids():
-            if _WINNER[level[gamma]] is p and _WINNER[level[delta]] is not p:
-                return StaticVerdict(False, (self._run(n, gamma), self._run(n, delta), p))
-        return StaticVerdict(True)
-
-    def lemma_report(self):
-        violations = []
+    def _walk(self, lemma: bool) -> None:
+        """Find the first swap that p wins before but not after; with
+        ``lemma``, also count the swaps whose delta has p as first offender
+        and collect those whose gamma does not, each as (length, id,
+        position, length of the head it was found under).  Without it, a
+        branch also stops once no longer tail can give a counterexample,
+        and no branch goes past the length of the first counterexample
+        found so far."""
+        k, tops, longest = len(self.labmoves), self.tops, self.max_len
+        kids, winners = self.kids, self.winners
+        below = [sum(k ** m for m in range(1, longest - n + 1)) for n in range(longest + 1)]
+        first: tuple[int, int, int] | None = None
+        limit = longest
         pairs = 0
-        for n, level, gamma, delta, p in self._swap_ids():
-            offence = OFF_T if p is TOP else OFF_B
-            if level[delta] != offence:
-                continue
-            pairs += 1
-            if level[gamma] != offence:
-                violations.append((self._run(n, gamma), self._run(n, delta), p))
-        return LemmaReport(tuple(violations), pairs)
+        found: list[tuple[int, int, int, int]] = []
+        for i, level in enumerate(self.levels):
+            if i + 2 > limit:
+                break
+            for node, pid in level:
+                row = kids[node]
+                for x in range(k):
+                    if x < tops:
+                        p, off_p, off_q, ys = TOP, OFF_T, OFF_B, range(tops, k)
+                    else:
+                        p, off_p, off_q, ys = BOT, OFF_B, OFF_T, range(tops)
+                    for y in ys:
+                        stack = [(kids[row[x]][y], kids[row[y]][x], i + 2, (pid * k + x) * k + y)]
+                        while stack:
+                            g, d, n, gid = stack.pop()
+                            if n > limit:
+                                continue
+                            if winners[g] is p and winners[d] is not p:
+                                if first is None or (n, gid, i) < first:
+                                    first = (n, gid, i)
+                                    if not lemma:
+                                        limit = n
+                            settled = g < 0 and d < 0
+                            if lemma and d == off_p:
+                                pairs += 1 + below[n] if settled else 1
+                                if g != off_p:
+                                    found.append((n, gid, i, n))
+                                    if settled:
+                                        for m in range(1, longest - n + 1):
+                                            km = k ** m
+                                            lowest = gid * km
+                                            found.extend((n + m, lowest + t, i, n) for t in range(km))
+                            if settled or n == limit or not lemma and (g == off_p or d == off_q):
+                                continue
+                            stack.extend(zip(kids[g], kids[d], [n + 1] * k, range(gid * k, gid * k + k)))
+        if lemma:
+            pairs += tops * tops * sum(self.offended[i] * k ** (n - i - 2)
+                                       for n in range(longest + 1) for i in range(n - 1))
+        found.sort()
+        self.first, self.pairs, self.found = first, pairs, found
+
+    def _swap(self, n: int, gamma: int, i: int) -> tuple[Run, Run, Player]:
+        """The swap at position i of the run of length n numbered gamma."""
+        moves = []
+        for _ in range(n):
+            gamma, d = divmod(gamma, len(self.labmoves))
+            moves.append(self.labmoves[d])
+        run = tuple(reversed(moves))
+        return run, run[:i] + (run[i + 1], run[i]) + run[i + 2 :], run[i].label
+
+    def static_verdict(self) -> StaticVerdict:
+        if self.first is None:
+            return StaticVerdict(True)
+        return StaticVerdict(False, self._swap(*self.first))
+
+    def lemma_report(self) -> LemmaReport:
+        """Decode each reported swap as its head's swap plus a shared tail.
+
+        A swap (n, gamma, i) found under the head of length h numbered
+        gamma // k^(n-h) is that head's swap with the tail numbered
+        gamma mod k^(n-h) appended to both runs.  Each head is decoded
+        once, and ``tails[m]`` lists the k^m tails of m moves by id."""
+        k = len(self.labmoves)
+        tails: list[list[Run]] = [[()]]
+        for _ in range(max((n - h for n, _, _, h in self.found), default=0)):
+            tails.append([tail + (lm,) for tail in tails[-1] for lm in self.labmoves])
+        heads: dict[tuple[int, int, int], tuple[Run, Run, Player]] = {}
+        violations = []
+        for n, gid, i, h in self.found:
+            m = n - h
+            hid, t = divmod(gid, k ** m)
+            head = heads.get((h, hid, i))
+            if head is None:
+                head = heads[h, hid, i] = self._swap(h, hid, i)
+            tail = tails[m][t]
+            violations.append((head[0] + tail, head[1] + tail, head[2]))
+        return reduced_report(violations, self.pairs)
 
 
 def delay_groups(table):
@@ -541,7 +627,7 @@ def pairwise_lemma_scan(table):
                     gamma_off = table.offenders[gamma]
                     if gamma_off is None or gamma_off.culprit is not p:
                         violations.append((gamma, delta, p))
-    return LemmaReport(tuple(violations), pairs)
+    return reduced_report(violations, pairs)
 
 
 def chain_defs(depth):

@@ -379,6 +379,17 @@ class TestSimulate:
         assert code == 0
         assert loads_trace(out_path.read_text()).seed is None
 
+    @pytest.mark.parametrize("adversary", ["exhaustive", "script"])
+    def test_seed_is_rejected_without_a_random_adversary(self, adversary, tmp_path, capsys):
+        if adversary == "script":
+            adversary = f"script:{write_trace(tmp_path, [LabMove(BOT, '2.0.b')])}"
+        code = main([
+            "simulate", "--direction", "tight-to-loose", "--atom", "bot_choice", "--budget", "1",
+            "--adversary", adversary, "--seed", "5",
+        ])
+        assert code == 2
+        assert_one_line_error(capsys)
+
     def test_out_is_rejected_for_exhaustive_runs(self, tmp_path, capsys):
         out_path = tmp_path / "trace.json"
         code = main([
@@ -443,8 +454,9 @@ class TestPlay:
         assert "no machine strategy" in capsys.readouterr().out
 
     def test_offending_move_is_reported_and_not_answered(self, capsys, monkeypatch):
-        # "2.01" switches to a node the adversary's tight tree lacks
-        lines = iter(["2.01", ""])
+        # "2.01" switches to a node the adversary's tight tree lacks; the
+        # play ends there, without asking for another move
+        lines = iter(["2.01"])
         monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
         code = main(["play", "--game", "or(cbr_l(not(bot_choice)), tbr_t(bot_choice))"])
         assert code == 0
@@ -452,6 +464,19 @@ class TestPlay:
         assert "machine plays:" not in out
         assert "offender: index 0 by B" in out
         assert "outcome: won by T" in out
+
+    def test_first_illegal_move_ends_the_play(self):
+        # "2.0" switches to node 0, which the tight component lacks: the
+        # offence is reported at once, and "2.1" is never read
+        result = subprocess.run(
+            [sys.executable, "-m", "colgames.cli", "play",
+             "--game", "or(cbr_l(not(bot_choice)), tbr_t(bot_choice))"],
+            input="2.0\n2.1\n\n", capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.count("environment move") == 1
+        assert "along last switch (0)" not in result.stdout
+        assert result.stdout.endswith(": offender: index 0 by B\noutcome: won by T\n")
 
     def test_end_of_input_is_a_pass(self, capsys, monkeypatch):
         def closed(prompt=""):
@@ -491,7 +516,7 @@ component 1 along last switch (1): <T"b">
 component 2 along last switch (1): <B"b">
 outcome: won by T
 """),
-        "or(cbr_t(not(bot_choice)), tbr_l(bot_choice))": (["2.01", "2.01.b", "1.0.b", ""], """\
+        "or(cbr_t(not(bot_choice)), tbr_l(bot_choice))": (["2.01", "2.01.b", "1.0.b"], """\
 machine plays the tight-to-loose translation strategy
 position: <>
 tight component actual: ['']
@@ -511,11 +536,6 @@ position: <B"2.01", T"1.:", T"1.0:", T"1.01", B"2.01.b", T"1.01.b">
 tight component actual: ['', '0', '00', '01', '1']
 tight component outer:  ['00', '01', '1']
 component 1 along last switch (01): <T"b">
-component 2 along last switch (01): <B"b">
-position: <B"2.01", T"1.:", T"1.0:", T"1.01", B"2.01.b", T"1.01.b", B"1.0.b">
-tight component actual: ['', '0', '00', '01', '1']
-tight component outer:  ['00', '01', '1']
-component 1 along last switch (01): <T"b", B"b">
 component 2 along last switch (01): <B"b">
 offender: index 6 by B
 outcome: won by T
@@ -540,17 +560,13 @@ outer:  ['00', '01', '1']
 along last switch (01): <>
 outcome: won by T
 """),
-        "cbr_l(bot_choice)": (["0.b", "1", ""], """\
+        "cbr_l(bot_choice)": (["0.b", "1"], """\
 no machine strategy for this expression; you play the environment
 position: <>
 actual: ['']
 outer:  ['']
 along last switch (root): <>
 position: <B"0.b">
-actual: ['']
-outer:  ['']
-along last switch (root): <B"b">
-position: <B"0.b", B"1">
 actual: ['']
 outer:  ['']
 along last switch (root): <B"b">
@@ -568,11 +584,12 @@ outcome: won by T
         assert capsys.readouterr().out == expected
 
     def test_endless_input_stops_at_the_step_cap(self, capsys, monkeypatch):
-        monkeypatch.setattr("builtins.input", lambda prompt="": "x")
-        assert main(["play", "--game", "leaf_top"]) == 0
+        # a loose recurrence takes the environment's switches at any address
+        monkeypatch.setattr("builtins.input", lambda prompt="": "1")
+        assert main(["play", "--game", "tbr_l(leaf_top)"]) == 0
         out = capsys.readouterr().out
         assert "play stopped at 1000 moves" in out
-        assert "offender: index 0 by B" in out
+        assert "offender" not in out
         assert "outcome: won by T" in out
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import pytest
@@ -23,14 +24,14 @@ from colgames import (
     offender,
     won_by,
 )
-from colgames.delay import static_and_lemma
+from colgames.delay import _StateScan, static_and_lemma
 from colgames.games import FiniteGame, Game, GameNode, leaf, node
-from colgames.recurrence import ALL_KINDS, TIGHT_RECURRENCE, Version
+from colgames.recurrence import ALL_KINDS, LOOSE_RECURRENCE, TIGHT_RECURRENCE, Version
 from colgames.suite import STATIC_SUITE, bot_choice, first_mover_wins, leaf_top
 
 from _util import (
-    DenseRunTable,
     ReferenceRunTable,
+    SwapScan,
     all_interleavings,
     all_runs,
     game_nodes,
@@ -211,6 +212,7 @@ class TestIllegalityLemma:
         game = make_recurrence(base, TIGHT_RECURRENCE)
         report = check_illegality_lemma(game, BOUNDS)
         assert report.violations == ()
+        assert report.violation_count == 0
         assert report.pairs_checked > 0
 
     def test_vacuous_on_empty_universe(self):
@@ -305,10 +307,24 @@ class TestSwapScanAgainstPairwiseOracle:
         ]
 
 
+# The swap-scan oracle of tests/_util.py, with its lemma walk.
+SWAP_SCAN = functools.partial(SwapScan, lemma=True)
+
+# T a, B b, T c is legal, and both its swaps are lemma violations of the
+# shortest length: B b, T a, T c is first offended by T, and T a, T c, B b
+# by B.
+_TWICE = FiniteGame("twice", node(BOT, {
+    lm(TOP, "a"): node(BOT, {lm(BOT, "b"): node(BOT, {lm(TOP, "c"): leaf(BOT)}),
+                             lm(TOP, "c"): node(BOT, {})}),
+    lm(BOT, "b"): node(BOT, {lm(TOP, "a"): node(BOT, {})}),
+}))
+
+
 class TestRunTableAgainstReference:
-    """The swap scan reports exactly what the run tables of the test
-    oracles report: the same counterexample, and the same violations in
-    the same order with the same count of swaps checked."""
+    """The state scan reports exactly what the run table and the swap
+    scan of the test oracles report: the same counterexample, the same
+    count of swaps checked and of violations, and the same shortest
+    violations in the same order."""
 
     CASES = list(_oracle_cases())
 
@@ -327,11 +343,30 @@ class TestRunTableAgainstReference:
     @pytest.mark.parametrize("game, pool", CASES, ids=[g.name for g, _ in CASES])
     def test_suite_games_at_run_length_4(self, game, pool):
         self._assert_same(game, EnumBounds(2, 4), pool)
-        self._assert_same(game, EnumBounds(2, 4), pool, DenseRunTable)
+        self._assert_same(game, EnumBounds(2, 4), pool, SWAP_SCAN)
 
     @pytest.mark.parametrize("game, pool", CASES, ids=[g.name for g, _ in CASES])
     def test_suite_games_at_run_length_5(self, game, pool):
-        self._assert_same(game, EnumBounds(2, 5), pool, DenseRunTable)
+        self._assert_same(game, EnumBounds(2, 5), pool, SWAP_SCAN)
+
+    def test_loose_recurrence_at_run_length_6(self):
+        # static_refute's loose problem two moves longer: the count and the
+        # shortest violations stand for 197,416 violations
+        game = make_recurrence(first_mover_wins(), LOOSE_RECURRENCE)
+        self._assert_same(game, EnumBounds(2, 6), _BOTH_PAYLOAD_POOLS[Version.LOOSE], SWAP_SCAN)
+        report = check_illegality_lemma(game, EnumBounds(2, 6), _BOTH_PAYLOAD_POOLS[Version.LOOSE])
+        assert report.violation_count == 197416
+        assert {len(gamma) for gamma, _, _ in report.violations} == {2}
+
+    def test_two_violations_of_one_run_come_in_position_order(self):
+        bounds, pool = EnumBounds(0, 3), ("a", "b", "c")
+        self._assert_same(_TWICE, bounds, pool)
+        self._assert_same(_TWICE, bounds, pool, SWAP_SCAN)
+        report = check_illegality_lemma(_TWICE, bounds, pool)
+        assert [(gamma, p) for gamma, _, p in report.violations] == [
+            ((lm(TOP, "a"), lm(BOT, "b"), lm(TOP, "c")), TOP),
+            ((lm(TOP, "a"), lm(BOT, "b"), lm(TOP, "c")), BOT),
+        ]
 
     @pytest.mark.parametrize("pool", [(), ("a",), ("a", "b")], ids=len)
     @pytest.mark.parametrize("max_run_len", [0, 1, 2])
@@ -457,3 +492,72 @@ class TestSwapScanProperty:
     @given(_long_scan_cases())
     def test_equals_reference_with_long_tails(self, case):
         self._assert_equals_reference(*case)
+
+
+@st.composite
+def _oracle_scan_cases(draw):
+    """(game, bounds, pool) for the swap-scan oracle: a random finite tree
+    or one of its recurrences, a set-winner game with a random winner
+    table, or a late-counterexample game or ``_TWICE``, at run length <= 5."""
+    family = draw(st.sampled_from(("random", "set", "late")))
+    if family == "random":
+        game, moves = _random_game(draw, draw(game_nodes(3)))
+    elif family == "set":
+        alphabet = draw(st.lists(st.sampled_from("abc"), min_size=1, unique=True))
+        watched = draw(st.lists(st.builds(LabMove, st.sampled_from((TOP, BOT)), st.sampled_from(alphabet)),
+                                min_size=1, max_size=2, unique=True))
+        table = draw(st.lists(st.sampled_from((TOP, BOT)), min_size=4, max_size=4))
+
+        def winner_fn(moves):
+            return table[sum(1 << i for i, lm in enumerate(watched) if lm in moves)]
+
+        game, moves = _SetWinnerGame(alphabet, winner_fn), _BASE_MOVES
+    else:
+        game = draw(st.sampled_from((TestLateCounterexamples.LATE, TestLateCounterexamples.CUT,
+                                     TestLateCounterexamples.WAIT, _TWICE)))
+        moves = _BASE_MOVES
+    pool = draw(st.none() | st.lists(st.sampled_from(moves), max_size=4, unique=True))
+    max_run_len = draw(st.integers(0, 5 if pool is not None and len(pool) <= 3 else 4))
+    return game, EnumBounds(draw(st.integers(0, 2)), max_run_len), pool
+
+
+class TestStateScanAgainstSwapScan:
+    """The state scan reports what the swap scan, which visits every swap
+    of every run, reports: the counterexample, the count of swaps checked
+    and of violations, and the violations of the shortest length."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_oracle_scan_cases())
+    def test_equals_swap_scan(self, case):
+        oracle = SWAP_SCAN(*case)
+        expected = (oracle.static_verdict(), oracle.lemma_report())
+        assert static_and_lemma(*case) == expected
+        assert is_static(*case) == expected[0]
+        assert check_illegality_lemma(*case) == expected[1]
+
+
+class TestStateInterning:
+    """Game states are compared and hashed by structure, so runs that
+    reach separately built but equal states share one state id."""
+
+    @staticmethod
+    def _tree():
+        return node(BOT, {lm(TOP, "a"): node(TOP, {lm(BOT, "b"): leaf(BOT)}), lm(BOT, "b"): leaf(TOP)})
+
+    def test_equal_trees_compare_and_hash_equal(self):
+        one, two = self._tree(), self._tree()
+        assert one is not two
+        assert one == two and hash(one) == hash(two)
+        assert hash(one) == hash((one.winner, one.edges))
+        assert one != node(BOT, {lm(TOP, "a"): leaf(TOP), lm(BOT, "b"): leaf(TOP)})
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_recurrence_states_intern_to_one_id(self, kind):
+        # T a and T c lead to two separately built copies of one tree
+        twins = FiniteGame("twins", GameNode(BOT, ((lm(TOP, "a"), self._tree()),
+                                                   (lm(TOP, "c"), self._tree()))))
+        game = make_recurrence(twins, kind)
+        after_a, after_c = (game.step(game.start(), lm(TOP, move)) for move in (".a", ".c"))
+        assert after_a == after_c and hash(after_a) == hash(after_c)
+        scan = _StateScan(game, EnumBounds(0, 1), (".a", ".c"))
+        assert list(scan.levels[1].values()) == [2]

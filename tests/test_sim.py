@@ -11,10 +11,12 @@ from colgames import (
     EnumBounds,
     FiniteGame,
     LabMove,
+    LemmaReport,
     MirrorStrategy,
     Offender,
     PreconditionError,
     RemapStrategy,
+    StaticVerdict,
     audit_trace,
     disjoin,
     leaf,
@@ -29,6 +31,7 @@ from colgames import (
     verify_translation,
     won_by,
 )
+from colgames import sim
 from colgames.suite import (
     alternating,
     bot_choice,
@@ -240,6 +243,17 @@ class TestVerifyStaticPreservation:
     def test_suite_base(self):
         report = verify_static_preservation(bot_choice(), EnumBounds(2, 4))
         assert report.failures == ()
+
+    def test_lemma_failure_names_the_violation_count(self, monkeypatch):
+        # no recurrence of a static base violates the lemma, so the scan's
+        # report is replaced by one that lists 1 of 3 violations
+        gamma = (LabMove(TOP, "0.a"), LabMove(BOT, "0.b"))
+        report = LemmaReport(((gamma, gamma[::-1], TOP),), 7, 3)
+        monkeypatch.setattr(sim, "static_and_lemma",
+                            lambda game, bounds: (StaticVerdict(True), report))
+        failures = verify_static_preservation(bot_choice(), EnumBounds(2, 4)).failures
+        assert [f.kind for f in failures] == ["illegality-lemma"] * 4
+        assert all(f.detail.endswith("(a shortest one of 3 violations)") for f in failures)
 
     def test_non_static_base_is_a_precondition_flag(self):
         report = verify_static_preservation(first_mover_wins(), EnumBounds(2, 4))
