@@ -31,6 +31,7 @@ from .delay import (
     enumerate_delays,
     is_delay,
     is_static,
+    move_pool,
 )
 from .games import (
     EnumBounds,

@@ -26,11 +26,11 @@ from .core import (
     neg_player,
     project,
 )
-from .delay import enumerate_delays, is_delay, is_static
+from .delay import enumerate_delays, is_delay, is_static, move_pool
 from .dsl import ElaborationError, ExprParseError, Rec, elaborate, parse_game_expr, translation_shape
 from .files import FileFormatError, TraceFile, dumps_trace, load_game_defs, loads_trace
 from .games import EnumBounds, State, offender, split_disjunction
-from .recurrence import Version, actual_nodes, last_switch_stem
+from .recurrence import NodeTree, actual_nodes
 from .sim import (
     Direction,
     PreconditionError,
@@ -126,12 +126,14 @@ def cmd_delays(args) -> int:
 def cmd_static(args) -> int:
     defs = _load_defs(args.defs)
     game = elaborate(parse_game_expr(args.game), defs)
-    verdict = is_static(game, _bounds(args))
+    bounds = _bounds(args)
+    pool = move_pool(game, bounds)
+    verdict = is_static(game, bounds, pool)
+    print(f"static: {'yes' if verdict.static else 'no'}")
+    print(f"pool: {len(pool)} moves")
     if verdict.static:
-        print("static: yes")
         return 0
     gamma, delta, p = verdict.counterexample
-    print("static: no")
     print(f"counterexample player: {p.value}")
     print(f"original: {format_run(gamma)}")
     print(f"delayed:  {format_run(delta)}")
@@ -212,28 +214,27 @@ def cmd_simulate(args) -> int:
     return 0 if not problems else 1
 
 
-def _print_position(run: Run, expr) -> None:
-    """The position; for a recurrence, or each component of a translation
-    compound, the projection along the structural player's last switch,
-    after the actual and outer nodes (a compound's tight component's only)."""
+def _print_position(run: Run, expr, state: State) -> None:
+    """The legal position ``run``, in game state ``state``; for a
+    recurrence, or each component of a translation compound, the
+    projection along the structural player's last switch, after the
+    actual and outer nodes (a compound's tight component's only).  The
+    tree and the stem are read from the recurrences' states."""
     print(f"position: {format_run(run)}")
     if translation_shape(expr) is not None:
-        parts = split_disjunction(run)
-        if parts is None:
-            return
-        shown = list(zip(("component 1 ", "component 2 "), (expr.left.kind, expr.right.kind), parts))
+        shown = list(zip(("component 1 ", "component 2 "), split_disjunction(run), state))
         tree_label = "tight component "
     elif isinstance(expr, Rec):
-        shown, tree_label = [("", expr.kind, run)], ""
+        shown, tree_label = [("", run, state)], ""
     else:
         return
-    for _, kind, part in shown:
-        if len(shown) == 1 or kind.version is Version.TIGHT:
-            tree = actual_nodes(part, kind.structural)
+    for _, _, ray_state in shown:
+        if len(shown) == 1 or ray_state.tree is not None:
+            tree = NodeTree(frozenset()) if ray_state.tree is None else ray_state.tree
             print(f"{tree_label}actual: {sorted(tree.nodes())}")
             print(f"{tree_label}outer:  {sorted(tree.outer())}")
-    for label, kind, part in shown:
-        stem = last_switch_stem(part, kind.structural)
+    for label, part, ray_state in shown:
+        stem = ray_state.stem
         print(f"{label}along last switch ({stem or 'root'}): {format_run(project(part, Ray(stem)))}")
 
 
@@ -262,7 +263,7 @@ class _Terminal:
             current = self._game.step(current, lm)
             if current is None:
                 return state, ()
-        _print_position(position, self._expr)
+        _print_position(position, self._expr, current)
         try:
             entered = input("environment move (blank to stop): ")
         except EOFError:

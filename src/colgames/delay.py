@@ -14,10 +14,14 @@ it survives every single swap: the scans below and ``enumerate_delays``
 all take this one step.
 
 Static checking is brute force at desk scale: it covers every run up to
-a length bound over a finite pool of moves (by default the game's own
-probe pool), classified as legal or by its first offender, and every
-adjacent swap of every such run; "all runs" over unrestricted move
-strings would be infinite.
+a length bound over a finite pool of moves, classified as legal or by its
+first offender, and every adjacent swap of every such run; "all runs"
+over unrestricted move strings would be infinite.  The default pool,
+``move_pool``, is every move the game offers either player within the
+bounds at a state reached in fewer moves than the length bound, plus one
+junk move.  Any other move string behaves like the junk move at every
+such state (illegal for its author), so the scans then cover every move
+within the address bound, not a sample.
 
 The scans count runs by game state: equal states have equal futures (the
 contract of :class:`Game`), so each distinct state is stepped once by
@@ -143,14 +147,34 @@ class LemmaReport:
     violation_count: int
 
 
+def move_pool(game: Game, bounds: EnumBounds) -> tuple[str, ...]:
+    """Every move ``game.moves`` offers either player, within ``bounds``, at
+    a state reached by offered moves in fewer than ``bounds.max_run_len``
+    moves; sorted, then a junk move (``x``, else ``xx``, ...) that is not
+    among them."""
+    longest = bounds.max_run_len
+    level, seen, found = {game.start()}, set(), set()
+    for n in range(longest):
+        seen |= level
+        offered = [(state, LabMove(p, m)) for state in level for p in (TOP, BOT)
+                   for m in game.moves(state, p, bounds)]
+        found.update(lm.move for _, lm in offered)
+        if n + 1 < longest:
+            level = {game.step(state, lm) for state, lm in offered} - seen
+    junk = "x"
+    while junk in found:
+        junk += "x"
+    return tuple(sorted(found)) + (junk,)
+
+
 # An offended run's state id is the bit of its first offence's culprit, 0
 # for TOP and 1 for BOT.  Legal states count from 2, the start state first.
 OFF_T, OFF_B = 0, 1
 
 
 class _StateScan:
-    """Every adjacent swap of the runs over a labmove pool (None: the probe
-    pool), counted over the distinct game states the runs reach.
+    """Every adjacent swap of the runs over a labmove pool (None: the
+    ``move_pool``), counted over the distinct game states the runs reach.
 
     ``labmoves`` are the pool's moves labelled TOP, then labelled BOT, so
     with ``k = 2 |pool|`` a digit ``d < |pool|`` is a TOP move.  A run of
@@ -162,7 +186,7 @@ class _StateScan:
     """
 
     def __init__(self, game: Game, bounds: EnumBounds, pool: Sequence[str] | None) -> None:
-        pool = game.probe_moves(bounds) if pool is None else pool
+        pool = move_pool(game, bounds) if pool is None else pool
         self.tops = len(pool)
         self.labmoves = [LabMove(TOP, m) for m in pool] + [LabMove(BOT, m) for m in pool]
         self.rows: list[list[int] | None] = [[OFF_T] * len(self.labmoves), [OFF_B] * len(self.labmoves)]

@@ -3,11 +3,12 @@
 A game is a state machine over labelled moves: ``start()`` is the state
 of the empty run, ``step(state, lm)`` the state after one more move (or
 None when the move is illegal there), and ``outcome(state)`` the winner
-of a legal run in that state.  The whole-run views, ``extend_legal`` and
-``winner``, are derived once in :class:`Game` by replaying ``step`` from
-``start()``.  A game also has a bound-parameterized enumerator of legal
-moves.  Legality checking is exact and unbounded; only enumeration takes
-bounds, because some constructors (the loose recurrences) admit
+of a legal run in that state.  ``moves(state, player, bounds)`` answers
+which moves ``player`` may make in a state, within enumeration bounds.
+The whole-run views, ``extend_legal``, ``winner`` and ``legal_moves``,
+are derived once in :class:`Game` by replaying ``step`` from
+``start()``.  Legality checking is exact and unbounded; only enumeration
+takes bounds, because some constructors (the loose recurrences) admit
 unboundedly many legal moves at a position.
 
 The winner is defined at every node of a finite game, not only at leaves:
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
-from .core import BOT, TOP, LabMove, Player, Run, flip_labels, neg_player
+from .core import BOT, TOP, LabMove, Player, Run, neg_player
 
 # A game's state after a legal run; its shape is private to the constructor.
 State = Any
@@ -50,13 +51,14 @@ class Game:
     """Base interface shared by every game constructor in the package.
 
     Subclasses implement :meth:`start`, :meth:`step` and :meth:`outcome`,
-    the game as a state machine over labelled moves, plus
-    :meth:`legal_moves` and :meth:`probe_moves`.  States are immutable,
-    hashable and never None, and equal states have equal futures: the
-    same moves step them to equal states, with equal outcomes; the delay
-    scans step each distinct state once.  The whole-run methods
-    :meth:`extend_legal` and :meth:`winner` replay the run.  Instances
-    are immutable after construction and all operations are pure.
+    the game as a state machine over labelled moves, and :meth:`moves`,
+    the move query on a state.  States are immutable, hashable and never
+    None, and equal states have equal futures: the same moves step them
+    to equal states, with equal outcomes and equal move answers; the
+    delay scans step each distinct state once.  The whole-run methods
+    :meth:`extend_legal`, :meth:`winner` and :meth:`legal_moves` replay
+    the run.  Instances are immutable after construction and all
+    operations are pure.
     """
 
     name: str
@@ -71,6 +73,16 @@ class Game:
 
     def outcome(self, state: State) -> Player:
         """The winner of a legal run that ends in ``state``."""
+        raise NotImplementedError
+
+    def moves(self, state: State, player: Player, bounds: EnumBounds) -> frozenset[str]:
+        """The moves ``player`` may make in ``state`` within ``bounds``.
+
+        Exactly the moves ``step`` accepts there that pass a test of the
+        move alone (its addresses are no longer than the bound), so a
+        move offered in one state and legal in another is offered there
+        too.
+        """
         raise NotImplementedError
 
     def replay(self, run: Run) -> State | None:
@@ -95,14 +107,10 @@ class Game:
         return self.outcome(state)
 
     def legal_moves(self, position: Run, player: Player, bounds: EnumBounds) -> frozenset[str]:
-        raise NotImplementedError
-
-    def probe_moves(self, bounds: EnumBounds) -> tuple[str, ...]:
-        """A small deterministic move pool exercising this game's move shapes.
-
-        Used as the default run universe by the exhaustive scanners.
-        """
-        raise NotImplementedError
+        """The moves ``player`` may make after ``position`` within ``bounds``;
+        none after an illegal run."""
+        state = self.replay(position)
+        return frozenset() if state is None else self.moves(state, player, bounds)
 
     def is_legal(self, run: Run) -> bool:
         return offender(self, run) is None
@@ -187,17 +195,18 @@ class FiniteGame(Game):
     def outcome(self, state: GameNode) -> Player:
         return state.winner
 
+    def moves(self, state: GameNode, player: Player, bounds: EnumBounds) -> frozenset[str]:
+        return frozenset(edge.move for edge, _ in state.edges if edge.label is player)
+
     # Kept for perfbench/, which patches these names in each class's own
-    # __dict__, until ROADMAP item 1 changes the benchmark.
+    # __dict__, until ROADMAP item 4 changes the benchmark.
     extend_legal, winner = Game.extend_legal, Game.winner
 
-    def legal_moves(self, position: Run, player: Player, bounds: EnumBounds) -> frozenset[str]:
-        current = self.replay(position)
-        if current is None:
-            return frozenset()
-        return frozenset(edge.move for edge, _ in current.edges if edge.label is player)
-
     def probe_moves(self, bounds: EnumBounds) -> tuple[str, ...]:
+        """Every move of the tree, sorted, then a junk move.  Kept for
+        perfbench/, which records it as the translation precheck's pool,
+        until ROADMAP item 4; the library's pools come from
+        ``delay.move_pool``."""
         moves: set[str] = set()
         stack = [self.root]
         while stack:
@@ -230,14 +239,11 @@ class _Negated(Game):
     def outcome(self, state: State) -> Player:
         return neg_player(self.inner.outcome(state))
 
-    # Kept for perfbench/ until ROADMAP item 1 (see FiniteGame).
+    def moves(self, state: State, player: Player, bounds: EnumBounds) -> frozenset[str]:
+        return self.inner.moves(state, neg_player(player), bounds)
+
+    # Kept for perfbench/ until ROADMAP item 4 (see FiniteGame).
     extend_legal, winner = Game.extend_legal, Game.winner
-
-    def legal_moves(self, position: Run, player: Player, bounds: EnumBounds) -> frozenset[str]:
-        return self.inner.legal_moves(flip_labels(position), neg_player(player), bounds)
-
-    def probe_moves(self, bounds: EnumBounds) -> tuple[str, ...]:
-        return self.inner.probe_moves(bounds)
 
 
 def negate(game: Game) -> Game:
@@ -294,21 +300,13 @@ class _Disjoined(Game):
             return TOP
         return BOT
 
-    # Kept for perfbench/ until ROADMAP item 1 (see FiniteGame).
+    def moves(self, state: tuple[State, State], player: Player, bounds: EnumBounds) -> frozenset[str]:
+        left = self.left.moves(state[0], player, bounds)
+        right = self.right.moves(state[1], player, bounds)
+        return frozenset(["1." + m for m in left] + ["2." + m for m in right])
+
+    # Kept for perfbench/ until ROADMAP item 4 (see FiniteGame).
     extend_legal, winner = Game.extend_legal, Game.winner
-
-    def legal_moves(self, position: Run, player: Player, bounds: EnumBounds) -> frozenset[str]:
-        parts = split_disjunction(position)
-        if parts is None:
-            return frozenset()
-        out = {"1." + m for m in self.left.legal_moves(parts[0], player, bounds)}
-        out |= {"2." + m for m in self.right.legal_moves(parts[1], player, bounds)}
-        return frozenset(out)
-
-    def probe_moves(self, bounds: EnumBounds) -> tuple[str, ...]:
-        out = ["1." + m for m in self.left.probe_moves(bounds)]
-        out += ["2." + m for m in self.right.probe_moves(bounds)]
-        return tuple(out)
 
 
 def disjoin(left: Game, right: Game) -> Game:

@@ -11,19 +11,22 @@ with replication requests ``w:`` at outer nodes, and every addressed move
 must target an actual node of the tree.  The loose version drops the tree
 bookkeeping entirely: switches may name any finite bitstring, addressed
 moves may use any address, and there are no replication moves; the only
-global constraint is that the projection along every infinite bitstring
-is a legal run of the base.
+global constraint is that the run read along every infinite bitstring
+(its moves addressed to prefixes of it, stripped to their payloads) is a
+legal run of the base.
 
 A recurrence's state (:class:`RayState`) holds the replicated set (tight
 only), the structural player's last switch stem, and one base state per
 class of rays.  Rays in one class agree on their first ``depth`` bits,
 where ``depth`` is the length of the longest addressed move so far, so
-they project the run identically.  A longer address splits every class,
+they read the run identically.  A longer address splits every class,
 and the new classes copy their parent's base state; an addressed move
 ``u.x`` steps with ``x`` the base state of each class whose key starts
 with ``u``, and the move is legal iff every one of those steps is.  The
 outcome is the base outcome of the class holding the last switch stem
-padded with zeros.
+padded with zeros.  The moves a player may make in a state come from the
+state too: an addressed move ``u.x`` is offered when every class below
+``u`` offers ``x``, which is what ``step`` accepts.
 """
 
 from __future__ import annotations
@@ -41,8 +44,6 @@ from .core import (
     Run,
     ShapeKind,
     parse_move,
-    project,
-    ray_classes,
 )
 from .games import EnumBounds, Game, State
 
@@ -162,9 +163,9 @@ def tight_extension_legal(base: Game, position: Run, lm: LabMove, structural: Pl
 
     Switches must be made by the structural player at actual nodes;
     replications by the structural player at outer nodes; addressed moves
-    by either player at actual nodes, provided the payload extends the
-    projection along every infinite bitstring below the address to a legal
-    base run.
+    by either player at actual nodes, provided the payload extends the run
+    read along every infinite bitstring below the address to a legal base
+    run.
     """
     return RecurrenceGame(base, RecurrenceKind(Version.TIGHT, structural)).extend_legal(position, lm)
 
@@ -174,8 +175,8 @@ def loose_extension_legal(base: Game, position: Run, lm: LabMove, structural: Pl
 
     Switches (bare bitstrings) are the structural player's and carry no
     actuality requirement; addressed moves are anyone's, constrained only
-    by projection legality; replication-shaped moves have no clause here
-    and are illegal for their author.
+    by the legality of the run read along each bitstring; replication-shaped
+    moves have no clause here and are illegal for their author.
     """
     return RecurrenceGame(base, RecurrenceKind(Version.LOOSE, structural)).extend_legal(position, lm)
 
@@ -197,9 +198,9 @@ class RayState(NamedTuple):
     ``stem`` the address of the structural player's last switch.  The
     rays are split into classes by the ``depth`` first bits, where
     ``depth`` is the length of the longest addressed move so far; rays in
-    one class project the run identically.  ``classes[i]`` is the base
-    state of the projection along the class whose key is the ``depth``
-    bits of ``i``.
+    one class read the run identically.  ``classes[i]`` is the base state
+    of the run read along the class whose key is the ``depth`` bits of
+    ``i``.
     """
 
     tree: NodeTree | None
@@ -254,7 +255,8 @@ class RecurrenceGame(Game):
         return RayState(tree, stem, depth, classes[:low] + tuple(stepped) + classes[low + width :])
 
     def outcome(self, state: RayState) -> Player:
-        """Winner of a legal run: the base winner of the decisive projection.
+        """Winner of a legal run: the base winner of the run read along the
+        decisive branch.
 
         The decisive branch is the last switch made by the structural
         player, padded with zeros forever; with no switches it is the
@@ -265,45 +267,31 @@ class RecurrenceGame(Game):
         key = (state.stem + "0" * state.depth)[: state.depth]
         return self.base.outcome(state.classes[int(key, 2) if key else 0])
 
-    # Kept for perfbench/ until ROADMAP item 1 (see games.FiniteGame).
-    extend_legal, winner = Game.extend_legal, Game.winner
-
-    def legal_moves(self, position: Run, player: Player, bounds: EnumBounds) -> frozenset[str]:
-        state = self.replay(position)
-        if state is None:
-            return frozenset()
+    def moves(self, state: RayState, player: Player, bounds: EnumBounds) -> frozenset[str]:
+        """Switches and replications from the tree (tight) or at every stem
+        within the address bound (loose), and each addressed move ``w.a``
+        whose payload every distinct class state below ``w`` offers."""
+        tree, _, depth, classes = state
         limit = bounds.max_address_len
-        candidates: set[str] = set()
-        if state.tree is not None:
-            tree = state.tree
-            addresses = sorted(w for w in tree.nodes() if len(w) <= limit)
-            if player is self.structural:
-                candidates.update(addresses)
-                candidates.update(
-                    w + ":" for w in tree.outer() if len(w) <= limit
-                )
+        if tree is not None:
+            addresses = [w for w in tree.nodes() if len(w) <= limit]
+            replications = [w + ":" for w in tree.outer() if len(w) <= limit]
         else:
-            addresses = _all_stems(limit)
-            if player is self.structural:
-                candidates.update(addresses)
+            addresses, replications = _all_stems(limit), []
+        out = addresses + replications if player is self.structural else []
+        offered: dict[State, frozenset[str]] = {}
         for w in addresses:
-            payloads: set[str] = set()
-            for projection in {project(position, ray) for ray in ray_classes(position, w)}:
-                payloads |= self.base.legal_moves(projection, player, bounds)
-            candidates.update(f"{w}.{a}" for a in payloads)
-        return frozenset(
-            m for m in candidates if self.step(state, LabMove(player, m)) is not None
-        )
+            key = w[:depth]
+            width = 1 << (depth - len(key))
+            low = int(key, 2) * width if key else 0
+            below = set(classes[low : low + width])
+            for inner in below - offered.keys():
+                offered[inner] = self.base.moves(inner, player, bounds)
+            out.extend(f"{w}.{a}" for a in frozenset.intersection(*(offered[inner] for inner in below)))
+        return frozenset(out)
 
-    def probe_moves(self, bounds: EnumBounds) -> tuple[str, ...]:
-        alphas = sorted(
-            self.base.legal_moves((), TOP, bounds)
-            | self.base.legal_moves((), BOT, bounds)
-        )
-        a = alphas[0] if alphas else "a"
-        if self.kind.version is Version.TIGHT:
-            return (":", "0:", "0", f"0.{a}")
-        return (":", "01", f".{a}", f"0.{a}")
+    # Kept for perfbench/ until ROADMAP item 4 (see games.FiniteGame).
+    extend_legal, winner, legal_moves = Game.extend_legal, Game.winner, Game.legal_moves
 
 
 def _all_stems(limit: int) -> list[str]:

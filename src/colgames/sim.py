@@ -163,9 +163,10 @@ def verify_translation(
     """Play the translation routine against every exhaustive adversary.
 
     The base must be static; this is verified up front over runs of
-    length up to 4 (plenty for desk-scale bases, and independent of the
-    interaction bound in ``bounds``), and violating bases abort with a
-    diagnostic.  Every resulting trace is audited; the report aggregates
+    length up to 4 of every move the base offers within the address bound
+    (``delay.move_pool``; plenty for desk-scale bases, and independent of
+    the interaction bound in ``bounds``), and violating bases abort with
+    a diagnostic.  Every resulting trace is audited; the report aggregates
     all violations.
     """
     precheck = EnumBounds(bounds.max_address_len, min(bounds.max_run_len, 4))

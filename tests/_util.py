@@ -328,8 +328,32 @@ class WholeRunGame(Game):
             m for m in candidates if self.extend_legal(position, LabMove(player, m))
         )
 
-    def probe_moves(self, bounds):
-        return self.game.probe_moves(bounds)
+def probe_pool(game, bounds):
+    """A small deterministic pool of a game's move shapes: the library's
+    default pool before it offered every move, kept for the brute-force
+    oracles, which cannot take a full pool (at (2,5) a 29-move pool has
+    58^5 runs of length 5).
+
+    A finite tree gives every move of the tree and a junk move; a negation
+    its inner game's pool and a disjunction its components' under ``1.``
+    and ``2.``; a recurrence four moves of its version's shapes, with the
+    least payload its base offers at the start.  A game of another type
+    gives its own ``probe_moves``."""
+    if isinstance(game, _Negated):
+        return probe_pool(game.inner, bounds)
+    if isinstance(game, _Disjoined):
+        return (tuple("1." + m for m in probe_pool(game.left, bounds))
+                + tuple("2." + m for m in probe_pool(game.right, bounds)))
+    if isinstance(game, RecurrenceGame):
+        alphas = sorted(
+            game.base.legal_moves((), TOP, bounds)
+            | game.base.legal_moves((), BOT, bounds)
+        )
+        a = alphas[0] if alphas else "a"
+        if game.kind.version is Version.TIGHT:
+            return (":", "0:", "0", f"0.{a}")
+        return (":", "01", f".{a}", f"0.{a}")
+    return game.probe_moves(bounds)
 
 
 class ReferenceRunTable:
@@ -338,14 +362,12 @@ class ReferenceRunTable:
 
     ``runs`` lists the runs level by level (short runs first);
     ``offenders[run]`` is the first offender or None and ``winners`` holds
-    the winner of each legal run.  A pool of None stands for the game's
-    probe pool.  The game is judged through ``WholeRunGame``.
+    the winner of each legal run.  The game is judged through
+    ``WholeRunGame``.
     """
 
     def __init__(self, game, bounds, pool):
         game = WholeRunGame(game)
-        if pool is None:
-            pool = game.probe_moves(bounds)
         labmoves = [LabMove(p, m) for p in (TOP, BOT) for m in pool]
         self.runs = []
         self.offenders = {}
@@ -413,8 +435,7 @@ class SwapScan:
     oracle that visits each swap.  It lists every lemma violation, and
     ``lemma_report`` reduces the list with ``reduced_report``.
 
-    A pool of None stands for the game's probe pool.  ``labmoves`` are
-    the pool's moves labelled TOP followed by the same moves labelled
+    ``labmoves`` are the pool's moves labelled TOP followed by the same moves labelled
     BOT, so with ``k = 2 |pool|`` a digit ``d < |pool|`` is a TOP move.
     A run of length n is numbered by its digit string read in base k,
     first move most significant, and scans report in (length, id, swap
@@ -430,10 +451,8 @@ class SwapScan:
     ``offended[n]`` counts the runs of length n that are not legal.
     """
 
-    def __init__(self, game: Game, bounds: EnumBounds, pool: Sequence[str] | None,
+    def __init__(self, game: Game, bounds: EnumBounds, pool: Sequence[str],
                  lemma: bool) -> None:
-        if pool is None:
-            pool = game.probe_moves(bounds)
         self.tops = len(pool)
         self.labmoves = [LabMove(TOP, m) for m in pool] + [LabMove(BOT, m) for m in pool]
         self.max_len = bounds.max_run_len

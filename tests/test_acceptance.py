@@ -35,7 +35,7 @@ from colgames.recurrence import (
 )
 from colgames.suite import STATIC_SUITE, TRANSLATION_SUITE
 
-from _util import BrokenRemapStrategy, all_runs, all_stems, first_difference
+from _util import BrokenRemapStrategy, all_runs, all_stems, first_difference, probe_pool
 
 
 def _report(capsys, number: int, ok: bool, description: str) -> None:
@@ -150,7 +150,7 @@ def test_criterion_5_de_morgan_duality(capsys):
             left = make_recurrence(base, co_kind)
             right = negate(make_recurrence(negate(base), rec_kind))
             bounds = EnumBounds(2, 4)
-            pool = sorted(set(left.probe_moves(bounds)) | set(right.probe_moves(bounds)))
+            pool = sorted(set(probe_pool(left, bounds)) | set(probe_pool(right, bounds)))
             difference = first_difference(left, right, pool, 4)
             if difference is not None:
                 bad = (base.name, co_kind, difference)

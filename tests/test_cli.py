@@ -8,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from colgames import BOT, TOP, LabMove
+from colgames import BOT, TOP, EnumBounds, LabMove, is_static
 from colgames.cli import main
+from colgames.dsl import elaborate, parse_game_expr
 from colgames.files import TraceFile, dumps_trace, loads_trace
+from colgames.suite import suite_defs
 
-from _util import chain_defs
+from _util import chain_defs, probe_pool
 
 DATA = Path(__file__).parent / "data"
 PROJECTION_TRACE = str(DATA / "projection_example.json")
@@ -221,20 +223,33 @@ class TestStatic:
         assert code == 0
 
     def test_long_runs_of_a_recurrence(self, capsys):
-        # 4-move probe pool, so 8^10 runs of length 10; the scan stores
-        # only the legal ones
+        # a 15-move pool, so 30^10 runs of length 10; the scan steps only
+        # the distinct states they reach
         code = main(["static", "--game", "tbr_l(top_choice)", "--max-run", "10", "--max-addr", "2"])
         assert code == 0
-        assert capsys.readouterr().out == "static: yes\n"
+        assert capsys.readouterr().out == "static: yes\npool: 15 moves\n"
+
+    def test_non_static_recurrence_names_its_pool(self, capsys):
+        # every move within the bounds is in the pool, both root payloads
+        # of first_mover_wins included, so its recurrences are refuted
+        code = main(["static", "--game", "tbr_t(first_mover_wins)"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert out.startswith("static: no\npool: 29 moves\n")
 
     def test_deep_recurrence_nesting(self, capsys):
-        # each level asks its base for legal moves once per distinct
-        # projection, not once per ray class, so probing 50 levels stays
-        # linear in the depth instead of doubling per level
-        game = "tbr_t(" * 50 + "bot_choice" + ")" * 50
+        # each level asks its base for moves once per distinct class state,
+        # not once per ray class, so 50 levels stay linear in the depth
+        # instead of doubling per level; their full pool (5302 moves) makes
+        # the scan slow, so the CLI runs at 10 levels (262 moves) and the
+        # 50 levels run over the probe pool
+        game = "tbr_t(" * 10 + "bot_choice" + ")" * 10
         code = main(["static", "--game", game, "--max-run", "2", "--max-addr", "1"])
         assert code == 0
-        assert capsys.readouterr().out == "static: yes\n"
+        assert capsys.readouterr().out == "static: yes\npool: 262 moves\n"
+        deep = elaborate(parse_game_expr("tbr_t(" * 50 + "bot_choice" + ")" * 50), suite_defs())
+        bounds = EnumBounds(1, 2)
+        assert is_static(deep, bounds, probe_pool(deep, bounds)).static
 
     def test_deeply_nested_expression_is_a_parse_error(self, capsys):
         game = "not(" * 1200 + "leaf_top" + ")" * 1200
@@ -352,7 +367,7 @@ class TestSimulate:
     def test_col_seed_is_read_only_by_simulate(self, monkeypatch, capsys):
         monkeypatch.setenv("COL_SEED", "abc")
         assert main(["static", "--game", "bot_choice"]) == 0
-        assert capsys.readouterr().out == "static: yes\n"
+        assert capsys.readouterr().out == "static: yes\npool: 2 moves\n"
         code = main([
             "simulate", "--direction", "tight-to-loose", "--atom", "leaf_top",
             "--adversary", "random", "--seed", "3",

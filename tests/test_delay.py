@@ -24,10 +24,10 @@ from colgames import (
     offender,
     won_by,
 )
-from colgames.delay import _StateScan, static_and_lemma
+from colgames.delay import _StateScan, move_pool, static_and_lemma
 from colgames.games import FiniteGame, Game, GameNode, leaf, node
 from colgames.recurrence import ALL_KINDS, LOOSE_RECURRENCE, TIGHT_RECURRENCE, Version
-from colgames.suite import STATIC_SUITE, bot_choice, first_mover_wins, leaf_top
+from colgames.suite import STATIC_SUITE, TRANSLATION_SUITE, bot_choice, first_mover_wins, leaf_top
 
 from _util import (
     ReferenceRunTable,
@@ -38,6 +38,7 @@ from _util import (
     is_delay_naive,
     pairwise_lemma_scan,
     pairwise_static_scan,
+    probe_pool,
 )
 
 BOUNDS = EnumBounds(max_address_len=2, max_run_len=5)
@@ -142,7 +143,8 @@ class TestDelayWitness:
 class _SetWinnerGame(Game):
     """Depth-one game: every move always legal, winner a function of the
     set of labeled moves played.  Such games are static by construction.
-    The state is the set of labeled moves played."""
+    The state is the set of labeled moves played; its probe pool for the
+    oracles is the alphabet."""
 
     def __init__(self, alphabet, winner_fn):
         self._alphabet = tuple(alphabet)
@@ -158,7 +160,7 @@ class _SetWinnerGame(Game):
     def outcome(self, state):
         return self._winner_fn(state)
 
-    def legal_moves(self, position, player, bounds):
+    def moves(self, state, player, bounds):
         return frozenset(self._alphabet)
 
     def probe_moves(self, bounds):
@@ -240,6 +242,25 @@ class TestStaticPreservation:
         assert verdict.static, verdict.counterexample
 
 
+class TestMovePool:
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.version.value + "-" + kind.structural.name)
+    def test_first_mover_wins_recurrences_are_refuted_with_the_default_pool(self, kind):
+        # the four-move probe pool offered one root payload, a, so every
+        # recurrence of first_mover_wins passed for static
+        game = make_recurrence(first_mover_wins(), kind)
+        verdict = is_static(game, EnumBounds(2, 3))
+        assert not verdict.static
+        gamma, delta, p = verdict.counterexample
+        assert is_delay_naive(delta, gamma, p)
+        assert won_by(game, gamma, p) and not won_by(game, delta, p)
+
+    @pytest.mark.parametrize("base", TRANSLATION_SUITE, ids=lambda base: base.name)
+    def test_translation_bases_keep_the_precheck_pool(self, base):
+        # every move of a shallow tree, then the junk move x
+        bounds = EnumBounds(2, 4)
+        assert move_pool(base, bounds) == base.probe_moves(bounds)
+
+
 # first_mover_wins recurrences need both root payloads in the pool to
 # show that they are not static.
 _BOTH_PAYLOAD_POOLS = {
@@ -250,12 +271,14 @@ _BOTH_PAYLOAD_POOLS = {
 
 def _oracle_cases():
     """(game, pool) for each static suite base and first_mover_wins, and
-    their four recurrences; pool None means the game's probe pool."""
+    their four recurrences, with the probe pools the oracles can afford."""
     for base in STATIC_SUITE + (first_mover_wins(),):
-        yield base, None
+        yield base, probe_pool(base, BOUNDS)
         for kind in ALL_KINDS:
-            pool = _BOTH_PAYLOAD_POOLS[kind.version] if base.name == "first_mover_wins" else None
-            yield make_recurrence(base, kind), pool
+            game = make_recurrence(base, kind)
+            pool = (_BOTH_PAYLOAD_POOLS[kind.version] if base.name == "first_mover_wins"
+                    else probe_pool(game, BOUNDS))
+            yield game, pool
 
 
 def _is_adjacent_swap(gamma, delta, p):
@@ -447,11 +470,12 @@ def _random_game(draw, root):
 @st.composite
 def _scan_cases(draw):
     """(game, bounds, pool): a random finite tree of depth <= 3 over moves
-    a, b and c, or one of its four recurrences, at run length <= 3; pool
-    None is the probe pool."""
+    a, b and c, or one of its four recurrences, at run length <= 3, with
+    a random pool or (drawn as None) its probe pool."""
     game, moves = _random_game(draw, draw(game_nodes(3)))
     pool = draw(st.none() | st.lists(st.sampled_from(moves), max_size=4, unique=True))
-    return game, EnumBounds(draw(st.integers(0, 2)), draw(st.integers(0, 3))), pool
+    bounds = EnumBounds(draw(st.integers(0, 2)), draw(st.integers(0, 3)))
+    return game, bounds, probe_pool(game, bounds) if pool is None else pool
 
 
 @st.composite
@@ -518,7 +542,8 @@ def _oracle_scan_cases(draw):
         moves = _BASE_MOVES
     pool = draw(st.none() | st.lists(st.sampled_from(moves), max_size=4, unique=True))
     max_run_len = draw(st.integers(0, 5 if pool is not None and len(pool) <= 3 else 4))
-    return game, EnumBounds(draw(st.integers(0, 2)), max_run_len), pool
+    bounds = EnumBounds(draw(st.integers(0, 2)), max_run_len)
+    return game, bounds, probe_pool(game, bounds) if pool is None else pool
 
 
 class TestStateScanAgainstSwapScan:

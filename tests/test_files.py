@@ -19,7 +19,7 @@ from colgames.files import (
 )
 from colgames.suite import suite_defs
 
-from _util import all_runs, chain_defs
+from _util import all_runs, chain_defs, probe_pool
 
 moves_strategy = st.lists(
     st.tuples(st.sampled_from([TOP, BOT]), st.text(alphabet="01.:ab", max_size=6)),
@@ -57,7 +57,7 @@ class TestGameDefs:
         for name in defs:
             original = defs[name]
             copy = reloaded[name]
-            pool = original.probe_moves(EnumBounds(2, 3))
+            pool = probe_pool(original, EnumBounds(2, 3))
             for run in all_runs(pool, 3):
                 assert original.is_legal(run) == copy.is_legal(run)
                 if original.is_legal(run):

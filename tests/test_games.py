@@ -22,7 +22,7 @@ from colgames import (
 )
 from colgames.suite import STATIC_SUITE, bot_choice, first_mover_wins, leaf_top, top_choice
 
-from _util import all_runs, first_difference
+from _util import all_runs, first_difference, probe_pool
 
 BOUNDS = EnumBounds(max_address_len=2, max_run_len=5)
 
@@ -59,7 +59,7 @@ class TestFiniteGameInterface:
     def test_prefix_closure_exhaustive(self):
         for suite_game in STATIC_SUITE:
             g = suite_game
-            pool = g.probe_moves(BOUNDS)
+            pool = probe_pool(g, BOUNDS)
             for run in all_runs(pool, 5):
                 if g.is_legal(run):
                     for cut in range(len(run)):
@@ -77,7 +77,7 @@ class TestOffender:
 
     def test_agrees_with_prefix_scan(self):
         g = first_mover_wins()
-        pool = g.probe_moves(BOUNDS)
+        pool = probe_pool(g, BOUNDS)
         for run in all_runs(pool, 4):
             expected = None
             for i in range(len(run)):
@@ -109,7 +109,7 @@ class TestWonBy:
     def test_exclusivity_exhaustive(self):
         for suite_game in STATIC_SUITE + (first_mover_wins(),):
             g = suite_game
-            pool = g.probe_moves(BOUNDS)
+            pool = probe_pool(g, BOUNDS)
             for run in all_runs(pool, 4):
                 assert won_by(g, run, TOP) != won_by(g, run, BOT)
 
@@ -122,7 +122,7 @@ class TestNegate:
     def test_legality_matches_flip_label_oracle(self):
         inner = first_mover_wins()
         neg = negate(inner)
-        pool = inner.probe_moves(BOUNDS)
+        pool = probe_pool(inner, BOUNDS)
         for run in all_runs(pool, 3):
             flipped = tuple(LabMove(BOT if x.label is TOP else TOP, x.move) for x in run)
             assert neg.is_legal(run) == inner.is_legal(flipped)
@@ -131,7 +131,7 @@ class TestNegate:
         for suite_game in STATIC_SUITE:
             g = suite_game
             double = negate(negate(g))
-            assert first_difference(g, double, g.probe_moves(BOUNDS), 4) is None
+            assert first_difference(g, double, probe_pool(g, BOUNDS), 4) is None
 
     def test_legal_moves_role_swapped(self):
         g = negate(first_mover_wins())
@@ -160,7 +160,7 @@ class TestDisjoin:
         left = top_choice()
         right = bot_choice()
         g = disjoin(left, right)
-        pool = g.probe_moves(BOUNDS)
+        pool = probe_pool(g, BOUNDS)
         for run in all_runs(pool, 4):
             parts = split_disjunction(run)
             expected = (
@@ -176,7 +176,7 @@ class TestDisjoin:
         left = top_choice()
         right = bot_choice()
         g = disjoin(left, right)
-        pool = g.probe_moves(BOUNDS)
+        pool = probe_pool(g, BOUNDS)
         for run in all_runs(pool, 5):
             parts = split_disjunction(run)
             oracle_first = tuple(

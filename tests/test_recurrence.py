@@ -30,7 +30,7 @@ from colgames.recurrence import (
 )
 from colgames.suite import STATIC_SUITE, bot_choice, first_mover_wins, leaf_bot, leaf_top, top_choice
 
-from _util import all_runs, all_stems, first_difference
+from _util import all_runs, all_stems, first_difference, probe_pool
 
 BOUNDS = EnumBounds(max_address_len=2, max_run_len=5)
 
@@ -159,7 +159,7 @@ class TestWholeRunLooseDefinition:
         # and every ray-class projection legal in the base.
         base = first_mover_wins()
         game = make_recurrence(base, LOOSE_RECURRENCE)
-        pool = game.probe_moves(BOUNDS)
+        pool = probe_pool(game, BOUNDS)
         from colgames import ray_classes
 
         for run in all_runs(pool, 4):
@@ -180,7 +180,7 @@ class TestTightProjectionInvariant:
     def test_all_ray_projections_of_legal_positions_are_legal(self):
         base = first_mover_wins()
         game = make_recurrence(base, TIGHT_RECURRENCE)
-        pool = game.probe_moves(BOUNDS)
+        pool = probe_pool(game, BOUNDS)
         for run in all_runs(pool, 4):
             if game.is_legal(run):
                 for stem in all_stems(4):
@@ -203,7 +203,7 @@ class TestRecurrenceWinner:
         base = top_choice()
         for kind in (TIGHT_RECURRENCE, LOOSE_RECURRENCE):
             game = make_recurrence(base, kind)
-            pool = game.probe_moves(BOUNDS) + ("1",)
+            pool = probe_pool(game, BOUNDS) + ("1",)
             checked = 0
             for run in all_runs(pool, 4):
                 switches = [
@@ -287,5 +287,5 @@ class TestDeMorgan:
             base = suite_game
             left = make_recurrence(base, co_kind)
             right = negate(make_recurrence(negate(base), rec_kind))
-            pool = sorted(set(left.probe_moves(BOUNDS)) | set(right.probe_moves(BOUNDS)))
+            pool = sorted(set(probe_pool(left, BOUNDS)) | set(probe_pool(right, BOUNDS)))
             assert first_difference(left, right, pool, 4) is None

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colgames import BOT, TOP, EnumBounds, LabMove, offender
+from colgames.delay import move_pool
 from colgames.games import FiniteGame, disjoin, leaf, negate, node
 from colgames.recurrence import ALL_KINDS, LOOSE_RECURRENCE, TIGHT_RECURRENCE, make_recurrence
 
@@ -83,6 +84,40 @@ class TestStateMachineAgainstWholeRun:
             assert game.winner(legal[:n]) is oracle.winner(legal[:n])
         for player in (TOP, BOT):
             assert game.legal_moves(legal, player, BOUNDS) == oracle.legal_moves(legal, player, BOUNDS)
+
+
+class TestMovePool:
+    @settings(max_examples=60, deadline=None)
+    @given(_games(1), st.integers(0, 2), st.integers(0, 3))
+    def test_every_offered_move_and_a_junk_move(self, drawn, max_address_len, max_run_len):
+        # the pool is the union of the oracle's legal moves, for both
+        # players, after every run of offered moves shorter than the bound,
+        # and its last move is one no such run may be extended by.  One
+        # constructor over a tree: the oracle takes about 15 s on a loose
+        # recurrence of a loose recurrence at (2,2), and nested move
+        # answers are compared with it in the test above
+        game, _ = drawn
+        bounds = EnumBounds(max_address_len, max_run_len)
+        oracle = WholeRunGame(game)
+        runs, offered = [], set()
+        level = [()] if max_run_len else []
+        while level:
+            runs += level
+            following = []
+            for run in level:
+                for player in (TOP, BOT):
+                    moves = oracle.legal_moves(run, player, bounds)
+                    offered |= moves
+                    if len(run) + 1 < max_run_len:
+                        following += [run + (LabMove(player, m),) for m in moves]
+            level = following
+        pool = move_pool(game, bounds)
+        assert pool[:-1] == tuple(sorted(offered))
+        junk = pool[-1]
+        assert junk not in offered
+        for run in runs:
+            for player in (TOP, BOT):
+                assert not oracle.extend_legal(run, LabMove(player, junk))
 
 
 # B wins at the root; T's move a wins for T and B's move b for B.
