@@ -17,7 +17,6 @@ from . import __version__
 from .core import (
     BOT,
     TOP,
-    LabMove,
     Player,
     Ray,
     Run,
@@ -254,8 +253,7 @@ class _Terminal:
     def init(self) -> tuple[int, State]:
         return 0, self._game.start()
 
-    def react(self, state: tuple[int, State], position: Run,
-              latest: LabMove | None) -> tuple[tuple[int, State], tuple[str, ...]]:
+    def react(self, state: tuple[int, State], position: Run) -> tuple[tuple[int, State], tuple[str, ...]]:
         seen, current = state
         for lm in position[seen:]:
             if lm.label is TOP:
@@ -358,8 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # The least value each numeric option takes; below it the option is
-# malformed input.
-_LEAST = {"budget": 0, "max_run": 0, "max_addr": 0, "max_steps": 1}
+# malformed input.  No swap fits in a run shorter than 2 moves, so a static
+# check there would pass vacuously.
+_LEAST = {"budget": 0, "max_run": 2, "max_addr": 0, "max_steps": 1}
 
 
 def main(argv=None) -> int:

@@ -169,7 +169,7 @@ def verify_translation(
     a diagnostic.  Every resulting trace is audited; the report aggregates
     all violations.
     """
-    precheck = EnumBounds(bounds.max_address_len, min(bounds.max_run_len, 4))
+    precheck = EnumBounds(bounds.max_address_len, 4)
     verdict = is_static(base, precheck)
     if not verdict.static:
         raise PreconditionError(

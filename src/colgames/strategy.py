@@ -1,13 +1,14 @@
 """Event-driven strategies, the interaction loop and the adversary enumerator.
 
 A strategy is an object with ``init() -> state`` and
-``react(state, position, latest) -> (state, moves)``.  The harness calls
-``react`` with the full run so far (including the opponent's latest
-labeled move, which is also passed explicitly) and appends the returned
-moves, attributed to the strategy's side, as one batch.  Reacting with an
-empty batch is a pass.  States are strategy-private; the routines expose
-``last_case`` (and, for the map-maintaining routine, ``fmap``) on their
-states so the harness can annotate traces.
+``react(state, position) -> (state, moves)``.  The harness calls
+``react`` with the run so far and appends the returned moves, attributed
+to the strategy's side, as one batch.  Reacting with an empty batch is a
+pass.  States are strategy-private; the routines expose ``last_case``
+(and, for the map-maintaining routine, ``fmap``) on their states so the
+harness can annotate traces.  The translation machines keep their own
+books, the tight tree included, so a reply depends only on the state and
+the environment's latest move, ``position[-1]``.
 
 MirrorStrategy wins "tight-co of not-A  or  loose of A": it mirrors every move
 of one component into the other at the same tree address, growing the
@@ -38,24 +39,23 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 from .core import BOT, TOP, LabMove, Player, Run, ShapeKind, neg_player, parse_move
-from .games import EnumBounds, Game, Offender, split_disjunction
-from .recurrence import actual_nodes
+from .games import EnumBounds, Game, Offender
+from .recurrence import NodeTree
 
 
-def grow_to_actual(position: Run, w: str, structural: Player) -> tuple[str, ...]:
-    """Replication moves making ``w`` an actual node of a tight position.
+def grow_to_actual(tree: NodeTree, w: str) -> tuple[tuple[str, ...], NodeTree]:
+    """Replication moves making ``w`` an actual node of ``tree``, and the grown tree.
 
     Repeatedly replicates the longest actual prefix of ``w`` (always an
     outer node of a well-formed tree, so each step is legal) until ``w``
-    is actual.  Empty when ``w`` is already actual.
+    is actual.  No moves when ``w`` is already actual.
     """
-    tree = actual_nodes(position, structural)
     chain: list[str] = []
     while not tree.is_actual(w):
         u = tree.longest_actual_prefix(w)
         chain.append(u + ":")
         tree = tree.replicate(u)
-    return tuple(chain)
+    return tuple(chain), tree
 
 
 def fmap_prefix_free(items: Iterable[tuple[str, str]]) -> bool:
@@ -70,6 +70,9 @@ def fmap_prefix_free(items: Iterable[tuple[str, str]]) -> bool:
 
 @dataclass(frozen=True)
 class _R1State:
+    # The tight-co tree.  Only the machine replicates there (the environment
+    # offends if it does and is not answered), so the machine's replies grow it.
+    tree: NodeTree = NodeTree(frozenset())
     last_case: str | None = None
 
 
@@ -79,30 +82,27 @@ class MirrorStrategy:
     def init(self) -> _R1State:
         return _R1State()
 
-    def react(self, state: _R1State, position: Run, latest: LabMove | None) -> tuple[_R1State, tuple[str, ...]]:
-        if latest is None:
-            return state, ()
-        component, rest = latest.move[0], latest.move[2:]
+    def react(self, state: _R1State, position: Run) -> tuple[_R1State, tuple[str, ...]]:
+        move = position[-1].move
+        component, rest = move[0], move[2:]
         sh = parse_move(rest)
         if component == "1" and sh.kind is ShapeKind.NONREPLICATIVE:
             # Adversary moved in the tight-co component: copy it verbatim
             # into the loose component, where any address is available.
             return replace(state, last_case="copy-move"), ("2." + rest,)
-        parts = split_disjunction(position)
-        assert parts is not None
-        tight_position = parts[0]
         if component == "2" and sh.kind in (ShapeKind.SWITCH, ShapeKind.NONREPLICATIVE):
             # Grow the tight tree to the address, then repeat the move there.
-            chain = grow_to_actual(tight_position, sh.address, TOP)
+            chain, tree = grow_to_actual(state.tree, sh.address)
             moves = tuple("1." + c for c in chain) + ("1." + rest,)
             case = "mirror-switch" if sh.kind is ShapeKind.SWITCH else "mirror-move"
-            return replace(state, last_case=case), moves
+            return replace(state, tree=tree, last_case=case), moves
         return replace(state, last_case=None), ()
 
 
 @dataclass(frozen=True)
 class _R2State:
     fmap: tuple[tuple[str, str], ...]
+    tree: NodeTree = NodeTree(frozenset())  # the environment's tight tree
     last_case: str | None = None
 
 
@@ -116,8 +116,9 @@ class RemapStrategy:
     The tree of the tight component (grown by the adversary) is shadowed
     by the mapping ``f`` from its outer nodes to loose-side addresses.
     ``react`` sees only legal positions.  Subclasses may override the
-    replication handler; a deliberately broken override is used as a
-    sensitivity fixture by the test suite.
+    replication handler, which keeps ``f`` only (``react`` keeps the
+    tree); a deliberately broken override is used as a sensitivity
+    fixture by the test suite.
     """
 
     def init(self) -> _R2State:
@@ -128,20 +129,17 @@ class RemapStrategy:
         f[w + "0"] = v + "0"
         f[w + "1"] = v + "1"
 
-    def react(self, state: _R2State, position: Run, latest: LabMove | None) -> tuple[_R2State, tuple[str, ...]]:
-        if latest is None:
-            return state, ()
-        component, rest = latest.move[0], latest.move[2:]
+    def react(self, state: _R2State, position: Run) -> tuple[_R2State, tuple[str, ...]]:
+        move = position[-1].move
+        component, rest = move[0], move[2:]
         sh = parse_move(rest)
         f = dict(state.fmap)
         if component == "2" and sh.kind is ShapeKind.REPLICATIVE:
             self._on_replication(f, sh.address)
-            return replace(state, fmap=_freeze(f), last_case="split-map"), ()
+            tree = state.tree.replicate(sh.address)
+            return replace(state, fmap=_freeze(f), tree=tree, last_case="split-map"), ()
         if component == "2" and sh.kind is ShapeKind.SWITCH:
-            parts = split_disjunction(position)
-            assert parts is not None
-            tree = actual_nodes(parts[1], BOT)
-            target = tree.zero_outer_from(sh.address)
+            target = state.tree.zero_outer_from(sh.address)
             return replace(state, last_case="mirror-switch"), ("1." + f[target],)
         if component == "2" and sh.kind is ShapeKind.NONREPLICATIVE:
             targets = sorted(x for x in f if x.startswith(sh.address))
@@ -172,7 +170,7 @@ class _Scripted:
     def init(self) -> int:
         return 0
 
-    def react(self, state: int, position: Run, latest: LabMove | None) -> tuple[int, tuple[str, ...]]:
+    def react(self, state: int, position: Run) -> tuple[int, tuple[str, ...]]:
         if state < len(self._script):
             return state + 1, (self._script[state],)
         return state, ()
@@ -187,7 +185,7 @@ class _PassStrategy:
     def init(self) -> None:
         return None
 
-    def react(self, state: None, position: Run, latest: LabMove | None) -> tuple[None, tuple[str, ...]]:
+    def react(self, state: None, position: Run) -> tuple[None, tuple[str, ...]]:
         return state, ()
 
 
@@ -207,7 +205,7 @@ class _RandomAdversary:
     def init(self) -> tuple[random.Random, int]:
         return random.Random(self._seed), 0
 
-    def react(self, state: tuple[random.Random, int], position: Run, latest: LabMove | None):
+    def react(self, state: tuple[random.Random, int], position: Run):
         rng, made = state
         if made >= self._budget:
             return state, ()
@@ -264,7 +262,6 @@ def run_interaction(machine, env, game: Game, max_steps: int) -> Trace:
     truncated = False
     m_state = machine.init()
     e_state = env.init()
-    latest_for_env: LabMove | None = None
 
     def append(lm: LabMove) -> bool:
         nonlocal run, first_offender, truncated
@@ -278,7 +275,7 @@ def run_interaction(machine, env, game: Game, max_steps: int) -> Trace:
 
     running = True
     while running:
-        e_state, env_moves = env.react(e_state, run, latest_for_env)
+        e_state, env_moves = env.react(e_state, run)
         if not env_moves:
             break
         for move in env_moves:
@@ -287,7 +284,7 @@ def run_interaction(machine, env, game: Game, max_steps: int) -> Trace:
                 break
             if first_offender is not None:
                 continue
-            m_state, machine_moves = machine.react(m_state, run, run[-1])
+            m_state, machine_moves = machine.react(m_state, run)
             notes.append(
                 StepNote(
                     reacted_to=len(run) - 1,
@@ -302,7 +299,6 @@ def run_interaction(machine, env, game: Game, max_steps: int) -> Trace:
                     break
             if not running:
                 break
-        latest_for_env = run[-1] if run and run[-1].label is TOP else None
 
     outcome = game.winner(run) if first_offender is None else neg_player(first_offender.culprit)
     return Trace(game.name, run, tuple(notes), outcome, first_offender, truncated)

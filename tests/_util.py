@@ -17,7 +17,7 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
-from colgames import BOT, TOP, LabMove, RemapStrategy, label_subsequence
+from colgames import BOT, TOP, Direction, LabMove, RemapStrategy, label_subsequence
 from colgames.core import (
     Player,
     Ray,
@@ -48,6 +48,13 @@ from colgames.recurrence import (
     actual_nodes,
     last_switch_stem,
 )
+from colgames.suite import first_mover_wins
+
+
+def late() -> FiniteGame:
+    """first_mover_wins behind a forced environment move c: not static, but
+    its shortest counterexample, <B"c", T"a", B"b">, takes 3 moves."""
+    return FiniteGame("late", GameNode(TOP, ((LabMove(BOT, "c"), first_mover_wins().root),)))
 
 
 class BrokenRemapStrategy(RemapStrategy):
@@ -57,13 +64,38 @@ class BrokenRemapStrategy(RemapStrategy):
     def _on_replication(self, f, w):
         pass
 
-    def react(self, state, position, latest):
+    def react(self, state, position):
         try:
-            return super().react(state, position, latest)
+            return super().react(state, position)
         except KeyError:
             # the stale map may lack entries; a real machine would crash,
             # for the harness test a silent pass is enough to keep playing
             return state, ()
+
+
+class TreeOracle:
+    """Wraps a translation machine and asserts, after every reaction, that
+    the tree in the machine's state is ``actual_nodes`` of the tight
+    component of the whole position and the machine's replies: component
+    1 (grown by the machine) tight-to-loose, component 2 (grown by the
+    environment) loose-to-tight.  Counts the reactions it checked."""
+
+    def __init__(self, machine, direction: Direction) -> None:
+        self.machine = machine
+        tight_to_loose = direction is Direction.TIGHT_TO_LOOSE
+        self.component, self.structural = (0, TOP) if tight_to_loose else (1, BOT)
+        self.checked = 0
+
+    def init(self):
+        return self.machine.init()
+
+    def react(self, state, position):
+        state, moves = self.machine.react(state, position)
+        after = position + tuple(LabMove(TOP, move) for move in moves)
+        expected = actual_nodes(split_disjunction(after)[self.component], self.structural)
+        assert state.tree == expected, (after, state.tree, expected)
+        self.checked += 1
+        return state, moves
 
 
 def classify_move_brute(move: str) -> tuple[str, str, str]:

@@ -11,10 +11,10 @@ import pytest
 from colgames import BOT, TOP, EnumBounds, LabMove, is_static
 from colgames.cli import main
 from colgames.dsl import elaborate, parse_game_expr
-from colgames.files import TraceFile, dumps_trace, loads_trace
+from colgames.files import TraceFile, dump_game_defs, dumps_trace, loads_trace
 from colgames.suite import suite_defs
 
-from _util import chain_defs, probe_pool
+from _util import chain_defs, late, probe_pool
 
 DATA = Path(__file__).parent / "data"
 PROJECTION_TRACE = str(DATA / "projection_example.json")
@@ -267,6 +267,12 @@ class TestStatic:
         assert main(["static", "--game", "leaf_top", option, "-1"]) == 2
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("game", ["first_mover_wins", "tbr_t(first_mover_wins)"])
+    def test_run_bound_below_two_is_malformed(self, game, capsys):
+        # no swap fits in a run of 1 move, so "static: yes" would be vacuous
+        assert main(["static", "--game", game, "--max-run", "1"]) == 2
+        assert_one_line_error(capsys)
+
 
 class TestSimulate:
     def test_exhaustive_suite_exit_zero(self, capsys):
@@ -284,6 +290,17 @@ class TestSimulate:
             "--adversary", "exhaustive", "--budget", "1",
         ])
         assert code == 3
+
+    def test_short_run_bound_keeps_the_precheck(self, tmp_path, capsys):
+        # late's counterexample takes 3 moves, more than --max-run
+        path = tmp_path / "late.json"
+        path.write_text(dump_game_defs({"late": late()}))
+        code = main([
+            "simulate", "--direction", "tight-to-loose", "--defs", str(path), "--atom", "late",
+            "--max-run", "2", "--budget", "2",
+        ])
+        assert code == 3
+        assert_one_line_error(capsys)
 
     @pytest.mark.parametrize(
         "option, value",

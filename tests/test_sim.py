@@ -40,7 +40,7 @@ from colgames.suite import (
     top_choice,
 )
 
-from _util import BrokenRemapStrategy
+from _util import BrokenRemapStrategy, late
 
 BOUNDS = EnumBounds(max_address_len=2, max_run_len=12)
 
@@ -55,9 +55,9 @@ class _Recording:
     def init(self):
         return self.inner.init()
 
-    def react(self, state, position, latest):
+    def react(self, state, position):
         self.asked.append(len(position))
-        return self.inner.react(state, position, latest)
+        return self.inner.react(state, position)
 
 
 def lm(label, move):
@@ -176,6 +176,12 @@ class TestVerifyTranslation:
     def test_non_static_base_aborts(self):
         with pytest.raises(PreconditionError):
             verify_translation(first_mover_wins(), Direction.TIGHT_TO_LOOSE, BOUNDS, budget=1)
+
+    def test_precheck_ignores_a_short_run_bound(self):
+        # a precheck at run length 2 would pass late, whose counterexample
+        # takes 3 moves, and 208 adversaries would play it without failure
+        with pytest.raises(PreconditionError, match="not static"):
+            verify_translation(late(), Direction.TIGHT_TO_LOOSE, EnumBounds(2, 2), budget=2)
 
     def test_corrupted_routine_is_caught(self):
         report = verify_translation(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colgames import (
     BOT,
@@ -12,6 +13,7 @@ from colgames import (
     LabMove,
     Offender,
     MirrorStrategy,
+    NodeTree,
     RemapStrategy,
     actual_nodes,
     exhaustive_adversaries,
@@ -25,9 +27,12 @@ from colgames import (
     tight_extension_legal,
 )
 from colgames.sim import strategy_for
-from colgames.suite import alternating, bot_choice, leaf_top, top_choice
+from colgames.suite import TRANSLATION_SUITE, alternating, bot_choice, leaf_top, top_choice
+
+from _util import TreeOracle
 
 BOUNDS = EnumBounds(max_address_len=2, max_run_len=12)
+ROOT = NodeTree(frozenset())
 
 
 def lm(label, move):
@@ -44,10 +49,10 @@ def compound2(base_game):
 
 class TestGrowToActual:
     def test_root_needs_nothing(self):
-        assert grow_to_actual((), "", TOP) == ()
+        assert grow_to_actual(ROOT, "") == ((), ROOT)
 
     def test_grows_along_prefixes(self):
-        chain = grow_to_actual((), "01", TOP)
+        chain, grown = grow_to_actual(ROOT, "01")
         assert chain == (":", "0:")
         # oracle: replay the chain and recompute the tree after each move
         position = ()
@@ -56,11 +61,12 @@ class TestGrowToActual:
             address = move[:-1]
             assert address in tree.outer()
             position = position + (lm(TOP, move),)
-        assert actual_nodes(position, TOP).is_actual("01")
+        assert actual_nodes(position, TOP) == grown
+        assert grown.is_actual("01")
 
     def test_already_actual_after_root_replication(self):
-        position = (lm(TOP, ":"),)
-        assert grow_to_actual(position, "1", TOP) == ()
+        tree = actual_nodes((lm(TOP, ":"),), TOP)
+        assert grow_to_actual(tree, "1") == ((), tree)
 
 
 class TestMirrorStrategy:
@@ -71,7 +77,7 @@ class TestMirrorStrategy:
         machine = MirrorStrategy()
         state = machine.init()
         position = (lm(BOT, "1..a"),)
-        state, moves = machine.react(state, position, position[-1])
+        state, moves = machine.react(state, position)
         assert moves == ("2..a",)
         assert state.last_case == "copy-move"
 
@@ -80,7 +86,7 @@ class TestMirrorStrategy:
         machine = MirrorStrategy()
         state = machine.init()
         position = (lm(BOT, "2.01"),)
-        state, moves = machine.react(state, position, position[-1])
+        state, moves = machine.react(state, position)
         assert moves == ("1.:", "1.0:", "1.01")
         # each intermediate move is legal in the tight-co component
         base = bot_choice()
@@ -97,7 +103,7 @@ class TestMirrorStrategy:
         machine = MirrorStrategy()
         state = machine.init()
         position = (lm(BOT, "2.1.b"),)
-        state, moves = machine.react(state, position, position[-1])
+        state, moves = machine.react(state, position)
         assert moves == ("1.:", "1.1.b")
 
     def test_stays_silent_on_garbage(self):
@@ -116,7 +122,7 @@ class TestRemapStrategy:
         state = machine.init()
         assert state.fmap == (("", ""),)
         position = (lm(BOT, "2.:"),)
-        state, moves = machine.react(state, position, position[-1])
+        state, moves = machine.react(state, position)
         assert moves == ()
         assert dict(state.fmap) == {"0": "0", "1": "1"}
         assert state.last_case == "split-map"
@@ -126,9 +132,9 @@ class TestRemapStrategy:
         machine = RemapStrategy()
         state = machine.init()
         position = (lm(BOT, "2.:"),)
-        state, _ = machine.react(state, position, position[-1])
+        state, _ = machine.react(state, position)
         position = position + (lm(BOT, "2.1"),)
-        state, moves = machine.react(state, position, position[-1])
+        state, moves = machine.react(state, position)
         assert moves == ("1.1",)
         assert state.last_case == "mirror-switch"
 
@@ -139,11 +145,11 @@ class TestRemapStrategy:
         position = ()
         for move in ("2.:", "2.0:"):
             position = position + (lm(BOT, move),)
-            state, out = machine.react(state, position, position[-1])
+            state, out = machine.react(state, position)
             assert out == ()
         # switching to the inner node 0 lands on its zero-path leaf 00
         position = position + (lm(BOT, "2.0"),)
-        state, moves = machine.react(state, position, position[-1])
+        state, moves = machine.react(state, position)
         assert moves == ("1.00",)
 
     def test_absorbs_off_ray_loose_move(self):
@@ -151,7 +157,7 @@ class TestRemapStrategy:
         machine = RemapStrategy()
         state = machine.init()
         position = (lm(BOT, "1.01.a"),)
-        state, moves = machine.react(state, position, position[-1])
+        state, moves = machine.react(state, position)
         assert moves == ()
         assert dict(state.fmap) == {"": "00"}
         assert state.last_case == "absorb-move"
@@ -162,7 +168,7 @@ class TestRemapStrategy:
         machine = RemapStrategy()
         state = machine.init()
         position = (lm(BOT, "1.00.a"),)
-        state, moves = machine.react(state, position, position[-1])
+        state, moves = machine.react(state, position)
         # "00" extends the root's empty address with zeros only, so the
         # move sits on the mapped ray and is relayed into the tight side
         assert moves == ("2..a",)
@@ -175,9 +181,9 @@ class TestRemapStrategy:
         position = ()
         for move in ("2.:", "2.0:"):
             position = position + (lm(BOT, move),)
-            state, _ = machine.react(state, position, position[-1])
+            state, _ = machine.react(state, position)
         position = position + (lm(BOT, "2..b"),)
-        state, moves = machine.react(state, position, position[-1])
+        state, moves = machine.react(state, position)
         assert state.last_case == "broadcast-move"
         assert moves == ("1.00.b", "1.01.b", "1.1.b")
         assert frozenset(k for k, _ in state.fmap) == {"00", "01", "1"}
@@ -194,6 +200,42 @@ class TestRemapStrategy:
             assert fmap_prefix_free(note.fmap)
 
 
+class TestMachineBooks:
+    """A machine's reply is a function of its own state and the latest move;
+    the tight tree it keeps is the one the position spells out."""
+
+    @pytest.mark.parametrize("direction, adversaries",
+                             [(Direction.TIGHT_TO_LOOSE, 5740), (Direction.LOOSE_TO_TIGHT, 753)])
+    def test_kept_tree_is_the_tight_components_actual_nodes(self, direction, adversaries):
+        played = checked = 0
+        for base in TRANSLATION_SUITE:
+            game = translation_compound(base, direction)
+            machine = TreeOracle(strategy_for(game, direction), direction)
+            played += sum(1 for _ in exhaustive_adversaries(game, machine, EnumBounds(2, 64), budget=3))
+            checked += machine.checked
+        assert played == adversaries
+        assert checked > played
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(TRANSLATION_SUITE), st.sampled_from(list(Direction)),
+           st.integers(0, 2**32 - 1))
+    def test_reply_reads_only_the_latest_move(self, base, direction, seed):
+        game = translation_compound(base, direction)
+        machine = strategy_for(game, direction)
+
+        class LatestOnly:
+            def init(self):
+                return machine.init()
+
+            def react(self, state, position):
+                reply = machine.react(state, position)
+                assert machine.react(state, (position[-1],)) == reply
+                return reply
+
+        adversary = random_adversary(game, seed, BOUNDS, budget=8, pass_probability=0.05)
+        run_interaction(LatestOnly(), adversary, game, 40)
+
+
 class TestScriptedAdversary:
     def test_empty_script_never_moves(self):
         game = compound1(leaf_top())
@@ -203,9 +245,9 @@ class TestScriptedAdversary:
     def test_plays_one_move_per_reaction(self):
         adv = scripted_adversary(["m1", "m2"])
         state = adv.init()
-        state, first = adv.react(state, (), None)
-        state, second = adv.react(state, (), None)
-        state, third = adv.react(state, (), None)
+        state, first = adv.react(state, ())
+        state, second = adv.react(state, ())
+        state, third = adv.react(state, ())
         assert (first, second, third) == (("m1",), ("m2",), ())
 
 
@@ -235,7 +277,7 @@ class TestExhaustiveAdversaries:
                 return total
             for move in options:
                 new_run = run + (lm(BOT, move),)
-                new_state, replies = machine.react(machine_state, new_run, new_run[-1])
+                new_state, replies = machine.react(machine_state, new_run)
                 for reply in replies:
                     new_run = new_run + (lm(TOP, reply),)
                 total += recount(new_run, new_state, depth - 1)
@@ -272,7 +314,7 @@ class TestExhaustiveAdversaries:
                     found.append((run, True))
                     continue
                 new_run = run + (lm(BOT, move),)
-                new_state, replies = machine.react(machine_state, new_run, new_run[-1])
+                new_state, replies = machine.react(machine_state, new_run)
                 room = max_steps - len(new_run)
                 new_run = new_run + tuple(lm(TOP, reply) for reply in replies[:room])
                 if len(replies) > room:
@@ -311,7 +353,7 @@ class TestRandomAdversary:
         game = compound1(bot_choice())
         adv = random_adversary(game, seed=1, bounds=BOUNDS, budget=0)
         state = adv.init()
-        state, moves = adv.react(state, (), None)
+        state, moves = adv.react(state, ())
         assert moves == ()
 
 
