@@ -68,10 +68,6 @@ def _player_arg(tag: str) -> Player:
     return _PLAYERS[tag]
 
 
-def _bounds(args) -> EnumBounds:
-    return EnumBounds(args.max_addr, args.max_run)
-
-
 def cmd_project(args) -> int:
     trace = _load_trace(args.trace)
     if not is_bitstring(args.ray):
@@ -125,7 +121,7 @@ def cmd_delays(args) -> int:
 def cmd_static(args) -> int:
     defs = _load_defs(args.defs)
     game = elaborate(parse_game_expr(args.game), defs)
-    bounds = _bounds(args)
+    bounds = EnumBounds(args.max_addr, args.max_run)
     pool = move_pool(game, bounds)
     verdict = is_static(game, bounds, pool)
     print(f"static: {'yes' if verdict.static else 'no'}")
@@ -171,7 +167,8 @@ def cmd_simulate(args) -> int:
         raise FileFormatError("--seed seeds the random adversary; this run draws no moves at random")
     base = elaborate(parse_game_expr(args.atom), _load_defs(args.defs))
     direction = Direction(args.direction)
-    bounds = _bounds(args)
+    # A play's own run bound is its step cap.
+    bounds = EnumBounds(args.max_addr, args.max_steps)
     compound = translation_compound(base, direction)
 
     if args.adversary == "exhaustive":
@@ -342,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="random adversary seed (default: $COL_SEED, else 0)")
     p.add_argument("--max-steps", type=int, default=64, dest="max_steps")
-    p.add_argument("--max-run", type=int, default=5, dest="max_run")
     p.add_argument("--max-addr", type=int, default=2, dest="max_addr")
     p.add_argument("--out", default=None, help="write the trace file here")
     p.set_defaults(func=cmd_simulate)

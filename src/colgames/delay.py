@@ -331,6 +331,7 @@ def is_static(game: Game, bounds: EnumBounds, pool: Sequence[str] | None = None)
     its ``p``-delays won by ``p`` too, with illegal runs resolved by the
     offender rule.  The first violating adjacent swap (shortest first,
     then in run-id and position order) is returned as a counterexample.
+    A run bound under 2 holds no swap, so every game is static there.
     """
     return _StateScan(game, bounds, pool).static_verdict()
 
@@ -341,13 +342,14 @@ def check_illegality_lemma(game: Game, bounds: EnumBounds, pool: Sequence[str] |
     For every pair within bounds where Delta is a ``p``-delay of Gamma and
     Delta's first offender is ``p``, Gamma must also have ``p`` as first
     offender.  Checks the adjacent swaps and reports the violating ones
-    (expected: none for recurrences of static bases).
+    (expected: none for recurrences of static bases).  A run bound under
+    2 holds no swap, so it reports none.
     """
     return _StateScan(game, bounds, pool).lemma_report()
 
 
 def static_and_lemma(game: Game, bounds: EnumBounds,
                      pool: Sequence[str] | None = None) -> tuple[StaticVerdict, LemmaReport]:
-    """Run both scans over one interning of the states."""
+    """Both scans over one interning of the states; a run bound under 2 holds no swap."""
     scan = _StateScan(game, bounds, pool)
     return scan.static_verdict(), scan.lemma_report()

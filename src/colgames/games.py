@@ -85,9 +85,10 @@ class Game:
         """
         raise NotImplementedError
 
-    def replay(self, run: Run) -> State | None:
-        """The state after ``run``; None if the run is illegal."""
-        state = self.start()
+    def replay(self, run: Run, state: State | None = None) -> State | None:
+        """The state after ``run`` is played from ``state`` (by default
+        ``start()``); None if the run is illegal there."""
+        state = self.start() if state is None else state
         for lm in run:
             state = self.step(state, lm)
             if state is None:

@@ -45,7 +45,7 @@ from .core import (
     ShapeKind,
     parse_move,
 )
-from .games import EnumBounds, Game, State
+from .games import EnumBounds, Game, PreconditionError, State
 
 
 class Version(enum.Enum):
@@ -191,6 +191,11 @@ def last_switch_stem(run: Run, structural: Player) -> str:
     return ""
 
 
+# The longest address an addressed move may have: a move at depth d keeps
+# 2**d class states, so this guard caps a state at 65,536 of them.
+MAX_ADDRESS_BITS = 16
+
+
 class RayState(NamedTuple):
     """A recurrence's state after a legal run.
 
@@ -225,7 +230,8 @@ class RecurrenceGame(Game):
         """Switches and replications change the stem and the tree; an
         addressed move ``u.x`` steps the base state of every class below
         ``u`` with ``x``, after splitting each class in copies of itself
-        when ``u`` is longer than the classes' keys."""
+        when ``u`` is longer than the classes' keys.  An address longer than
+        ``MAX_ADDRESS_BITS`` raises :class:`PreconditionError`."""
         sh = parse_move(lm.move)
         tree, stem, depth, classes = state
         if sh.kind is ShapeKind.SWITCH:
@@ -240,6 +246,9 @@ class RecurrenceGame(Game):
             return None
         u = sh.address
         if len(u) > depth:
+            if len(u) > MAX_ADDRESS_BITS:
+                raise PreconditionError(f"address {u!r} has {len(u)} bits; "
+                                        f"a recurrence takes at most {MAX_ADDRESS_BITS}")
             copies = 1 << (len(u) - depth)
             classes = tuple(inner for inner in classes for _ in range(copies))
             depth = len(u)

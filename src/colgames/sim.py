@@ -189,9 +189,13 @@ def verify_translation(
 def verify_static_preservation(base: Game, bounds: EnumBounds) -> VerificationReport:
     """Static preservation and illegality propagation for all four kinds.
 
-    A non-static base is reported as a precondition failure, not as a
-    property violation.
+    A non-static base, or a run bound under 2 (no swap fits, so every
+    check would pass vacuously), is reported as a precondition failure,
+    not as a property violation.
     """
+    if bounds.max_run_len < 2:
+        failure = Failure("precondition", f"run bound {bounds.max_run_len} holds no swap; use at least 2")
+        return VerificationReport(base.name, bounds, 0, (failure,))
     base_verdict = is_static(base, bounds)
     if not base_verdict.static:
         failure = Failure(

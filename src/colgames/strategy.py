@@ -8,7 +8,8 @@ pass.  States are strategy-private; the routines expose ``last_case``
 (and, for the map-maintaining routine, ``fmap``) on their states so the
 harness can annotate traces.  The translation machines keep their own
 books, the tight tree included, so a reply depends only on the state and
-the environment's latest move, ``position[-1]``.
+the environment's latest move, ``position[-1]``.  The random adversary
+keeps the game state at its last move, so it steps each move once.
 
 MirrorStrategy wins "tight-co of not-A  or  loose of A": it mirrors every move
 of one component into the other at the same tree address, growing the
@@ -24,12 +25,14 @@ environment strategy over a game, recording a trace: the run, one
 annotation per machine reaction, the outcome and the first offender.
 The environment moves first in each round; the play ends when the
 environment passes (the machine is reactive, so that is a mutual pass)
-or when the step limit is hit.  It alone decides legality: it records
-the first offender, which decides the outcome, and stops asking the
-machine from then on, so a machine's ``react`` sees only legal
-positions.  ``exhaustive_adversaries`` plays the machine against every
-scripted adversary up to a move budget, each through that one loop, and
-yields the traces.
+or when the step limit is hit.  A local generator asks both sides and
+yields the play's moves in order; one loop over it applies the step
+limit and alone decides legality: it records the first offender, which
+decides the outcome, and the generator stops asking the machine from
+then on, so a machine's ``react`` sees only legal positions.
+``exhaustive_adversaries`` plays the machine against every scripted
+adversary up to a move budget, each through that one loop, and yields
+the traces.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 from .core import BOT, TOP, LabMove, Player, Run, ShapeKind, neg_player, parse_move
-from .games import EnumBounds, Game, Offender
+from .games import EnumBounds, Game, Offender, State
 from .recurrence import NodeTree
 
 
@@ -202,25 +205,24 @@ class _RandomAdversary:
         self._budget = budget
         self._pass_probability = pass_probability
 
-    def init(self) -> tuple[random.Random, int]:
-        return random.Random(self._seed), 0
+    def init(self) -> tuple[random.Random, int, int, State]:
+        return random.Random(self._seed), 0, 0, self._game.start()
 
-    def react(self, state: tuple[random.Random, int], position: Run):
-        rng, made = state
-        if made >= self._budget:
+    def react(self, state: tuple[random.Random, int, int, State], position: Run):
+        rng, made, seen, current = state
+        if made >= self._budget or rng.random() < self._pass_probability:
             return state, ()
-        if rng.random() < self._pass_probability:
-            return state, ()
-        options = sorted(self._game.legal_moves(position, BOT, self._bounds))
+        current = self._game.replay(position[seen:], current)
+        options = () if current is None else sorted(self._game.moves(current, BOT, self._bounds))
         if not options:
             return state, ()
-        return (rng, made + 1), (options[rng.randrange(len(options))],)
+        return (rng, made + 1, len(position), current), (options[rng.randrange(len(options))],)
 
 
 def random_adversary(game: Game, seed: int, bounds: EnumBounds, budget: int, pass_probability: float = 0.25):
     """Seeded adversary: passes with fixed probability, else plays a
     uniformly chosen legal move within bounds, up to ``budget`` moves.
-    Fully determined by the seed."""
+    Fully determined by the seed; it steps each move of the run once."""
     return _RandomAdversary(game, seed, bounds, budget, pass_probability)
 
 
@@ -249,10 +251,10 @@ class Trace:
 def run_interaction(machine, env, game: Game, max_steps: int) -> Trace:
     """Alternate environment and machine reactions from the empty run.
 
-    Environment moves carry the environment label, machine moves the
-    machine label.  Stops when the environment passes or ``max_steps``
-    labeled moves have been recorded (recorded as truncation, not an
-    error).  After the first offence only the environment is asked.
+    ``play`` yields each environment move, labelled so, then, while the
+    run has no offender, the machine's labelled reply batch.  The loop
+    appends them and stops when the environment passes or ``max_steps``
+    moves have been recorded (recorded as truncation, not an error).
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
@@ -260,45 +262,29 @@ def run_interaction(machine, env, game: Game, max_steps: int) -> Trace:
     notes: list[StepNote] = []
     first_offender: Offender | None = None
     truncated = False
-    m_state = machine.init()
-    e_state = env.init()
 
-    def append(lm: LabMove) -> bool:
-        nonlocal run, first_offender, truncated
+    def play() -> Iterator[LabMove]:
+        # Reads ``run`` and ``first_offender`` as the loop below leaves them.
+        m_state, e_state = machine.init(), env.init()
+        while True:
+            e_state, env_moves = env.react(e_state, run)
+            if not env_moves:
+                return
+            for move in env_moves:
+                yield LabMove(BOT, move)
+                if first_offender is None:
+                    m_state, machine_moves = machine.react(m_state, run)
+                    notes.append(StepNote(len(run) - 1, getattr(m_state, "last_case", None),
+                                          getattr(m_state, "fmap", None), len(machine_moves)))
+                    yield from (LabMove(TOP, reply) for reply in machine_moves)
+
+    for lm in play():
         if len(run) >= max_steps:
             truncated = True
-            return False
+            break
         if first_offender is None and not game.extend_legal(run, lm):
             first_offender = Offender(len(run), lm.label)
         run = run + (lm,)
-        return True
-
-    running = True
-    while running:
-        e_state, env_moves = env.react(e_state, run)
-        if not env_moves:
-            break
-        for move in env_moves:
-            if not append(LabMove(BOT, move)):
-                running = False
-                break
-            if first_offender is not None:
-                continue
-            m_state, machine_moves = machine.react(m_state, run)
-            notes.append(
-                StepNote(
-                    reacted_to=len(run) - 1,
-                    case=getattr(m_state, "last_case", None),
-                    fmap=getattr(m_state, "fmap", None),
-                    emitted=len(machine_moves),
-                )
-            )
-            for reply in machine_moves:
-                if not append(LabMove(TOP, reply)):
-                    running = False
-                    break
-            if not running:
-                break
 
     outcome = game.winner(run) if first_offender is None else neg_player(first_offender.culprit)
     return Trace(game.name, run, tuple(notes), outcome, first_offender, truncated)

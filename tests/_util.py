@@ -12,6 +12,7 @@ game state, and lists every violation it finds.
 from __future__ import annotations
 
 import itertools
+import random
 from collections import defaultdict
 from typing import Sequence
 
@@ -96,6 +97,53 @@ class TreeOracle:
         assert state.tree == expected, (after, state.tree, expected)
         self.checked += 1
         return state, moves
+
+
+class ReplayingRandomAdversary:
+    """A random adversary that replays the whole position through
+    ``legal_moves`` at every reaction: the oracle for the library's, which
+    follows the run by its own game state.  It draws from the generator in
+    the same order, so the two play the same moves."""
+
+    def __init__(self, game: Game, seed: int, bounds: EnumBounds, budget: int,
+                 pass_probability: float = 0.25) -> None:
+        self.game, self.seed, self.bounds = game, seed, bounds
+        self.budget, self.pass_probability = budget, pass_probability
+
+    def init(self):
+        return random.Random(self.seed), 0
+
+    def react(self, state, position):
+        rng, made = state
+        if made >= self.budget:
+            return state, ()
+        if rng.random() < self.pass_probability:
+            return state, ()
+        options = sorted(self.game.legal_moves(position, BOT, self.bounds))
+        if not options:
+            return state, ()
+        return (rng, made + 1), (options[rng.randrange(len(options))],)
+
+
+class CountingGame(Game):
+    """Forwards every call to ``inner`` and counts the ``step`` calls,
+    replays included."""
+
+    def __init__(self, inner: Game) -> None:
+        self.inner, self.name, self.steps = inner, inner.name, 0
+
+    def start(self):
+        return self.inner.start()
+
+    def step(self, state, lm):
+        self.steps += 1
+        return self.inner.step(state, lm)
+
+    def outcome(self, state):
+        return self.inner.outcome(state)
+
+    def moves(self, state, player, bounds):
+        return self.inner.moves(state, player, bounds)
 
 
 def classify_move_brute(move: str) -> tuple[str, str, str]:

@@ -124,6 +124,12 @@ class TestEval:
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
 
+    def test_address_past_the_guard_exits_three(self, tmp_path, capsys):
+        # 17 bits would split the rays into 131,072 class states
+        trace = write_trace(tmp_path, (LabMove(BOT, "0" * 17 + ".b"),))
+        assert main(["eval", "--game", "tbr_l(bot_choice)", "--trace", trace]) == 3
+        assert_one_line_error(capsys)
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         trace = write_trace(tmp_path, ())
         assert main(["eval", "--game", "tbr_t(leaf_top", "--trace", trace]) == 2
@@ -292,19 +298,19 @@ class TestSimulate:
         assert code == 3
 
     def test_short_run_bound_keeps_the_precheck(self, tmp_path, capsys):
-        # late's counterexample takes 3 moves, more than --max-run
+        # late's counterexample takes 3 moves; the precheck scans runs of 4
         path = tmp_path / "late.json"
         path.write_text(dump_game_defs({"late": late()}))
         code = main([
             "simulate", "--direction", "tight-to-loose", "--defs", str(path), "--atom", "late",
-            "--max-run", "2", "--budget", "2",
+            "--budget", "2",
         ])
         assert code == 3
         assert_one_line_error(capsys)
 
     @pytest.mark.parametrize(
         "option, value",
-        [("--budget", "-1"), ("--max-run", "-1"), ("--max-addr", "-1"),
+        [("--budget", "-1"), ("--max-addr", "-1"),
          ("--max-steps", "0"), ("--max-steps", "-3")],
     )
     def test_out_of_range_number_is_malformed(self, option, value, capsys):
@@ -326,6 +332,16 @@ class TestSimulate:
         assert tf.outcome is TOP
         assert tf.game == "or(cbr_t(not(top_choice)), tbr_l(top_choice))"
         assert tf.seed == 11
+        # the play's run bound is its step cap
+        assert tf.bounds == EnumBounds(2, 64)
+
+    def test_max_run_is_not_a_simulate_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--direction", "tight-to-loose", "--atom", "leaf_top", "--max-run", "2"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        assert "--max-run" not in capsys.readouterr().out
 
     def test_script_adversary_replays_trace(self, tmp_path, capsys):
         golden = tmp_path / "golden.json"
@@ -509,6 +525,12 @@ class TestPlay:
         assert result.stdout.count("environment move") == 1
         assert "along last switch (0)" not in result.stdout
         assert result.stdout.endswith(": offender: index 0 by B\noutcome: won by T\n")
+
+    def test_address_past_the_guard_exits_three(self, capsys, monkeypatch):
+        lines = iter(["0" * 17 + ".b"])
+        monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
+        assert main(["play", "--game", "tbr_l(bot_choice)"]) == 3
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
     def test_end_of_input_is_a_pass(self, capsys, monkeypatch):
         def closed(prompt=""):

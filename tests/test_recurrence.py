@@ -12,6 +12,7 @@ from colgames import (
     EnumBounds,
     LabMove,
     NodeTree,
+    PreconditionError,
     Ray,
     actual_nodes,
     loose_extension_legal,
@@ -151,6 +152,23 @@ class TestLooseExtension:
 
     def test_switch_by_wrong_player(self):
         assert not loose_extension_legal(self.base, (), lm(TOP, "01"), BOT)
+
+
+class TestAddressGuard:
+    # An addressed move at depth d splits the rays into 2**d class states.
+    def test_seventeen_bits_raise_before_anything_is_copied(self):
+        game = make_recurrence(bot_choice(), LOOSE_RECURRENCE)
+        with pytest.raises(PreconditionError):
+            game.step(game.start(), lm(BOT, "0" * 17 + ".b"))
+        deep = game.step(game.start(), lm(BOT, "1" * 16 + ".b"))
+        with pytest.raises(PreconditionError):
+            game.step(deep, lm(BOT, "0" * 17 + ".b"))
+
+    def test_sixteen_bits_still_step(self):
+        game = make_recurrence(bot_choice(), LOOSE_RECURRENCE)
+        state = game.step(game.start(), lm(BOT, "0" * 16 + ".b"))
+        assert len(state.classes) == 65536
+        assert game.outcome(state) is BOT
 
 
 class TestWholeRunLooseDefinition:

@@ -261,6 +261,19 @@ class TestVerifyStaticPreservation:
         assert [f.kind for f in failures] == ["illegality-lemma"] * 4
         assert all(f.detail.endswith("(a shortest one of 3 violations)") for f in failures)
 
+    @pytest.mark.parametrize("base", [first_mover_wins(), bot_choice()], ids=lambda g: g.name)
+    @pytest.mark.parametrize("max_run_len", [0, 1])
+    def test_a_run_bound_without_swaps_is_a_precondition_flag(self, base, max_run_len, monkeypatch):
+        # no swap fits in a run shorter than 2, so a scan there passes vacuously
+        def no_scan(*args):
+            raise AssertionError("scanned at a bound that holds no swap")
+
+        monkeypatch.setattr(sim, "is_static", no_scan)
+        monkeypatch.setattr(sim, "static_and_lemma", no_scan)
+        report = verify_static_preservation(base, EnumBounds(2, max_run_len))
+        assert not report.ok
+        assert [f.kind for f in report.failures] == ["precondition"]
+
     def test_non_static_base_is_a_precondition_flag(self):
         report = verify_static_preservation(first_mover_wins(), EnumBounds(2, 4))
         assert not report.ok

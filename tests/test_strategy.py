@@ -29,7 +29,7 @@ from colgames import (
 from colgames.sim import strategy_for
 from colgames.suite import TRANSLATION_SUITE, alternating, bot_choice, leaf_top, top_choice
 
-from _util import TreeOracle
+from _util import CountingGame, ReplayingRandomAdversary, TreeOracle
 
 BOUNDS = EnumBounds(max_address_len=2, max_run_len=12)
 ROOT = NodeTree(frozenset())
@@ -355,6 +355,42 @@ class TestRandomAdversary:
         state = adv.init()
         state, moves = adv.react(state, ())
         assert moves == ()
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_steps_each_move_of_the_run_once(self, direction):
+        # The adversary keeps the game state at its last move, so it steps
+        # each move once; replaying the position at every reaction would
+        # step a long play quadratically often.
+        longest = 0
+        for base in TRANSLATION_SUITE:
+            game = translation_compound(base, direction)
+            for seed in range(3):
+                counting = CountingGame(game)
+                adversary = random_adversary(counting, seed, BOUNDS, budget=30, pass_probability=0.05)
+                trace = run_interaction(strategy_for(game, direction), adversary, game, 64)
+                assert counting.steps <= len(trace.moves), (base.name, seed)
+                longest = max(longest, len(trace.moves))
+        assert longest > 40
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        base=st.sampled_from(TRANSLATION_SUITE),
+        direction=st.sampled_from(list(Direction)),
+        budget=st.integers(0, 12),
+        pass_probability=st.sampled_from([0.0, 0.05, 0.25]),
+        junk_machine=st.booleans(),
+    )
+    def test_plays_as_the_replaying_form(self, seed, base, direction, budget, pass_probability,
+                                         junk_machine):
+        game = translation_compound(base, direction)
+        # a machine that offends at once leaves the adversary an illegal run
+        machine = scripted_adversary(["xyz"]) if junk_machine else strategy_for(game, direction)
+        traces = [
+            run_interaction(machine, make(game, seed, BOUNDS, budget, pass_probability), game, 64)
+            for make in (random_adversary, ReplayingRandomAdversary)
+        ]
+        assert traces[0] == traces[1]
 
 
 class TestPassStrategy:
