@@ -24,7 +24,6 @@ from .core import (
     ray_classes,
 )
 from .delay import (
-    DelayWitness,
     LemmaReport,
     StaticVerdict,
     check_illegality_lemma,

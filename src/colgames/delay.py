@@ -25,12 +25,12 @@ within the address bound, not a sample.
 
 The scans count runs by game state: equal states have equal futures (the
 contract of :class:`Game`), so each distinct state is stepped once by
-each pool move, and the legal runs of each length are a count per state.
-A swap gamma = P x y T, delta = P y x T is decided by the pair of states
-the two runs reach.  Pairs start from each state's head swaps, weighted
-by its runs, and follow the tails one move at a time, both states
-stepped by the same move; swaps behind an illegal prefix share its first
-offender and are counted in closed form.  The counterexample and the
+each pool move, and the runs of each length are a count per state.  An
+offended run's state is the culprit of its first offence, which every
+move keeps.  A swap gamma = P x y T, delta = P y x T is decided by the
+pair of states the two runs reach.  Pairs start from each state's head
+swaps, weighted by its runs, and follow the tails one move at a time,
+both states stepped by the same move.  The counterexample and the
 shortest lemma violations are found by a depth-first search over
 gamma's digits, pruned by memoised checks that a bad pair is reachable.
 """
@@ -104,19 +104,6 @@ def enumerate_delays(gamma: Run, p: Player) -> frozenset[Run]:
 
 
 @dataclass(frozen=True)
-class DelayWitness:
-    """A validated original/delayed run pair for one player."""
-
-    original: Run
-    delayed: Run
-    player: Player
-
-    def __post_init__(self) -> None:
-        if not is_delay(self.delayed, self.original, self.player):
-            raise ValueError("delayed run is not a delay of the original")
-
-
-@dataclass(frozen=True)
 class StaticVerdict:
     """Outcome of a bounded static check, with the first violation if any."""
 
@@ -167,14 +154,16 @@ def move_pool(game: Game, bounds: EnumBounds) -> tuple[str, ...]:
     return tuple(sorted(found)) + (junk,)
 
 
-# An offended run's state id is the bit of its first offence's culprit, 0
-# for TOP and 1 for BOT.  Legal states count from 2, the start state first.
+# The two absorbing states: an offended run's state id is the bit of its
+# first offence's culprit, 0 for TOP and 1 for BOT, and every move keeps
+# it.  Legal states count from 2, the start state first.
 OFF_T, OFF_B = 0, 1
 
 
 class _StateScan:
     """Every adjacent swap of the runs over a labmove pool (None: the
-    ``move_pool``), counted over the distinct game states the runs reach.
+    ``move_pool``), counted over the distinct game states the runs reach,
+    the two absorbing offended states among them.
 
     ``labmoves`` are the pool's moves labelled TOP, then labelled BOT, so
     with ``k = 2 |pool|`` a digit ``d < |pool|`` is a TOP move.  A run of
@@ -194,8 +183,8 @@ class _StateScan:
         self._build(game, bounds.max_run_len)
 
     def _build(self, game: Game, longest: int) -> None:
-        """Count the legal runs of each length by state (``levels``) and the
-        others (``offended``); a state is stepped once, by every labmove."""
+        """Count the runs of each length by the state they reach (``levels``);
+        a state is stepped once, by every labmove."""
         rows, wins, ids, states = self.rows, self.wins, {}, [None, None]
 
         def intern(state: State) -> int:
@@ -207,28 +196,23 @@ class _StateScan:
                 wins.append(0 if game.outcome(state) is TOP else 1)
             return s
 
-        self.levels, self.offended = [{intern(game.start()): 1}], [0]
+        self.levels = [{intern(game.start()): 1}]
         for _ in range(longest):
-            level, offended = {}, self.offended[-1] * len(self.labmoves)
+            level = {}
             for s, c in self.levels[-1].items():
                 if rows[s] is None:
                     rows[s] = [(OFF_T if d < self.tops else OFF_B) if (t := game.step(states[s], lm)) is None
                                else intern(t) for d, lm in enumerate(self.labmoves)]
                 for t in rows[s]:
-                    if t > OFF_B:
-                        level[t] = level.get(t, 0) + c
-                    else:
-                        offended += c
+                    level[t] = level.get(t, 0) + c
             self.levels.append(level)
-            self.offended.append(offended)
 
     def _count(self) -> tuple[int, list[int]]:
         """Follow the swap pairs to every length, counting by weight the swaps
-        whose delta has p as first offender, and per length the violations."""
+        whose delta has p as first offender, and per length the violations.
+        An offended state s heads tops² swaps of each p, all to (s, s, p)."""
         k, tops, longest = len(self.labmoves), self.tops, len(self.levels) - 1
-        rows, heads, counts = self.rows, {}, [0] * (longest + 1)
-        pairs = tops * tops * sum(self.offended[i] * k ** (n - i - 2)
-                                  for n in range(longest + 1) for i in range(n - 1))
+        rows, heads, counts, pairs = self.rows, {}, [0] * (longest + 1), 0
         here: dict[tuple[int, int, int], int] = {}
         for n in range(2, longest + 1):
             for s, c in self.levels[n - 2].items():

@@ -81,7 +81,8 @@ class Game:
         Exactly the moves ``step`` accepts there that pass a test of the
         move alone (its addresses are no longer than the bound), so a
         move offered in one state and legal in another is offered there
-        too.
+        too.  A game whose ``step`` guards the address length raises
+        :class:`PreconditionError` for a bound past that guard.
         """
         raise NotImplementedError
 

@@ -279,9 +279,15 @@ class RecurrenceGame(Game):
     def moves(self, state: RayState, player: Player, bounds: EnumBounds) -> frozenset[str]:
         """Switches and replications from the tree (tight) or at every stem
         within the address bound (loose), and each addressed move ``w.a``
-        whose payload every distinct class state below ``w`` offers."""
+        whose payload every distinct class state below ``w`` offers.  An
+        address bound past ``MAX_ADDRESS_BITS`` raises
+        :class:`PreconditionError` before any stem is built: ``step``
+        refuses the deepest moves it would offer."""
         tree, _, depth, classes = state
         limit = bounds.max_address_len
+        if limit > MAX_ADDRESS_BITS:
+            raise PreconditionError(f"address bound {limit} is past the {MAX_ADDRESS_BITS} bits "
+                                    f"a recurrence takes")
         if tree is not None:
             addresses = [w for w in tree.nodes() if len(w) <= limit]
             replications = [w + ":" for w in tree.outer() if len(w) <= limit]

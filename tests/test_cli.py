@@ -279,6 +279,11 @@ class TestStatic:
         assert main(["static", "--game", game, "--max-run", "1"]) == 2
         assert_one_line_error(capsys)
 
+    def test_address_bound_past_the_guard_exits_three(self, capsys):
+        # the 17-bit moves would be refused by step, so none are offered
+        assert main(["static", "--game", "tbr_l(bot_choice)", "--max-addr", "17"]) == 3
+        assert_one_line_error(capsys)
+
 
 class TestSimulate:
     def test_exhaustive_suite_exit_zero(self, capsys):
@@ -296,6 +301,15 @@ class TestSimulate:
             "--adversary", "exhaustive", "--budget", "1",
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("adversary", ["exhaustive", "random"])
+    def test_address_bound_past_the_guard_exits_three(self, adversary, capsys):
+        code = main([
+            "simulate", "--direction", "tight-to-loose", "--atom", "bot_choice",
+            "--adversary", adversary, "--budget", "2", "--max-addr", "17",
+        ])
+        assert code == 3
+        assert_one_line_error(capsys)
 
     def test_short_run_bound_keeps_the_precheck(self, tmp_path, capsys):
         # late's counterexample takes 3 moves; the precheck scans runs of 4

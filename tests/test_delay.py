@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from colgames import (
     BOT,
     TOP,
-    DelayWitness,
     EnumBounds,
     LabMove,
     check_illegality_lemma,
@@ -24,7 +23,7 @@ from colgames import (
     offender,
     won_by,
 )
-from colgames.delay import _StateScan, move_pool, static_and_lemma
+from colgames.delay import OFF_B, _StateScan, move_pool, static_and_lemma
 from colgames.games import FiniteGame, Game, GameNode, leaf, node
 from colgames.recurrence import ALL_KINDS, LOOSE_RECURRENCE, TIGHT_RECURRENCE, Version
 from colgames.suite import STATIC_SUITE, TRANSLATION_SUITE, bot_choice, first_mover_wins, leaf_top
@@ -127,17 +126,6 @@ class TestDelayAlgebra:
                 for delta_1 in delays_1:
                     for delta_2 in enumerate_delays(delta_1, p):
                         assert is_delay(delta_2, gamma, p)
-
-
-class TestDelayWitness:
-    def test_accepts_valid(self):
-        gamma = (lm(TOP, "a"), lm(BOT, "b"))
-        DelayWitness(gamma, (lm(BOT, "b"), lm(TOP, "a")), TOP)
-
-    def test_rejects_invalid(self):
-        gamma = (lm(BOT, "b"), lm(TOP, "a"))
-        with pytest.raises(ValueError):
-            DelayWitness(gamma, (lm(TOP, "a"), lm(BOT, "b")), TOP)
 
 
 class _SetWinnerGame(Game):
@@ -559,6 +547,9 @@ class TestStateScanAgainstSwapScan:
         assert static_and_lemma(*case) == expected
         assert is_static(*case) == expected[0]
         assert check_illegality_lemma(*case) == expected[1]
+        # every pool run is counted once, under the state it leads to
+        scan = _StateScan(*case)
+        assert all(sum(level.values()) == len(scan.labmoves) ** n for n, level in enumerate(scan.levels))
 
 
 class TestStateInterning:
@@ -585,4 +576,4 @@ class TestStateInterning:
         after_a, after_c = (game.step(game.start(), lm(TOP, move)) for move in (".a", ".c"))
         assert after_a == after_c and hash(after_a) == hash(after_c)
         scan = _StateScan(game, EnumBounds(0, 1), (".a", ".c"))
-        assert list(scan.levels[1].values()) == [2]
+        assert [c for s, c in scan.levels[1].items() if s > OFF_B] == [2]

@@ -164,6 +164,14 @@ class TestAddressGuard:
         with pytest.raises(PreconditionError):
             game.step(deep, lm(BOT, "0" * 17 + ".b"))
 
+    @pytest.mark.parametrize("kind", [TIGHT_RECURRENCE, LOOSE_RECURRENCE])
+    def test_a_bound_past_sixteen_bits_offers_no_moves(self, kind):
+        # step refuses the deepest moves such a bound would offer
+        game = make_recurrence(bot_choice(), kind)
+        with pytest.raises(PreconditionError):
+            game.moves(game.start(), BOT, EnumBounds(17, 2))
+        assert game.moves(game.start(), BOT, EnumBounds(2, 2))
+
     def test_sixteen_bits_still_step(self):
         game = make_recurrence(bot_choice(), LOOSE_RECURRENCE)
         state = game.step(game.start(), lm(BOT, "0" * 16 + ".b"))
