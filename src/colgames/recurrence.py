@@ -181,14 +181,16 @@ def loose_extension_legal(base: Game, position: Run, lm: LabMove, structural: Pl
     return RecurrenceGame(base, RecurrenceKind(Version.LOOSE, structural)).extend_legal(position, lm)
 
 
-def last_switch_stem(run: Run, structural: Player) -> str:
-    """Address of the structural player's last switch; the root if none."""
-    for lm in reversed(run):
-        if lm.label is structural:
-            sh = parse_move(lm.move)
-            if sh.kind is ShapeKind.SWITCH:
-                return sh.address
-    return ""
+def switches(run: Run, structural: Player) -> tuple[str, ...]:
+    """Addresses of the structural player's switches, in run order.
+
+    The last one is the decisive stem (the root if there is none).
+    """
+    return tuple(
+        sh.address
+        for sh in (parse_move(lm.move) for lm in run if lm.label is structural)
+        if sh.kind is ShapeKind.SWITCH
+    )
 
 
 # The longest address an addressed move may have: a move at depth d keeps

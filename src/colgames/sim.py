@@ -23,9 +23,8 @@ from .core import (
     Player,
     Ray,
     Run,
-    ShapeKind,
     flip_labels,
-    parse_move,
+    format_run,
     project,
 )
 from .delay import is_static, static_and_lemma
@@ -45,8 +44,8 @@ from .recurrence import (
     TIGHT_CORECURRENCE,
     TIGHT_RECURRENCE,
     actual_nodes,
-    last_switch_stem,
     make_recurrence,
+    switches,
 )
 from .strategy import (
     MirrorStrategy,
@@ -82,12 +81,9 @@ def strategy_for(compound: Game, direction: Direction):
     return MirrorStrategy() if direction is Direction.TIGHT_TO_LOOSE else RemapStrategy()
 
 
-def _switch_count(run: Run, structural: Player) -> int:
-    return sum(
-        1
-        for lm in run
-        if lm.label is structural and parse_move(lm.move).kind is ShapeKind.SWITCH
-    )
+def _delay_pair(gamma: Run, delta: Run, p: Player) -> str:
+    """A swap as the diagnostics print it, e.g. ``<T"a", B"b"> / <B"b", T"a"> for T``."""
+    return f"{format_run(gamma)} / {format_run(delta)} for {p.value}"
 
 
 def audit_trace(trace: Trace, direction: Direction, game: Game) -> tuple[str, ...]:
@@ -105,15 +101,16 @@ def audit_trace(trace: Trace, direction: Direction, game: Game) -> tuple[str, ..
     parts = split_disjunction(trace.moves)
     assert parts is not None  # legal compound runs always split
     sigma, pi = parts
-    sigma_ray = Ray(last_switch_stem(sigma, TOP))
-    pi_ray = Ray(last_switch_stem(pi, BOT))
+    sigma_switches, pi_switches = switches(sigma, TOP), switches(pi, BOT)
+    sigma_ray = Ray(sigma_switches[-1] if sigma_switches else "")
+    pi_ray = Ray(pi_switches[-1] if pi_switches else "")
     if direction is Direction.TIGHT_TO_LOOSE:
         if sigma_ray != pi_ray:
             problems.append("identity: components disagree on the last switch")
         if project(sigma, pi_ray) != flip_labels(project(pi, pi_ray)):
             problems.append("identity: decisive projections do not mirror")
     else:
-        if _switch_count(sigma, TOP) != _switch_count(pi, BOT):
+        if len(sigma_switches) != len(pi_switches):
             problems.append("identity: switch counts differ between components")
         if project(sigma, sigma_ray) != flip_labels(project(pi, pi_ray)):
             problems.append("identity: decisive projections do not mirror")
@@ -172,9 +169,8 @@ def verify_translation(
     precheck = EnumBounds(bounds.max_address_len, 4)
     verdict = is_static(base, precheck)
     if not verdict.static:
-        raise PreconditionError(
-            f"base game {base.name!r} is not static; counterexample: {verdict.counterexample}"
-        )
+        pair = _delay_pair(*verdict.counterexample)
+        raise PreconditionError(f"base game {base.name!r} is not static; counterexample: {pair}")
     compound = translation_compound(base, direction)
     mach = machine if machine is not None else strategy_for(compound, direction)
     failures: list[Failure] = []
@@ -198,24 +194,21 @@ def verify_static_preservation(base: Game, bounds: EnumBounds) -> VerificationRe
         return VerificationReport(base.name, bounds, 0, (failure,))
     base_verdict = is_static(base, bounds)
     if not base_verdict.static:
-        failure = Failure(
-            "precondition",
-            f"base game {base.name!r} is not static; counterexample: {base_verdict.counterexample}",
-        )
+        pair = _delay_pair(*base_verdict.counterexample)
+        failure = Failure("precondition", f"base game {base.name!r} is not static; counterexample: {pair}")
         return VerificationReport(base.name, bounds, 0, (failure,))
     failures: list[Failure] = []
     for kind in ALL_KINDS:
         rec = make_recurrence(base, kind)
         verdict, lemma = static_and_lemma(rec, bounds)
         if not verdict.static:
-            failures.append(
-                Failure("static-preservation", f"{rec.name}: {verdict.counterexample}")
-            )
+            pair = _delay_pair(*verdict.counterexample)
+            failures.append(Failure("static-preservation", f"{rec.name}: counterexample {pair}"))
         for gamma, delta, p in lemma.violations:
             failures.append(
                 Failure(
                     "illegality-lemma",
-                    f"{rec.name}: delay pair {gamma} / {delta} for {p.name}"
+                    f"{rec.name}: delay pair {_delay_pair(gamma, delta, p)}"
                     f" (a shortest one of {lemma.violation_count} violations)",
                 )
             )

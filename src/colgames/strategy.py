@@ -4,12 +4,14 @@ A strategy is an object with ``init() -> state`` and
 ``react(state, position) -> (state, moves)``.  The harness calls
 ``react`` with the run so far and appends the returned moves, attributed
 to the strategy's side, as one batch.  Reacting with an empty batch is a
-pass.  States are strategy-private; the routines expose ``last_case``
-(and, for the map-maintaining routine, ``fmap``) on their states so the
-harness can annotate traces.  The translation machines keep their own
-books, the tight tree included, so a reply depends only on the state and
-the environment's latest move, ``position[-1]``.  The random adversary
-keeps the game state at its last move, so it steps each move once.
+pass.  States are strategy-private.  A translation machine's state is
+exactly its books, the tight tree included, so a reply depends only on
+the state and the environment's latest move, ``position[-1]``; a
+reaction that changes no book returns the state it was given, so states
+are hashable values, equal exactly when the books are.  The harness
+reads the map-maintaining routine's ``fmap`` into each trace note.  The
+random adversary keeps the game state at its last move, so it steps
+each move once.
 
 MirrorStrategy wins "tight-co of not-A  or  loose of A": it mirrors every move
 of one component into the other at the same tree address, growing the
@@ -22,7 +24,7 @@ pairwise prefix-free, and translates moves through it.
 
 ``run_interaction`` pits a reactive machine strategy against an
 environment strategy over a game, recording a trace: the run, one
-annotation per machine reaction, the outcome and the first offender.
+note per machine reaction, the outcome and the first offender.
 The environment moves first in each round; the play ends when the
 environment passes (the machine is reactive, so that is a mutual pass)
 or when the step limit is hit.  A local generator asks both sides and
@@ -71,42 +73,38 @@ def fmap_prefix_free(items: Iterable[tuple[str, str]]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class _R1State:
-    # The tight-co tree.  Only the machine replicates there (the environment
-    # offends if it does and is not answered), so the machine's replies grow it.
-    tree: NodeTree = NodeTree(frozenset())
-    last_case: str | None = None
-
-
 class MirrorStrategy:
-    """Mirror strategy for or(cbr_t(not(A)), tbr_l(A)); ``react`` sees only legal positions."""
+    """Mirror strategy for or(cbr_t(not(A)), tbr_l(A)); ``react`` sees only legal positions.
 
-    def init(self) -> _R1State:
-        return _R1State()
+    Its state is the tight-co tree.  Only the machine replicates there
+    (the environment offends if it does and is not answered), so the
+    machine's replies grow it.
+    """
 
-    def react(self, state: _R1State, position: Run) -> tuple[_R1State, tuple[str, ...]]:
+    def init(self) -> NodeTree:
+        return NodeTree(frozenset())
+
+    def react(self, tree: NodeTree, position: Run) -> tuple[NodeTree, tuple[str, ...]]:
         move = position[-1].move
         component, rest = move[0], move[2:]
         sh = parse_move(rest)
         if component == "1" and sh.kind is ShapeKind.NONREPLICATIVE:
             # Adversary moved in the tight-co component: copy it verbatim
             # into the loose component, where any address is available.
-            return replace(state, last_case="copy-move"), ("2." + rest,)
+            return tree, ("2." + rest,)
         if component == "2" and sh.kind in (ShapeKind.SWITCH, ShapeKind.NONREPLICATIVE):
             # Grow the tight tree to the address, then repeat the move there.
-            chain, tree = grow_to_actual(state.tree, sh.address)
-            moves = tuple("1." + c for c in chain) + ("1." + rest,)
-            case = "mirror-switch" if sh.kind is ShapeKind.SWITCH else "mirror-move"
-            return replace(state, tree=tree, last_case=case), moves
-        return replace(state, last_case=None), ()
+            chain, tree = grow_to_actual(tree, sh.address)
+            return tree, tuple("1." + c for c in chain) + ("1." + rest,)
+        return tree, ()
 
 
 @dataclass(frozen=True)
 class _R2State:
+    """The map-maintaining routine's books."""
+
     fmap: tuple[tuple[str, str], ...]
     tree: NodeTree = NodeTree(frozenset())  # the environment's tight tree
-    last_case: str | None = None
 
 
 def _freeze(mapping: dict[str, str]) -> tuple[tuple[str, str], ...]:
@@ -139,15 +137,13 @@ class RemapStrategy:
         f = dict(state.fmap)
         if component == "2" and sh.kind is ShapeKind.REPLICATIVE:
             self._on_replication(f, sh.address)
-            tree = state.tree.replicate(sh.address)
-            return replace(state, fmap=_freeze(f), tree=tree, last_case="split-map"), ()
+            return _R2State(_freeze(f), state.tree.replicate(sh.address)), ()
         if component == "2" and sh.kind is ShapeKind.SWITCH:
             target = state.tree.zero_outer_from(sh.address)
-            return replace(state, last_case="mirror-switch"), ("1." + f[target],)
+            return state, ("1." + f[target],)
         if component == "2" and sh.kind is ShapeKind.NONREPLICATIVE:
             targets = sorted(x for x in f if x.startswith(sh.address))
-            moves = tuple(f"1.{f[x]}.{sh.payload}" for x in targets)
-            return replace(state, last_case="broadcast-move"), moves
+            return state, tuple(f"1.{f[x]}.{sh.payload}" for x in targets)
         if component == "1" and sh.kind is ShapeKind.NONREPLICATIVE:
             w = sh.address
             extended = sorted(x for x, v in f.items() if v != w and w.startswith(v))
@@ -159,11 +155,10 @@ class RemapStrategy:
                 tail = w[len(f[x]):]
                 f[x] = f[x] + "0" * len(tail)
                 moves = (f"2.{x}.{sh.payload}",) if "1" not in tail else ()
-                return replace(state, fmap=_freeze(f), last_case="absorb-move"), moves
+                return replace(state, fmap=_freeze(f)), moves
             targets = sorted(x for x, v in f.items() if v.startswith(w))
-            moves = tuple(f"2.{x}.{sh.payload}" for x in targets)
-            return replace(state, last_case="reflect-move"), moves
-        return replace(state, last_case=None), ()
+            return state, tuple(f"2.{x}.{sh.payload}" for x in targets)
+        return state, ()
 
 
 class _Scripted:
@@ -228,19 +223,16 @@ def random_adversary(game: Game, seed: int, bounds: EnumBounds, budget: int, pas
 
 @dataclass(frozen=True)
 class StepNote:
-    """Annotation for one machine reaction (one batch)."""
+    """Note on one machine reaction (one batch)."""
 
     reacted_to: int  # index in the run of the adversary move reacted to
-    case: str | None
-    fmap: tuple[tuple[str, str], ...] | None
-    emitted: int
+    fmap: tuple[tuple[str, str], ...] | None  # the machine's node map after it, if it keeps one
 
 
 @dataclass(frozen=True)
 class Trace:
     """A completed interaction: run, per-batch notes, outcome, offender."""
 
-    game_name: str
     moves: Run
     notes: tuple[StepNote, ...]
     outcome: Player
@@ -274,8 +266,7 @@ def run_interaction(machine, env, game: Game, max_steps: int) -> Trace:
                 yield LabMove(BOT, move)
                 if first_offender is None:
                     m_state, machine_moves = machine.react(m_state, run)
-                    notes.append(StepNote(len(run) - 1, getattr(m_state, "last_case", None),
-                                          getattr(m_state, "fmap", None), len(machine_moves)))
+                    notes.append(StepNote(len(run) - 1, getattr(m_state, "fmap", None)))
                     yield from (LabMove(TOP, reply) for reply in machine_moves)
 
     for lm in play():
@@ -287,7 +278,7 @@ def run_interaction(machine, env, game: Game, max_steps: int) -> Trace:
         run = run + (lm,)
 
     outcome = game.winner(run) if first_offender is None else neg_player(first_offender.culprit)
-    return Trace(game.name, run, tuple(notes), outcome, first_offender, truncated)
+    return Trace(run, tuple(notes), outcome, first_offender, truncated)
 
 
 def exhaustive_adversaries(game: Game, machine, bounds: EnumBounds, budget: int,

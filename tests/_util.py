@@ -47,7 +47,7 @@ from colgames.recurrence import (
     Version,
     _all_stems,
     actual_nodes,
-    last_switch_stem,
+    switches,
 )
 from colgames.suite import first_mover_wins
 
@@ -76,15 +76,16 @@ class BrokenRemapStrategy(RemapStrategy):
 
 class TreeOracle:
     """Wraps a translation machine and asserts, after every reaction, that
-    the tree in the machine's state is ``actual_nodes`` of the tight
-    component of the whole position and the machine's replies: component
-    1 (grown by the machine) tight-to-loose, component 2 (grown by the
-    environment) loose-to-tight.  Counts the reactions it checked."""
+    the tree the machine keeps is ``actual_nodes`` of the tight component
+    of the whole position and the machine's replies: component 1 (grown
+    by the machine, whose state is that tree) tight-to-loose, component 2
+    (grown by the environment, the state's ``tree``) loose-to-tight.
+    Counts the reactions it checked."""
 
     def __init__(self, machine, direction: Direction) -> None:
         self.machine = machine
-        tight_to_loose = direction is Direction.TIGHT_TO_LOOSE
-        self.component, self.structural = (0, TOP) if tight_to_loose else (1, BOT)
+        self.tight_to_loose = direction is Direction.TIGHT_TO_LOOSE
+        self.component, self.structural = (0, TOP) if self.tight_to_loose else (1, BOT)
         self.checked = 0
 
     def init(self):
@@ -94,7 +95,8 @@ class TreeOracle:
         state, moves = self.machine.react(state, position)
         after = position + tuple(LabMove(TOP, move) for move in moves)
         expected = actual_nodes(split_disjunction(after)[self.component], self.structural)
-        assert state.tree == expected, (after, state.tree, expected)
+        tree = state if self.tight_to_loose else state.tree
+        assert tree == expected, (after, tree, expected)
         self.checked += 1
         return state, moves
 
@@ -361,8 +363,8 @@ class WholeRunGame(Game):
                 return TOP
             return BOT
         if isinstance(game, RecurrenceGame):
-            stem = last_switch_stem(run, game.kind.structural)
-            return self.base.winner(project(run, Ray(stem)))
+            stems = switches(run, game.kind.structural)
+            return self.base.winner(project(run, Ray(stems[-1] if stems else "")))
         return game.winner(run)
 
     def legal_moves(self, position, player, bounds):

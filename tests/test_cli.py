@@ -302,6 +302,15 @@ class TestSimulate:
         ])
         assert code == 3
 
+    def test_non_static_base_prints_its_counterexample_as_runs(self, capsys):
+        code = main([
+            "simulate", "--direction", "loose-to-tight", "--atom", "first_mover_wins",
+            "--budget", "2",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert 'counterexample: <T"a", B"b"> / <B"b", T"a"> for T' in err
+
     @pytest.mark.parametrize("adversary", ["exhaustive", "random"])
     def test_address_bound_past_the_guard_exits_three(self, adversary, capsys):
         code = main([

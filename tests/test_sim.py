@@ -155,9 +155,10 @@ class TestRunInteraction:
         trace = run_interaction(machine, scripted_adversary(["2.:", "2.1"]), game, 30)
         env_moves = [i for i, x in enumerate(trace.moves) if x.label is BOT]
         assert [n.reacted_to for n in trace.notes] == env_moves
-        assert sum(n.emitted for n in trace.notes) == sum(
-            1 for x in trace.moves if x.label is TOP
-        )
+        # a batch is the machine moves up to the next environment move:
+        # the replication is answered by none, the switch by one
+        ends = env_moves[1:] + [len(trace.moves)]
+        assert [end - n.reacted_to - 1 for n, end in zip(trace.notes, ends)] == [0, 1]
 
 
 class TestVerifyTranslation:
@@ -260,6 +261,18 @@ class TestVerifyStaticPreservation:
         failures = verify_static_preservation(bot_choice(), EnumBounds(2, 4)).failures
         assert [f.kind for f in failures] == ["illegality-lemma"] * 4
         assert all(f.detail.endswith("(a shortest one of 3 violations)") for f in failures)
+        assert all('delay pair <T"0.a", B"0.b"> / <B"0.b", T"0.a"> for T' in f.detail
+                   for f in failures)
+
+    def test_static_failure_prints_its_counterexample_as_runs(self, monkeypatch):
+        gamma = (LabMove(TOP, "0.a"), LabMove(BOT, "0.b"))
+        verdict = StaticVerdict(False, (gamma, gamma[::-1], TOP))
+        monkeypatch.setattr(sim, "static_and_lemma",
+                            lambda game, bounds: (verdict, LemmaReport((), 7, 0)))
+        failures = verify_static_preservation(bot_choice(), EnumBounds(2, 4)).failures
+        assert [f.kind for f in failures] == ["static-preservation"] * 4
+        assert all(f.detail.endswith(': counterexample <T"0.a", B"0.b"> / <B"0.b", T"0.a"> for T')
+                   for f in failures)
 
     @pytest.mark.parametrize("base", [first_mover_wins(), bot_choice()], ids=lambda g: g.name)
     @pytest.mark.parametrize("max_run_len", [0, 1])

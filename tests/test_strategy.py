@@ -79,7 +79,6 @@ class TestMirrorStrategy:
         position = (lm(BOT, "1..a"),)
         state, moves = machine.react(state, position)
         assert moves == ("2..a",)
-        assert state.last_case == "copy-move"
 
     def test_mirrors_loose_switch_after_growing(self):
         game = compound1(bot_choice())
@@ -125,7 +124,6 @@ class TestRemapStrategy:
         state, moves = machine.react(state, position)
         assert moves == ()
         assert dict(state.fmap) == {"0": "0", "1": "1"}
-        assert state.last_case == "split-map"
 
     def test_switch_follows_zero_path_to_outer(self):
         game = compound2(bot_choice())
@@ -136,7 +134,6 @@ class TestRemapStrategy:
         position = position + (lm(BOT, "2.1"),)
         state, moves = machine.react(state, position)
         assert moves == ("1.1",)
-        assert state.last_case == "mirror-switch"
 
     def test_switch_pads_inner_node_with_zeros(self):
         game = compound2(bot_choice())
@@ -160,7 +157,6 @@ class TestRemapStrategy:
         state, moves = machine.react(state, position)
         assert moves == ()
         assert dict(state.fmap) == {"": "00"}
-        assert state.last_case == "absorb-move"
         assert fmap_prefix_free(state.fmap)
 
     def test_relays_on_ray_loose_move(self):
@@ -184,7 +180,6 @@ class TestRemapStrategy:
             state, _ = machine.react(state, position)
         position = position + (lm(BOT, "2..b"),)
         state, moves = machine.react(state, position)
-        assert state.last_case == "broadcast-move"
         assert moves == ("1.00.b", "1.01.b", "1.1.b")
         assert frozenset(k for k, _ in state.fmap) == {"00", "01", "1"}
 
@@ -200,9 +195,41 @@ class TestRemapStrategy:
             assert fmap_prefix_free(note.fmap)
 
 
+def books_after(machine, env_moves):
+    """The machine's state after reacting to each environment move in turn."""
+    state, position = machine.init(), ()
+    for move in env_moves:
+        position = position + (lm(BOT, move),)
+        state, replies = machine.react(state, position)
+        position = position + tuple(lm(TOP, reply) for reply in replies)
+    return state
+
+
 class TestMachineBooks:
     """A machine's reply is a function of its own state and the latest move;
-    the tight tree it keeps is the one the position spells out."""
+    the tight tree it keeps is the one the position spells out; its state
+    is exactly its books."""
+
+    def test_a_reaction_that_keeps_the_books_returns_the_state(self):
+        remap = RemapStrategy()
+        state = books_after(remap, ["2.:"])
+        after, moves = remap.react(state, (lm(BOT, "2.:"), lm(BOT, "2.1")))
+        assert moves == ("1.1",)
+        assert after == state
+        mirror = MirrorStrategy()
+        after, moves = mirror.react(mirror.init(), (lm(BOT, "1..a"),))
+        assert moves == ("2..a",)
+        assert after == mirror.init() == ROOT
+
+    @pytest.mark.parametrize("machine, first, second", [
+        (RemapStrategy(), ["2.:", "2..b"], ["2.:", "2.1"]),
+        (MirrorStrategy(), ["2.1.b"], ["2.1"]),
+    ], ids=["remap", "mirror"])
+    def test_equal_books_are_equal_hashable_states(self, machine, first, second):
+        one, other = books_after(machine, first), books_after(machine, second)
+        assert one == other
+        assert hash(one) == hash(other)
+        assert len({one, other, machine.init()}) == 2
 
     @pytest.mark.parametrize("direction, adversaries",
                              [(Direction.TIGHT_TO_LOOSE, 5740), (Direction.LOOSE_TO_TIGHT, 753)])
