@@ -17,7 +17,6 @@ from .core import (
     flip_labels,
     format_run,
     label_subsequence,
-    max_address_length,
     neg_player,
     parse_move,
     project,

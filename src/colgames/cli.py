@@ -17,7 +17,6 @@ from . import __version__
 from .core import (
     BOT,
     TOP,
-    Player,
     Ray,
     Run,
     format_run,
@@ -64,10 +63,6 @@ def _load_trace(path: str) -> TraceFile:
     return loads_trace(_read_text(path))
 
 
-def _player_arg(tag: str) -> Player:
-    return _PLAYERS[tag]
-
-
 def cmd_project(args) -> int:
     trace = _load_trace(args.trace)
     if not is_bitstring(args.ray):
@@ -93,7 +88,7 @@ def cmd_eval(args) -> int:
 
 def cmd_nodes(args) -> int:
     run = _load_trace(args.trace).moves
-    tree = actual_nodes(run, _player_arg(args.structural))
+    tree = actual_nodes(run, _PLAYERS[args.structural])
     def show(nodes):
         return "{" + ", ".join(f'"{n}"' for n in sorted(nodes)) + "}"
     print(f"actual: {show(tree.nodes())}")
@@ -103,7 +98,7 @@ def cmd_nodes(args) -> int:
 
 def cmd_delays(args) -> int:
     run = _load_trace(args.trace).moves
-    player = _player_arg(args.player)
+    player = _PLAYERS[args.player]
     if args.check is not None:
         other = _load_trace(args.check).moves
         verdict = is_delay(other, run, player)
@@ -360,7 +355,7 @@ _LEAST = {"budget": 0, "max_run": 2, "max_addr": 0, "max_steps": 1}
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     for dest, least in _LEAST.items():
-        value = getattr(args, dest, least)
+        value = vars(args).get(dest, least)
         if value < least:
             flag = "--" + dest.replace("_", "-")
             print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)

@@ -87,7 +87,7 @@ class MoveShape:
     payload: str = ""
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1 << 14)  # bounded; the benchmark parses under 50 distinct moves
 def parse_move(move: str) -> MoveShape:
     """Classify a move string into one of the three shapes, or malformed.
 
@@ -163,28 +163,20 @@ def project(run: Run, ray: Ray) -> Run:
     return tuple(out)
 
 
-def max_address_length(run: Run) -> int:
-    """Longest address carried by any well-shaped move of the run."""
-    best = 0
-    for lm in run:
-        sh = parse_move(lm.move)
-        if sh.kind is not ShapeKind.MALFORMED:
-            best = max(best, len(sh.address))
-    return best
-
-
 def ray_classes(run: Run, below: str = "") -> frozenset[Ray]:
     """A finite set of rays meeting every projection class below ``below``.
 
     Two infinite extensions of ``below`` project ``run`` identically iff
-    they agree on which of the run's addresses are their prefixes, and all
-    addresses have length at most ``max_address_length(run)``.  Stems one
-    bit longer than that bound therefore separate every class, and each
-    class contains the eventually-zero representative returned here.
+    they agree on which of the run's addresses are their prefixes.  Stems
+    one bit longer than the longest address of a well-shaped move
+    therefore separate every class, and each class contains the
+    eventually-zero representative returned here.
     """
     if not is_bitstring(below):
         raise ValueError(f"'below' must be a bitstring, got {below!r}")
-    depth = max_address_length(run) + 1
+    shapes = (parse_move(lm.move) for lm in run)
+    depth = 1 + max((len(sh.address) for sh in shapes if sh.kind is not ShapeKind.MALFORMED),
+                    default=0)
     return frozenset(
         Ray(below + "".join(bits)) for bits in itertools.product("01", repeat=depth)
     )

@@ -114,9 +114,6 @@ class Game:
         state = self.replay(position)
         return frozenset() if state is None else self.moves(state, player, bounds)
 
-    def is_legal(self, run: Run) -> bool:
-        return offender(self, run) is None
-
 
 class Offender(NamedTuple):
     """First illegal move of a run: its index and its author."""

@@ -80,7 +80,8 @@ OP_NAMES = {
 }
 
 
-@functools.lru_cache(maxsize=None)
+# Both tree caches are bounded; the benchmark meets under 30 distinct trees.
+@functools.lru_cache(maxsize=1 << 12)
 def _nodes_of(replicated: frozenset[str]) -> frozenset[str]:
     nodes = {""}
     for u in replicated:
@@ -89,7 +90,7 @@ def _nodes_of(replicated: frozenset[str]) -> frozenset[str]:
     return frozenset(nodes)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1 << 12)
 def _outer_of(nodes: frozenset[str]) -> frozenset[str]:
     return frozenset(
         v for v in nodes if not any(w != v and w.startswith(v) for w in nodes)
@@ -308,7 +309,7 @@ class RecurrenceGame(Game):
         return frozenset(out)
 
     # Kept for perfbench/ until ROADMAP item 4 (see games.FiniteGame).
-    extend_legal, winner, legal_moves = Game.extend_legal, Game.winner, Game.legal_moves
+    winner, legal_moves = Game.winner, Game.legal_moves
 
 
 def _all_stems(limit: int) -> list[str]:

@@ -115,16 +115,15 @@ def audit_trace(trace: Trace, direction: Direction, game: Game) -> tuple[str, ..
         if project(sigma, sigma_ray) != flip_labels(project(pi, pi_ray)):
             problems.append("identity: decisive projections do not mirror")
         for note in trace.notes:
-            if note.fmap is None:
-                continue
-            if not fmap_prefix_free(note.fmap):
+            fmap = note.state.fmap
+            if not fmap_prefix_free(fmap):
                 problems.append(f"fmap: values not prefix-free after step {note.reacted_to}")
                 break
             prefix = trace.moves[: note.reacted_to + 1]
             prefix_parts = split_disjunction(prefix)
             assert prefix_parts is not None
             expected = actual_nodes(prefix_parts[1], BOT).outer()
-            if frozenset(k for k, _ in note.fmap) != expected:
+            if frozenset(k for k, _ in fmap) != expected:
                 problems.append(f"fmap: domain is not the outer nodes after step {note.reacted_to}")
                 break
     return tuple(problems)

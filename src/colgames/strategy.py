@@ -8,10 +8,9 @@ pass.  States are strategy-private.  A translation machine's state is
 exactly its books, the tight tree included, so a reply depends only on
 the state and the environment's latest move, ``position[-1]``; a
 reaction that changes no book returns the state it was given, so states
-are hashable values, equal exactly when the books are.  The harness
-reads the map-maintaining routine's ``fmap`` into each trace note.  The
-random adversary keeps the game state at its last move, so it steps
-each move once.
+are hashable values, equal exactly when the books are.  Each trace note
+keeps the state the machine's reaction returned.  The random adversary
+keeps the game state at its last move, so it steps each move once.
 
 MirrorStrategy wins "tight-co of not-A  or  loose of A": it mirrors every move
 of one component into the other at the same tree address, growing the
@@ -116,19 +115,11 @@ class RemapStrategy:
 
     The tree of the tight component (grown by the adversary) is shadowed
     by the mapping ``f`` from its outer nodes to loose-side addresses.
-    ``react`` sees only legal positions.  Subclasses may override the
-    replication handler, which keeps ``f`` only (``react`` keeps the
-    tree); a deliberately broken override is used as a sensitivity
-    fixture by the test suite.
+    ``react`` sees only legal positions.
     """
 
     def init(self) -> _R2State:
         return _R2State(fmap=(("", ""),))
-
-    def _on_replication(self, f: dict[str, str], w: str) -> None:
-        v = f.pop(w)
-        f[w + "0"] = v + "0"
-        f[w + "1"] = v + "1"
 
     def react(self, state: _R2State, position: Run) -> tuple[_R2State, tuple[str, ...]]:
         move = position[-1].move
@@ -136,8 +127,10 @@ class RemapStrategy:
         sh = parse_move(rest)
         f = dict(state.fmap)
         if component == "2" and sh.kind is ShapeKind.REPLICATIVE:
-            self._on_replication(f, sh.address)
-            return _R2State(_freeze(f), state.tree.replicate(sh.address)), ()
+            # The replicated node's address splits between its two children.
+            w, v = sh.address, f.pop(sh.address)
+            f[w + "0"], f[w + "1"] = v + "0", v + "1"
+            return _R2State(_freeze(f), state.tree.replicate(w)), ()
         if component == "2" and sh.kind is ShapeKind.SWITCH:
             target = state.tree.zero_outer_from(sh.address)
             return state, ("1." + f[target],)
@@ -226,7 +219,7 @@ class StepNote:
     """Note on one machine reaction (one batch)."""
 
     reacted_to: int  # index in the run of the adversary move reacted to
-    fmap: tuple[tuple[str, str], ...] | None  # the machine's node map after it, if it keeps one
+    state: object  # the state the machine's reaction returned
 
 
 @dataclass(frozen=True)
@@ -266,7 +259,7 @@ def run_interaction(machine, env, game: Game, max_steps: int) -> Trace:
                 yield LabMove(BOT, move)
                 if first_offender is None:
                     m_state, machine_moves = machine.react(m_state, run)
-                    notes.append(StepNote(len(run) - 1, getattr(m_state, "fmap", None)))
+                    notes.append(StepNote(len(run) - 1, m_state))
                     yield from (LabMove(TOP, reply) for reply in machine_moves)
 
     for lm in play():

@@ -3,7 +3,8 @@
 All suite bases are depth <= 2 with at most two moves per node.  The
 static ones are brute-force verified static by the test suite; the
 first-mover game is the stock non-static example (whoever moves first
-wins, so delaying the winner's move flips the outcome).
+wins, so delaying the winner's move flips the outcome); the second-mover
+game is static, yet swapping its two moves changes the winner.
 """
 
 from __future__ import annotations
@@ -49,6 +50,14 @@ def first_mover_wins() -> FiniteGame:
     )
 
 
+def second_mover_wins() -> FiniteGame:
+    """Static, yet its swap's two orders differ: when both players move,
+    the second one wins."""
+    a, b = LabMove(TOP, "a"), LabMove(BOT, "b")
+    return FiniteGame("second_mover_wins",
+                      node(TOP, {a: node(TOP, {b: leaf(BOT)}), b: node(TOP, {a: leaf(TOP)})}))
+
+
 STATIC_SUITE: tuple[FiniteGame, ...] = (
     leaf_top(),
     bot_choice(),
@@ -61,7 +70,11 @@ STATIC_SUITE: tuple[FiniteGame, ...] = (
 TRANSLATION_SUITE: tuple[FiniteGame, ...] = STATIC_SUITE
 
 
+# Static bases with a swap whose two orders differ; apart from the benchmark's suites.
+SWAP_SUITE: tuple[FiniteGame, ...] = (second_mover_wins(),)
+
+
 def suite_defs() -> dict[str, FiniteGame]:
     """All built-in games keyed by name, for the CLI's default defs."""
-    games = list(STATIC_SUITE) + [leaf_bot(), first_mover_wins()]
+    games = list(STATIC_SUITE) + list(SWAP_SUITE) + [leaf_bot(), first_mover_wins()]
     return {g.name: g for g in games}

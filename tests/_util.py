@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import defaultdict
+from dataclasses import replace
 from typing import Sequence
 
 from hypothesis import strategies as st
@@ -40,6 +41,7 @@ from colgames.games import (
     _Disjoined,
     _Negated,
     _split_move,
+    offender,
     split_disjunction,
 )
 from colgames.recurrence import (
@@ -58,14 +60,21 @@ def late() -> FiniteGame:
     return FiniteGame("late", GameNode(TOP, ((LabMove(BOT, "c"), first_mover_wins().root),)))
 
 
-class BrokenRemapStrategy(RemapStrategy):
-    """Sensitivity fixture: the replication handler forgets to update the
-    node map, so the map's domain drifts away from the outer nodes."""
+def is_legal(game, run) -> bool:
+    """Is ``run`` a legal run of ``game``?"""
+    return offender(game, run) is None
 
-    def _on_replication(self, f, w):
-        pass
+
+class BrokenRemapStrategy(RemapStrategy):
+    """Sensitivity fixture: on an environment replication it grows only the
+    tree and forgets to update the node map, so the map's domain drifts
+    away from the outer nodes."""
 
     def react(self, state, position):
+        move = position[-1].move
+        sh = parse_move(move[2:])
+        if move[0] == "2" and sh.kind is ShapeKind.REPLICATIVE:
+            return replace(state, tree=state.tree.replicate(sh.address)), ()
         try:
             return super().react(state, position)
         except KeyError:
@@ -283,7 +292,7 @@ def _tight_extension_legal(base, position, lm, structural):
         return False
     extended = position + (lm,)
     return all(
-        base.is_legal(project(extended, ray))
+        is_legal(base, project(extended, ray))
         for ray in ray_classes(extended, sh.address)
     )
 
@@ -296,7 +305,7 @@ def _loose_extension_legal(base, position, lm, structural):
         return False
     extended = position + (lm,)
     return all(
-        base.is_legal(project(extended, ray)) for ray in ray_classes(extended, "")
+        is_legal(base, project(extended, ray)) for ray in ray_classes(extended, "")
     )
 
 

@@ -14,7 +14,6 @@ from colgames import (
     Ray,
     flip_labels,
     label_subsequence,
-    max_address_length,
     neg_player,
     parse_move,
     project,
@@ -167,16 +166,31 @@ class TestSubsequences:
         assert flip_labels(run)[0].label is BOT
 
 
-class TestMaxAddressLength:
+class TestParseCache:
+    def test_distinct_moves_past_the_bound_leave_the_cache_at_it(self):
+        bound = parse_move.cache_info().maxsize
+        assert bound is not None
+        for i in range(bound + 100):
+            parse_move(f"{i:b}.x")
+        assert parse_move.cache_info().currsize == bound
+
+
+def _stem_lengths(run) -> set[int]:
+    return {len(r.stem) for r in ray_classes(run, "")}
+
+
+class TestRayClassDepth:
+    """Ray stems are one bit longer than the run's longest address."""
+
     def test_examples(self):
-        assert max_address_length((lm(BOT, "0.b"), lm(TOP, "111.b"))) == 3
-        assert max_address_length(()) == 0
-        assert max_address_length((lm(TOP, ".a"),)) == 0
+        assert _stem_lengths((lm(BOT, "0.b"), lm(TOP, "111.b"))) == {4}
+        assert _stem_lengths(()) == {1}
+        assert _stem_lengths((lm(TOP, ".a"),)) == {1}
 
     def test_counts_all_three_shapes_but_not_malformed(self):
-        assert max_address_length((lm(BOT, "01"),)) == 2
-        assert max_address_length((lm(BOT, "011:"),)) == 3
-        assert max_address_length((lm(BOT, "0101x"),)) == 0
+        assert _stem_lengths((lm(BOT, "01"),)) == {3}
+        assert _stem_lengths((lm(BOT, "011:"),)) == {4}
+        assert _stem_lengths((lm(BOT, "0101x"),)) == {1}
 
 
 class TestRayClasses:
@@ -201,8 +215,8 @@ class TestRayClasses:
 
     def test_soundness_on_small_runs(self):
         pool = ["0.a", "10.b", "1"]
+        bound = 2  # the pool's longest address
         for run in all_runs(pool, 3, labels=(BOT,)):
-            bound = max_address_length(run)
             classes = ray_classes(run, "")
             class_projections = {project(run, r) for r in classes}
             for stem in all_stems(bound + 4):
@@ -210,7 +224,7 @@ class TestRayClasses:
 
     def test_soundness_below_prefix(self):
         run = (lm(TOP, "0.a"), lm(BOT, "01.b"), lm(BOT, "11.c"))
-        bound = max_address_length(run)
+        bound = 2  # the run's longest address
         classes = ray_classes(run, "0")
         class_projections = {project(run, r) for r in classes}
         for stem in all_stems(bound + 4):

@@ -22,6 +22,8 @@ from colgames.recurrence import ALL_KINDS, LOOSE_RECURRENCE, TIGHT_CORECURRENCE
 from colgames.sim import translation_compound
 from colgames.suite import suite_defs
 
+from _util import is_legal
+
 BOUNDS = EnumBounds(2, 5)
 
 ATOM_NAMES = ["A", "B9", "leaf_top", "x_1"]
@@ -98,8 +100,8 @@ class TestElaborate:
             parse_game_expr("or(cbr_t(not(bot_choice)), tbr_l(bot_choice))"),
             suite_defs(),
         )
-        assert game.is_legal((LabMove(BOT, "2.0"),))
-        assert not game.is_legal((LabMove(BOT, "1.0"),))
+        assert is_legal(game, (LabMove(BOT, "2.0"),))
+        assert not is_legal(game, (LabMove(BOT, "1.0"),))
 
     def test_negation_flips_winner(self):
         game = elaborate(parse_game_expr("not(leaf_top)"), suite_defs())

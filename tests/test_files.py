@@ -19,7 +19,7 @@ from colgames.files import (
 )
 from colgames.suite import suite_defs
 
-from _util import all_runs, chain_defs, probe_pool
+from _util import all_runs, chain_defs, is_legal, probe_pool
 
 moves_strategy = st.lists(
     st.tuples(st.sampled_from([TOP, BOT]), st.text(alphabet="01.:ab", max_size=6)),
@@ -59,8 +59,8 @@ class TestGameDefs:
             copy = reloaded[name]
             pool = probe_pool(original, EnumBounds(2, 3))
             for run in all_runs(pool, 3):
-                assert original.is_legal(run) == copy.is_legal(run)
-                if original.is_legal(run):
+                assert is_legal(original, run) == is_legal(copy, run)
+                if is_legal(original, run):
                     assert original.winner(run) == copy.winner(run)
 
     def test_duplicate_edges_rejected(self):
@@ -88,7 +88,7 @@ class TestGameDefs:
     def test_tree_at_the_depth_cap_loads(self):
         game = load_game_defs(chain_defs(MAX_TREE_DEPTH))["deep"]
         run = tuple(LabMove(BOT, "m") for _ in range(MAX_TREE_DEPTH))
-        assert game.is_legal(run)
+        assert is_legal(game, run)
 
     @pytest.mark.parametrize("depth", [MAX_TREE_DEPTH + 1, 1200])
     def test_tree_past_the_depth_cap_is_a_format_error(self, depth):

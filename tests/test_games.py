@@ -22,7 +22,7 @@ from colgames import (
 )
 from colgames.suite import STATIC_SUITE, bot_choice, first_mover_wins, leaf_top, top_choice
 
-from _util import all_runs, first_difference, probe_pool
+from _util import all_runs, first_difference, is_legal, probe_pool
 
 BOUNDS = EnumBounds(max_address_len=2, max_run_len=5)
 
@@ -34,9 +34,9 @@ def lm(label, move):
 class TestFiniteGameInterface:
     def test_leaf_game(self):
         g = leaf_top()
-        assert g.is_legal(())
+        assert is_legal(g, ())
         assert g.winner(()) is TOP
-        assert not g.is_legal((lm(TOP, "x"),))
+        assert not is_legal(g, (lm(TOP, "x"),))
 
     def test_child_winner(self):
         g = bot_choice()
@@ -61,9 +61,9 @@ class TestFiniteGameInterface:
             g = suite_game
             pool = probe_pool(g, BOUNDS)
             for run in all_runs(pool, 5):
-                if g.is_legal(run):
+                if is_legal(g, run):
                     for cut in range(len(run)):
-                        assert g.is_legal(run[:cut])
+                        assert is_legal(g, run[:cut])
 
 
 class TestOffender:
@@ -81,7 +81,7 @@ class TestOffender:
         for run in all_runs(pool, 4):
             expected = None
             for i in range(len(run)):
-                if not g.is_legal(run[: i + 1]):
+                if not is_legal(g, run[: i + 1]):
                     expected = Offender(i, run[i].label)
                     break
             assert offender(g, run) == expected
@@ -125,7 +125,7 @@ class TestNegate:
         pool = probe_pool(inner, BOUNDS)
         for run in all_runs(pool, 3):
             flipped = tuple(LabMove(BOT if x.label is TOP else TOP, x.move) for x in run)
-            assert neg.is_legal(run) == inner.is_legal(flipped)
+            assert is_legal(neg, run) == is_legal(inner, flipped)
 
     def test_involution_behavioral(self):
         for suite_game in STATIC_SUITE:
@@ -151,9 +151,9 @@ class TestDisjoin:
         g = disjoin(
             top_choice(), bot_choice()
         )
-        assert g.is_legal((lm(TOP, "1.a"),))
-        assert g.is_legal((lm(BOT, "2.b"),))
-        assert not g.is_legal((lm(TOP, "a"),))
+        assert is_legal(g, (lm(TOP, "1.a"),))
+        assert is_legal(g, (lm(BOT, "2.b"),))
+        assert not is_legal(g, (lm(TOP, "a"),))
         assert offender(g, (lm(TOP, "a"),)) == Offender(0, TOP)
 
     def test_legality_is_conjunction_of_components(self):
@@ -165,10 +165,10 @@ class TestDisjoin:
             parts = split_disjunction(run)
             expected = (
                 parts is not None
-                and left.is_legal(parts[0])
-                and right.is_legal(parts[1])
+                and is_legal(left, parts[0])
+                and is_legal(right, parts[1])
             )
-            assert g.is_legal(run) == expected
+            assert is_legal(g, run) == expected
 
     def test_split_concatenation_identity(self):
         # Splitting then re-tagging each component reproduces the original

@@ -28,10 +28,12 @@ from colgames.recurrence import (
     LOOSE_RECURRENCE,
     TIGHT_CORECURRENCE,
     TIGHT_RECURRENCE,
+    _nodes_of,
+    _outer_of,
 )
 from colgames.suite import STATIC_SUITE, bot_choice, first_mover_wins, leaf_bot, leaf_top, top_choice
 
-from _util import all_runs, all_stems, first_difference, probe_pool
+from _util import all_runs, all_stems, first_difference, is_legal, probe_pool
 
 BOUNDS = EnumBounds(max_address_len=2, max_run_len=5)
 
@@ -87,6 +89,14 @@ class TestActualNodes:
                 if x.label is BOT and sh.kind is ShapeKind.REPLICATIVE:
                     tree = tree.replicate(sh.address)
             assert tree.nodes() == actual_nodes(run, BOT).nodes()
+
+    @pytest.mark.parametrize("cached", [_nodes_of, _outer_of], ids=lambda f: f.__name__)
+    def test_distinct_trees_past_the_bound_leave_the_cache_at_it(self, cached):
+        bound = cached.cache_info().maxsize
+        assert bound is not None
+        for i in range(bound + 10):
+            NodeTree(frozenset({f"{i:b}"})).outer()
+        assert cached.cache_info().currsize == bound
 
 
 class TestTightExtension:
@@ -144,7 +154,7 @@ class TestLooseExtension:
         # oracle: direct projection legality along every stem of length 3
         doubled = (first, first)
         verdicts = [
-            self.base.is_legal(project(doubled, Ray(stem)))
+            is_legal(self.base, project(doubled, Ray(stem)))
             for stem in all_stems(3)
             if len(stem) == 3
         ]
@@ -197,9 +207,9 @@ class TestWholeRunLooseDefinition:
                 elif sh.kind is not ShapeKind.NONREPLICATIVE:
                     shapes_ok = False
             whole = shapes_ok and all(
-                base.is_legal(project(run, r)) for r in ray_classes(run, "")
+                is_legal(base, project(run, r)) for r in ray_classes(run, "")
             )
-            assert game.is_legal(run) == whole
+            assert is_legal(game, run) == whole
 
 
 class TestTightProjectionInvariant:
@@ -208,9 +218,9 @@ class TestTightProjectionInvariant:
         game = make_recurrence(base, TIGHT_RECURRENCE)
         pool = probe_pool(game, BOUNDS)
         for run in all_runs(pool, 4):
-            if game.is_legal(run):
+            if is_legal(game, run):
                 for stem in all_stems(4):
-                    assert base.is_legal(project(run, Ray(stem)))
+                    assert is_legal(base, project(run, Ray(stem)))
 
 
 class TestRecurrenceWinner:
@@ -236,7 +246,7 @@ class TestRecurrenceWinner:
                     x for x in run
                     if x.label is BOT and parse_move(x.move).kind is ShapeKind.SWITCH
                 ]
-                if len(switches) > 2 or not game.is_legal(run):
+                if len(switches) > 2 or not is_legal(game, run):
                     continue
                 stem = parse_move(switches[-1].move).address if switches else ""
                 assert game.winner(run) is base.winner(project(run, Ray(stem)))
@@ -247,7 +257,7 @@ class TestRecurrenceWinner:
         base = top_choice()
         game = make_recurrence(base, LOOSE_RECURRENCE)
         run = (lm(TOP, "1.a"), lm(BOT, "1"), lm(BOT, "0"))
-        assert game.is_legal(run)
+        assert is_legal(game, run)
         # the play on branch 1 is won by the machine, but the final switch
         # points at branch 0 where nothing happened
         assert game.winner(run) is BOT

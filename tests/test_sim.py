@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from colgames import (
@@ -33,10 +35,12 @@ from colgames import (
 )
 from colgames import sim
 from colgames.suite import (
+    SWAP_SUITE,
     alternating,
     bot_choice,
     first_mover_wins,
     leaf_top,
+    second_mover_wins,
     top_choice,
 )
 
@@ -160,6 +164,29 @@ class TestRunInteraction:
         ends = env_moves[1:] + [len(trace.moves)]
         assert [end - n.reacted_to - 1 for n, end in zip(trace.notes, ends)] == [0, 1]
 
+    def test_notes_keep_the_states_react_returned(self):
+        game = translation_compound(bot_choice(), Direction.LOOSE_TO_TIGHT)
+        machine = RemapStrategy()
+        trace = run_interaction(machine, scripted_adversary(["2.:", "2.1"]), game, 30)
+        split, _ = machine.react(machine.init(), trace.moves[:1])
+        switched, moves = machine.react(split, trace.moves[:2])
+        assert moves == ("1.1",)
+        assert [n.state for n in trace.notes] == [split, switched]
+        assert dict(trace.notes[0].state.fmap) == {"0": "0", "1": "1"}
+        # the switch changes no book, so its note keeps the state it was given
+        assert trace.notes[1].state is trace.notes[0].state
+
+    def test_notes_keep_a_state_with_no_node_map(self):
+        # the mirror machine's state is its tight tree
+        game = translation_compound(bot_choice(), Direction.TIGHT_TO_LOOSE)
+        machine = MirrorStrategy()
+        trace = run_interaction(machine, scripted_adversary(["2.1", "2..b"]), game, 30)
+        grown, moves = machine.react(machine.init(), trace.moves[:1])
+        assert moves == ("1.:", "1.1")
+        assert trace.offender is None
+        assert [n.state for n in trace.notes] == [grown, grown]
+        assert trace.notes[1].state is trace.notes[0].state
+
 
 class TestVerifyTranslation:
     def test_leaf_base_budget_zero(self):
@@ -230,6 +257,43 @@ class TestCompositeBases:
     def test_static_preservation_on_a_negation(self):
         report = verify_static_preservation(negate(bot_choice()), EnumBounds(2, 5))
         assert report.ok
+
+
+class TestSwapSuite:
+    """Static bases whose swaps matter: a legal swap's two orders reach
+    different states, so the checks compare different legal outcomes."""
+
+    @pytest.mark.parametrize("base", SWAP_SUITE, ids=lambda base: base.name)
+    def test_a_legal_swap_reaches_two_states(self, base):
+        swaps, stack = [], [base.start()]
+        while stack:
+            state = stack.pop()
+            tops, bots = (sorted(base.moves(state, p, BOUNDS)) for p in (TOP, BOT))
+            for x, y in itertools.product(tops, bots):
+                one = base.replay((LabMove(TOP, x), LabMove(BOT, y)), state)
+                other = base.replay((LabMove(BOT, y), LabMove(TOP, x)), state)
+                if one is not None and other is not None and one != other:
+                    swaps.append((x, y))
+            stack.extend(base.step(state, LabMove(TOP, m)) for m in tops)
+            stack.extend(base.step(state, LabMove(BOT, m)) for m in bots)
+        assert swaps
+
+    @pytest.mark.parametrize("bounds", [EnumBounds(1, 5), EnumBounds(2, 5)], ids=str)
+    @pytest.mark.parametrize("base", SWAP_SUITE, ids=lambda base: base.name)
+    def test_static_preservation(self, base, bounds):
+        assert verify_static_preservation(base, bounds).ok
+
+    def test_translation_wins_in_both_directions(self):
+        bounds = EnumBounds(max_address_len=2, max_run_len=64)
+        for direction, count in zip(Direction, (3874, 682)):
+            report = verify_translation(second_mover_wins(), direction, bounds, budget=3)
+            assert report.adversaries == count
+            assert report.failures == ()
+
+    def test_corrupted_routine_is_caught(self):
+        report = verify_translation(second_mover_wins(), Direction.LOOSE_TO_TIGHT,
+                                    EnumBounds(2, 64), budget=3, machine=BrokenRemapStrategy())
+        assert len(report.failures) >= 1
 
 
 class TestAuditTrace:

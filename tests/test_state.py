@@ -16,7 +16,7 @@ from colgames.delay import move_pool
 from colgames.games import FiniteGame, disjoin, leaf, negate, node
 from colgames.recurrence import ALL_KINDS, LOOSE_RECURRENCE, TIGHT_RECURRENCE, make_recurrence
 
-from _util import WholeRunGame, game_nodes
+from _util import WholeRunGame, game_nodes, is_legal
 
 # A finite tree's moves are its alphabet plus a junk move; a recurrence's
 # are every probe-move shape at addresses of length <= 2 over its base's
@@ -61,7 +61,7 @@ def _cases(draw):
     run = ()
     for _ in range(5):
         offered = []
-        if oracle.is_legal(run):
+        if is_legal(oracle, run):
             offered = [LabMove(player, m) for player in (TOP, BOT)
                        for m in sorted(oracle.legal_moves(run, player, BOUNDS))]
         if offered and draw(st.integers(0, 3)) < 3:

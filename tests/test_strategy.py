@@ -191,8 +191,8 @@ class TestRemapStrategy:
         )
         assert trace.offender is None
         for note in trace.notes:
-            assert note.fmap is not None
-            assert fmap_prefix_free(note.fmap)
+            assert note.state.fmap is not None
+            assert fmap_prefix_free(note.state.fmap)
 
 
 def books_after(machine, env_moves):
