@@ -355,7 +355,7 @@ _LEAST = {"budget": 0, "max_run": 2, "max_addr": 0, "max_steps": 1}
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     for dest, least in _LEAST.items():
-        value = vars(args).get(dest, least)
+        value = getattr(args, dest, least)
         if value < least:
             flag = "--" + dest.replace("_", "-")
             print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)

@@ -87,7 +87,7 @@ class MoveShape:
     payload: str = ""
 
 
-@functools.lru_cache(maxsize=1 << 14)  # bounded; the benchmark parses under 50 distinct moves
+@functools.lru_cache(maxsize=1 << 14)  # bounded; holds the delay-scan pool of tbr_l(top_choice) to address bound 12
 def parse_move(move: str) -> MoveShape:
     """Classify a move string into one of the three shapes, or malformed.
 

@@ -87,7 +87,8 @@ def _delay_pair(gamma: Run, delta: Run, p: Player) -> str:
 
 
 def audit_trace(trace: Trace, direction: Direction, game: Game) -> tuple[str, ...]:
-    """Check one trace against the routine invariants; returns violations."""
+    """Check one trace against the routine invariants; returns violations.
+    A loose-to-tight trace's notes must hold :class:`RemapStrategy` states."""
     problems: list[str] = []
     if trace.outcome is not TOP:
         problems.append("outcome: machine did not win")
@@ -163,15 +164,18 @@ def verify_translation(
     (``delay.move_pool``; plenty for desk-scale bases, and independent of
     the interaction bound in ``bounds``), and violating bases abort with
     a diagnostic.  Every resulting trace is audited; the report aggregates
-    all violations.
+    all violations.  The loose-to-tight audit reads the node map of a
+    :class:`RemapStrategy`; any other ``machine`` there is refused.
     """
+    compound = translation_compound(base, direction)
+    mach = machine if machine is not None else strategy_for(compound, direction)
+    if direction is Direction.LOOSE_TO_TIGHT and not isinstance(mach, RemapStrategy):
+        raise PreconditionError(f"the loose-to-tight audit reads a RemapStrategy's node map, not a {type(mach).__name__}'s")
     precheck = EnumBounds(bounds.max_address_len, 4)
     verdict = is_static(base, precheck)
     if not verdict.static:
         pair = _delay_pair(*verdict.counterexample)
         raise PreconditionError(f"base game {base.name!r} is not static; counterexample: {pair}")
-    compound = translation_compound(base, direction)
-    mach = machine if machine is not None else strategy_for(compound, direction)
     failures: list[Failure] = []
     count = 0
     for trace in exhaustive_adversaries(compound, mach, bounds, budget, max_steps=max_steps):

@@ -70,11 +70,7 @@ STATIC_SUITE: tuple[FiniteGame, ...] = (
 TRANSLATION_SUITE: tuple[FiniteGame, ...] = STATIC_SUITE
 
 
-# Static bases with a swap whose two orders differ; apart from the benchmark's suites.
-SWAP_SUITE: tuple[FiniteGame, ...] = (second_mover_wins(),)
-
-
 def suite_defs() -> dict[str, FiniteGame]:
     """All built-in games keyed by name, for the CLI's default defs."""
-    games = list(STATIC_SUITE) + list(SWAP_SUITE) + [leaf_bot(), first_mover_wins()]
+    games = list(STATIC_SUITE) + [second_mover_wins(), leaf_bot(), first_mover_wins()]
     return {g.name: g for g in games}
