@@ -149,36 +149,35 @@ class VerificationReport:
         return not self.failures
 
 
+def _require_static(base: Game, bounds: EnumBounds) -> None:
+    """Refuse a base that is not static within ``bounds``, naming a counterexample swap."""
+    verdict = is_static(base, bounds)
+    if not verdict.static:
+        pair = _delay_pair(*verdict.counterexample)
+        raise PreconditionError(f"base game {base.name!r} is not static; counterexample: {pair}")
+
+
 def verify_translation(
     base: Game,
     direction: Direction,
     bounds: EnumBounds,
     budget: int,
-    machine=None,
     max_steps: int = 64,
 ) -> VerificationReport:
     """Play the translation routine against every exhaustive adversary.
 
-    The base must be static; this is verified up front over runs of
-    length up to 4 of every move the base offers within the address bound
-    (``delay.move_pool``; plenty for desk-scale bases, and independent of
-    the interaction bound in ``bounds``), and violating bases abort with
-    a diagnostic.  Every resulting trace is audited; the report aggregates
-    all violations.  The loose-to-tight audit reads the node map of a
-    :class:`RemapStrategy`; any other ``machine`` there is refused.
+    The base must be static over runs of length up to 4 of every move it
+    offers within the address bound (``delay.move_pool``; plenty for
+    desk-scale bases, and independent of the interaction bound in
+    ``bounds``); otherwise :class:`PreconditionError` is raised.  Every
+    resulting trace is audited; the report aggregates all violations.
     """
+    _require_static(base, EnumBounds(bounds.max_address_len, 4))
     compound = translation_compound(base, direction)
-    mach = machine if machine is not None else strategy_for(compound, direction)
-    if direction is Direction.LOOSE_TO_TIGHT and not isinstance(mach, RemapStrategy):
-        raise PreconditionError(f"the loose-to-tight audit reads a RemapStrategy's node map, not a {type(mach).__name__}'s")
-    precheck = EnumBounds(bounds.max_address_len, 4)
-    verdict = is_static(base, precheck)
-    if not verdict.static:
-        pair = _delay_pair(*verdict.counterexample)
-        raise PreconditionError(f"base game {base.name!r} is not static; counterexample: {pair}")
+    machine = strategy_for(compound, direction)
     failures: list[Failure] = []
     count = 0
-    for trace in exhaustive_adversaries(compound, mach, bounds, budget, max_steps=max_steps):
+    for trace in exhaustive_adversaries(compound, machine, bounds, budget, max_steps=max_steps):
         count += 1
         for problem in audit_trace(trace, direction, compound):
             failures.append(Failure("trace-audit", problem, trace))
@@ -188,18 +187,13 @@ def verify_translation(
 def verify_static_preservation(base: Game, bounds: EnumBounds) -> VerificationReport:
     """Static preservation and illegality propagation for all four kinds.
 
-    A non-static base, or a run bound under 2 (no swap fits, so every
-    check would pass vacuously), is reported as a precondition failure,
-    not as a property violation.
+    A run bound under 2 (no swap fits, so every check would pass
+    vacuously) and a non-static base raise :class:`PreconditionError`,
+    so a report that is not ok always names a property violation.
     """
     if bounds.max_run_len < 2:
-        failure = Failure("precondition", f"run bound {bounds.max_run_len} holds no swap; use at least 2")
-        return VerificationReport(base.name, bounds, 0, (failure,))
-    base_verdict = is_static(base, bounds)
-    if not base_verdict.static:
-        pair = _delay_pair(*base_verdict.counterexample)
-        failure = Failure("precondition", f"base game {base.name!r} is not static; counterexample: {pair}")
-        return VerificationReport(base.name, bounds, 0, (failure,))
+        raise PreconditionError(f"run bound {bounds.max_run_len} holds no swap; use at least 2")
+    _require_static(base, bounds)
     failures: list[Failure] = []
     for kind in ALL_KINDS:
         rec = make_recurrence(base, kind)
@@ -208,11 +202,7 @@ def verify_static_preservation(base: Game, bounds: EnumBounds) -> VerificationRe
             pair = _delay_pair(*verdict.counterexample)
             failures.append(Failure("static-preservation", f"{rec.name}: counterexample {pair}"))
         for gamma, delta, p in lemma.violations:
-            failures.append(
-                Failure(
-                    "illegality-lemma",
-                    f"{rec.name}: delay pair {_delay_pair(gamma, delta, p)}"
-                    f" (a shortest one of {lemma.violation_count} violations)",
-                )
-            )
+            detail = (f"{rec.name}: delay pair {_delay_pair(gamma, delta, p)}"
+                      f" (a shortest one of {lemma.violation_count} violations)")
+            failures.append(Failure("illegality-lemma", detail))
     return VerificationReport(base.name, bounds, 0, tuple(failures))

@@ -4,7 +4,8 @@ All suite bases are depth <= 2 with at most two moves per node.  The
 static ones are brute-force verified static by the test suite; the
 first-mover game is the stock non-static example (whoever moves first
 wins, so delaying the winner's move flips the outcome); the second-mover
-game is static, yet swapping its two moves changes the winner.
+and first-mover-loses games are static, yet swapping their two moves
+changes the winner.
 """
 
 from __future__ import annotations
@@ -58,6 +59,14 @@ def second_mover_wins() -> FiniteGame:
                       node(TOP, {a: node(TOP, {b: leaf(BOT)}), b: node(TOP, {a: leaf(TOP)})}))
 
 
+def first_mover_loses() -> FiniteGame:
+    """Static, yet its swap's two orders differ: whoever moves first
+    loses, and if nobody moves the environment wins."""
+    a, b = LabMove(TOP, "a"), LabMove(BOT, "b")
+    return FiniteGame("first_mover_loses",
+                      node(BOT, {a: node(BOT, {b: leaf(BOT)}), b: node(TOP, {a: leaf(TOP)})}))
+
+
 STATIC_SUITE: tuple[FiniteGame, ...] = (
     leaf_top(),
     bot_choice(),
@@ -69,8 +78,13 @@ STATIC_SUITE: tuple[FiniteGame, ...] = (
 # are small enough that budget-3 exhaustive adversary trees stay cheap.
 TRANSLATION_SUITE: tuple[FiniteGame, ...] = STATIC_SUITE
 
+# Static bases with a legal swap whose two orders reach different states.
+# They stay out of the two suites above, whose names key the benchmark's
+# expected adversary counts.
+SWAP_SUITE: tuple[FiniteGame, ...] = (second_mover_wins(), first_mover_loses())
+
 
 def suite_defs() -> dict[str, FiniteGame]:
     """All built-in games keyed by name, for the CLI's default defs."""
-    games = list(STATIC_SUITE) + [second_mover_wins(), leaf_bot(), first_mover_wins()]
+    games = list(STATIC_SUITE) + list(SWAP_SUITE) + [leaf_bot(), first_mover_wins()]
     return {g.name: g for g in games}

@@ -27,6 +27,7 @@ from colgames import (
     verify_static_preservation,
     verify_translation,
 )
+from colgames import sim
 from colgames.recurrence import (
     LOOSE_CORECURRENCE,
     LOOSE_RECURRENCE,
@@ -159,24 +160,20 @@ def test_criterion_5_de_morgan_duality(capsys):
     assert bad is None, bad
 
 
-def test_criterion_6_harness_sensitivity(capsys):
+def test_criterion_6_harness_sensitivity(capsys, monkeypatch):
+    # verify_translation runs whole, with the corrupted routine as the direction's machine
+    monkeypatch.setattr(sim, "strategy_for", lambda compound, direction: BrokenRemapStrategy())
     bounds = EnumBounds(max_address_len=2, max_run_len=64)
     failures = 0
     for base in TRANSLATION_SUITE:
-        report = verify_translation(
-            base,
-            Direction.LOOSE_TO_TIGHT,
-            bounds,
-            budget=3,
-            machine=BrokenRemapStrategy(),
-        )
+        report = verify_translation(base, Direction.LOOSE_TO_TIGHT, bounds, budget=3)
         failures += len(report.failures)
-    ok = failures >= 1
+    ok = failures == 792
     _report(
         capsys, 6, ok,
         f"corrupted replication handling caught ({failures} failures reported)",
     )
-    assert failures >= 1
+    assert failures == 792
 
 
 def test_criterion_7_trace_determinism(capsys, tmp_path):

@@ -22,6 +22,7 @@ from colgames import (
     audit_trace,
     disjoin,
     leaf,
+    make_recurrence,
     negate,
     offender,
     pass_strategy,
@@ -34,18 +35,25 @@ from colgames import (
     won_by,
 )
 from colgames import sim
+from colgames.recurrence import TIGHT_RECURRENCE
 from colgames.suite import (
+    SWAP_SUITE,
     alternating,
     bot_choice,
     first_mover_wins,
     leaf_top,
-    second_mover_wins,
     top_choice,
 )
 
 from _util import BrokenRemapStrategy, late
 
 BOUNDS = EnumBounds(max_address_len=2, max_run_len=12)
+
+
+@pytest.fixture
+def broken_machine(monkeypatch):
+    """verify_translation plays the corrupted routine as the direction's machine."""
+    monkeypatch.setattr(sim, "strategy_for", lambda compound, direction: BrokenRemapStrategy())
 
 
 class _Recording:
@@ -201,7 +209,9 @@ class TestVerifyTranslation:
         assert report.failures == ()
 
     def test_non_static_base_aborts(self):
-        with pytest.raises(PreconditionError):
+        # the same refusal, and message, as verify_static_preservation's
+        with pytest.raises(PreconditionError, match="^base game 'first_mover_wins' is not static; "
+                                                    'counterexample: <T"a", B"b"> / '):
             verify_translation(first_mover_wins(), Direction.TIGHT_TO_LOOSE, BOUNDS, budget=1)
 
     def test_precheck_ignores_a_short_run_bound(self):
@@ -210,20 +220,9 @@ class TestVerifyTranslation:
         with pytest.raises(PreconditionError, match="not static"):
             verify_translation(late(), Direction.TIGHT_TO_LOOSE, EnumBounds(2, 2), budget=2)
 
-    def test_corrupted_routine_is_caught(self):
-        report = verify_translation(
-            bot_choice(),
-            Direction.LOOSE_TO_TIGHT,
-            BOUNDS,
-            budget=2,
-            machine=BrokenRemapStrategy(),
-        )
-        assert len(report.failures) >= 1
-
-    def test_a_loose_to_tight_machine_without_a_node_map_is_refused(self):
-        with pytest.raises(PreconditionError, match="node map, not a MirrorStrategy's"):
-            verify_translation(bot_choice(), Direction.LOOSE_TO_TIGHT, BOUNDS, budget=2,
-                               machine=MirrorStrategy())
+    def test_corrupted_routine_is_caught(self, broken_machine):
+        report = verify_translation(bot_choice(), Direction.LOOSE_TO_TIGHT, BOUNDS, budget=2)
+        assert (len(report.failures), report.adversaries) == (16, 17)
 
     def test_reports_are_deterministic(self):
         first = verify_translation(bot_choice(), Direction.LOOSE_TO_TIGHT, BOUNDS, budget=2)
@@ -234,42 +233,45 @@ class TestVerifyTranslation:
 class TestCompositeBases:
     """The drivers take any static base, not only a finite tree."""
 
-    @pytest.mark.parametrize(
-        "base, budget, counts",
-        [
-            (negate(bot_choice()), 3, (950, 420)),
-            (disjoin(bot_choice(), top_choice()), 2, (253, 88)),
-        ],
-        ids=["not", "or"],
-    )
-    def test_translation_wins_in_both_directions(self, base, budget, counts):
+    # (base, budget, adversaries per direction, failures of the corrupted routine)
+    CASES = [
+        (negate(bot_choice()), 3, (950, 420), 344),
+        (disjoin(bot_choice(), top_choice()), 2, (253, 88), 30),
+        (make_recurrence(bot_choice(), TIGHT_RECURRENCE), 2, (861, 44), 26),
+    ]
+    IDS = ["not", "or", "tbr_t"]
+
+    @pytest.mark.parametrize("base, budget, counts, broken", CASES, ids=IDS)
+    def test_translation_wins_in_both_directions(self, base, budget, counts, broken):
         for direction, count in zip(Direction, counts):
             report = verify_translation(base, direction, BOUNDS, budget=budget)
             assert report.adversaries == count
             assert report.failures == ()
 
-    def test_corrupted_routine_is_caught_on_a_negation(self):
-        report = verify_translation(
-            negate(bot_choice()),
-            Direction.LOOSE_TO_TIGHT,
-            BOUNDS,
-            budget=3,
-            machine=BrokenRemapStrategy(),
-        )
-        assert len(report.failures) >= 1
+    @pytest.mark.parametrize("base, budget, counts, broken", CASES, ids=IDS)
+    def test_corrupted_routine_is_caught(self, base, budget, counts, broken, broken_machine):
+        report = verify_translation(base, Direction.LOOSE_TO_TIGHT, BOUNDS, budget=budget)
+        assert (len(report.failures), report.adversaries) == (broken, counts[1])
 
-    def test_static_preservation_on_a_negation(self):
-        report = verify_static_preservation(negate(bot_choice()), EnumBounds(2, 5))
-        assert report.ok
+    @pytest.mark.parametrize(
+        "base, bounds",
+        [
+            (negate(bot_choice()), EnumBounds(2, 5)),
+            (disjoin(bot_choice(), top_choice()), EnumBounds(1, 5)),
+            (make_recurrence(bot_choice(), TIGHT_RECURRENCE), EnumBounds(1, 4)),
+        ],
+        ids=lambda x: str(x) if isinstance(x, EnumBounds) else x.name,
+    )
+    def test_static_preservation(self, base, bounds):
+        assert verify_static_preservation(base, bounds).ok
 
 
+@pytest.mark.parametrize("base", SWAP_SUITE, ids=lambda g: g.name)
 class TestSwapSuite:
-    """``second_mover_wins``, a static base whose swaps matter: a legal
-    swap's two orders reach different states, so the checks compare
-    different legal outcomes."""
+    """Static bases whose swaps matter: a legal swap's two orders reach
+    different states, so the checks compare different legal outcomes."""
 
-    def test_a_legal_swap_reaches_two_states(self):
-        base = second_mover_wins()
+    def test_a_legal_swap_reaches_two_states(self, base):
         swaps, stack = [], [base.start()]
         while stack:
             state = stack.pop()
@@ -284,20 +286,20 @@ class TestSwapSuite:
         assert swaps
 
     @pytest.mark.parametrize("bounds", [EnumBounds(1, 5), EnumBounds(2, 5)], ids=str)
-    def test_static_preservation(self, bounds):
-        assert verify_static_preservation(second_mover_wins(), bounds).ok
+    def test_static_preservation(self, base, bounds):
+        assert verify_static_preservation(base, bounds).ok
 
-    def test_translation_wins_in_both_directions(self):
+    def test_translation_wins_in_both_directions(self, base):
         bounds = EnumBounds(max_address_len=2, max_run_len=64)
         for direction, count in zip(Direction, (3874, 682)):
-            report = verify_translation(second_mover_wins(), direction, bounds, budget=3)
+            report = verify_translation(base, direction, bounds, budget=3)
             assert report.adversaries == count
             assert report.failures == ()
 
-    def test_corrupted_routine_is_caught(self):
-        report = verify_translation(second_mover_wins(), Direction.LOOSE_TO_TIGHT,
-                                    EnumBounds(2, 64), budget=3, machine=BrokenRemapStrategy())
-        assert len(report.failures) == 541
+    def test_corrupted_routine_is_caught(self, base, broken_machine):
+        report = verify_translation(base, Direction.LOOSE_TO_TIGHT, EnumBounds(2, 64), budget=3)
+        expected = {"second_mover_wins": 541, "first_mover_loses": 535}[base.name]
+        assert (len(report.failures), report.adversaries) == (expected, 682)
 
 
 class TestAuditTrace:
@@ -344,18 +346,20 @@ class TestVerifyStaticPreservation:
 
     @pytest.mark.parametrize("base", [first_mover_wins(), bot_choice()], ids=lambda g: g.name)
     @pytest.mark.parametrize("max_run_len", [0, 1])
-    def test_a_run_bound_without_swaps_is_a_precondition_flag(self, base, max_run_len, monkeypatch):
+    def test_a_run_bound_without_swaps_is_refused(self, base, max_run_len, monkeypatch):
         # no swap fits in a run shorter than 2, so a scan there passes vacuously
         def no_scan(*args):
             raise AssertionError("scanned at a bound that holds no swap")
 
         monkeypatch.setattr(sim, "is_static", no_scan)
         monkeypatch.setattr(sim, "static_and_lemma", no_scan)
-        report = verify_static_preservation(base, EnumBounds(2, max_run_len))
-        assert not report.ok
-        assert [f.kind for f in report.failures] == ["precondition"]
+        with pytest.raises(PreconditionError,
+                           match=f"^run bound {max_run_len} holds no swap; use at least 2$"):
+            verify_static_preservation(base, EnumBounds(2, max_run_len))
 
-    def test_non_static_base_is_a_precondition_flag(self):
-        report = verify_static_preservation(first_mover_wins(), EnumBounds(2, 4))
-        assert not report.ok
-        assert all(f.kind == "precondition" for f in report.failures)
+    def test_a_non_static_base_is_refused(self):
+        message = ("base game 'first_mover_wins' is not static; counterexample: "
+                   '<T"a", B"b"> / <B"b", T"a"> for T')
+        with pytest.raises(PreconditionError) as raised:
+            verify_static_preservation(first_mover_wins(), EnumBounds(2, 4))
+        assert str(raised.value) == message
