@@ -28,7 +28,7 @@ from .delay import enumerate_delays, is_delay, is_static, move_pool
 from .dsl import ElaborationError, ExprParseError, Rec, elaborate, parse_game_expr, translation_shape
 from .files import FileFormatError, TraceFile, dumps_trace, load_game_defs, loads_trace
 from .games import EnumBounds, State, offender, split_disjunction
-from .recurrence import NodeTree, actual_nodes
+from .recurrence import actual_nodes
 from .sim import (
     Direction,
     PreconditionError,
@@ -209,8 +209,9 @@ def _print_position(run: Run, expr, state: State) -> None:
     """The legal position ``run``, in game state ``state``; for a
     recurrence, or each component of a translation compound, the
     projection along the structural player's last switch, after the
-    actual and outer nodes (a compound's tight component's only).  The
-    tree and the stem are read from the recurrences' states."""
+    actual and outer nodes of a tight recurrence (a compound's tight
+    component's only; a loose one has no tree).  The tree and the stem
+    are read from the recurrences' states."""
     print(f"position: {format_run(run)}")
     if translation_shape(expr) is not None:
         shown = list(zip(("component 1 ", "component 2 "), split_disjunction(run), state))
@@ -220,10 +221,9 @@ def _print_position(run: Run, expr, state: State) -> None:
     else:
         return
     for _, _, ray_state in shown:
-        if len(shown) == 1 or ray_state.tree is not None:
-            tree = NodeTree(frozenset()) if ray_state.tree is None else ray_state.tree
-            print(f"{tree_label}actual: {sorted(tree.nodes())}")
-            print(f"{tree_label}outer:  {sorted(tree.outer())}")
+        if ray_state.tree is not None:
+            print(f"{tree_label}actual: {sorted(ray_state.tree.nodes())}")
+            print(f"{tree_label}outer:  {sorted(ray_state.tree.outer())}")
     for label, part, ray_state in shown:
         stem = ray_state.stem
         print(f"{label}along last switch ({stem or 'root'}): {format_run(project(part, Ray(stem)))}")

@@ -198,13 +198,13 @@ class FiniteGame(Game):
         return frozenset(edge.move for edge, _ in state.edges if edge.label is player)
 
     # Kept for perfbench/, which patches these names in each class's own
-    # __dict__, until ROADMAP item 4 changes the benchmark.
+    # __dict__, until ROADMAP item 2 changes the benchmark.
     extend_legal, winner = Game.extend_legal, Game.winner
 
     def probe_moves(self, bounds: EnumBounds) -> tuple[str, ...]:
         """Every move of the tree, sorted, then a junk move.  Kept for
         perfbench/, which records it as the translation precheck's pool,
-        until ROADMAP item 4; the library's pools come from
+        until ROADMAP item 2; the library's pools come from
         ``delay.move_pool``."""
         moves: set[str] = set()
         stack = [self.root]
@@ -241,7 +241,7 @@ class _Negated(Game):
     def moves(self, state: State, player: Player, bounds: EnumBounds) -> frozenset[str]:
         return self.inner.moves(state, neg_player(player), bounds)
 
-    # Kept for perfbench/ until ROADMAP item 4 (see FiniteGame).
+    # Kept for perfbench/ until ROADMAP item 2 (see FiniteGame).
     extend_legal, winner = Game.extend_legal, Game.winner
 
 
@@ -304,7 +304,7 @@ class _Disjoined(Game):
         right = self.right.moves(state[1], player, bounds)
         return frozenset(["1." + m for m in left] + ["2." + m for m in right])
 
-    # Kept for perfbench/ until ROADMAP item 4 (see FiniteGame).
+    # Kept for perfbench/ until ROADMAP item 2 (see FiniteGame).
     extend_legal, winner = Game.extend_legal, Game.winner
 
 

@@ -123,27 +123,6 @@ class NodeTree:
     def replicate(self, w: str) -> "NodeTree":
         return NodeTree(self.replicated | {w})
 
-    def longest_actual_prefix(self, w: str) -> str:
-        for k in range(len(w), -1, -1):
-            if self.is_actual(w[:k]):
-                return w[:k]
-        raise AssertionError("unreachable: the root is always actual")
-
-    def zero_outer_from(self, w: str) -> str:
-        """The unique outer node of the form w, w0, w00, ...
-
-        Only meaningful when ``w`` is an actual node of a well-formed
-        tree; existence follows from every node having zero or two
-        children.
-        """
-        current = w
-        outer = self.outer()
-        while current not in outer:
-            current = current + "0"
-            if not self.is_actual(current):
-                raise ValueError(f"no outer node on the zero path from {w!r}")
-        return current
-
 
 def actual_nodes(position: Run, structural: Player) -> NodeTree:
     """Tree of actual nodes: the root plus children of replicated addresses.
@@ -308,7 +287,7 @@ class RecurrenceGame(Game):
             out.extend(f"{w}.{a}" for a in frozenset.intersection(*(offered[inner] for inner in below)))
         return frozenset(out)
 
-    # Kept for perfbench/ until ROADMAP item 4 (see games.FiniteGame).
+    # Kept for perfbench/ until ROADMAP item 2 (see games.FiniteGame).
     winner, legal_moves = Game.winner, Game.legal_moves
 
 

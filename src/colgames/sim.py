@@ -92,11 +92,14 @@ def audit_trace(trace: Trace, direction: Direction, game: Game) -> tuple[str, ..
     problems: list[str] = []
     if trace.outcome is not TOP:
         problems.append("outcome: machine did not win")
-    if offender(game, trace.moves) != trace.offender:
+    # The rest is judged by the recomputed offender, so a wrong record
+    # cannot send an illegal run to the split below.
+    first = offender(game, trace.moves)
+    if first != trace.offender:
         problems.append("offender: recorded offender disagrees with recomputation")
-    if trace.offender is not None and trace.offender.culprit is TOP:
-        problems.append("offender: machine made the first illegal move")
-    if trace.offender is not None:
+    if first is not None:
+        if first.culprit is TOP:
+            problems.append("offender: machine made the first illegal move")
         return tuple(problems)
 
     parts = split_disjunction(trace.moves)

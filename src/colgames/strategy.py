@@ -5,12 +5,14 @@ A strategy is an object with ``init() -> state`` and
 ``react`` with the run so far and appends the returned moves, attributed
 to the strategy's side, as one batch.  Reacting with an empty batch is a
 pass.  States are strategy-private.  A translation machine's state is
-exactly its books, the tight tree included, so a reply depends only on
-the state and the environment's latest move, ``position[-1]``; a
-reaction that changes no book returns the state it was given, so states
-are hashable values, equal exactly when the books are.  Each trace note
-keeps the state the machine's reaction returned.  The random adversary
-keeps the game state at its last move, so it steps each move once.
+exactly its books: the mirror's is its tight tree, the map-keeper's its
+node map, whose keys are the tight tree's outer nodes.  So a reply
+depends only on the state and the environment's latest move,
+``position[-1]``; a reaction that changes no book returns the state it
+was given, so states are hashable values, equal exactly when the books
+are.  Each trace note keeps the state the machine's reaction returned.
+The random adversary keeps the game state at its last move, so it steps
+each move once.
 
 MirrorStrategy wins "tight-co of not-A  or  loose of A": it mirrors every move
 of one component into the other at the same tree address, growing the
@@ -39,7 +41,7 @@ the traces.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .core import BOT, TOP, LabMove, Player, Run, ShapeKind, neg_player, parse_move
@@ -50,15 +52,15 @@ from .recurrence import NodeTree
 def grow_to_actual(tree: NodeTree, w: str) -> tuple[tuple[str, ...], NodeTree]:
     """Replication moves making ``w`` an actual node of ``tree``, and the grown tree.
 
-    Repeatedly replicates the longest actual prefix of ``w`` (always an
-    outer node of a well-formed tree, so each step is legal) until ``w``
-    is actual.  No moves when ``w`` is already actual.
+    Replicates each proper prefix of ``w`` that is an outer node, from the
+    root down (each prefix is then actual, so each step is legal).  No
+    moves when ``w`` is already actual.
     """
     chain: list[str] = []
-    while not tree.is_actual(w):
-        u = tree.longest_actual_prefix(w)
-        chain.append(u + ":")
-        tree = tree.replicate(u)
+    for u in (w[:k] for k in range(len(w))):
+        if u in tree.outer():
+            chain.append(u + ":")
+            tree = tree.replicate(u)
     return tuple(chain), tree
 
 
@@ -100,10 +102,10 @@ class MirrorStrategy:
 
 @dataclass(frozen=True)
 class _R2State:
-    """The map-maintaining routine's books."""
+    """The map-maintaining routine's books: its node map, whose keys are
+    the outer nodes of the environment's tight tree."""
 
     fmap: tuple[tuple[str, str], ...]
-    tree: NodeTree = NodeTree(frozenset())  # the environment's tight tree
 
 
 def _freeze(mapping: dict[str, str]) -> tuple[tuple[str, str], ...]:
@@ -113,9 +115,9 @@ def _freeze(mapping: dict[str, str]) -> tuple[tuple[str, str], ...]:
 class RemapStrategy:
     """Map-maintaining strategy for compounds of the form or(cbr_l(not(A)), tbr_t(A)).
 
-    The tree of the tight component (grown by the adversary) is shadowed
-    by the mapping ``f`` from its outer nodes to loose-side addresses.
-    ``react`` sees only legal positions.
+    The tree of the tight component (grown by the adversary) is kept only
+    as the keys of the mapping ``f`` from its outer nodes to loose-side
+    addresses.  ``react`` sees only legal positions.
     """
 
     def init(self) -> _R2State:
@@ -130,9 +132,11 @@ class RemapStrategy:
             # The replicated node's address splits between its two children.
             w, v = sh.address, f.pop(sh.address)
             f[w + "0"], f[w + "1"] = v + "0", v + "1"
-            return _R2State(_freeze(f), state.tree.replicate(w)), ()
+            return _R2State(_freeze(f)), ()
         if component == "2" and sh.kind is ShapeKind.SWITCH:
-            target = state.tree.zero_outer_from(sh.address)
+            # To the one outer node among a, a0, a00, ...; ValueError if none or two.
+            a = sh.address
+            target, = (x for x in f if x.startswith(a) and not x[len(a):].strip("0"))
             return state, ("1." + f[target],)
         if component == "2" and sh.kind is ShapeKind.NONREPLICATIVE:
             targets = sorted(x for x in f if x.startswith(sh.address))
@@ -148,7 +152,7 @@ class RemapStrategy:
                 tail = w[len(f[x]):]
                 f[x] = f[x] + "0" * len(tail)
                 moves = (f"2.{x}.{sh.payload}",) if "1" not in tail else ()
-                return replace(state, fmap=_freeze(f)), moves
+                return _R2State(_freeze(f)), moves
             targets = sorted(x for x, v in f.items() if v.startswith(w))
             return state, tuple(f"2.{x}.{sh.payload}" for x in targets)
         return state, ()
@@ -172,17 +176,9 @@ def scripted_adversary(script: Sequence[str]):
     return _Scripted(script)
 
 
-class _PassStrategy:
-    def init(self) -> None:
-        return None
-
-    def react(self, state: None, position: Run) -> tuple[None, tuple[str, ...]]:
-        return state, ()
-
-
 def pass_strategy():
     """Never moves; useful as a null machine."""
-    return _PassStrategy()
+    return _Scripted(())
 
 
 class _RandomAdversary:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import defaultdict
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from hypothesis import strategies as st
@@ -45,12 +45,14 @@ from colgames.games import (
     split_disjunction,
 )
 from colgames.recurrence import (
+    NodeTree,
     RecurrenceGame,
     Version,
     _all_stems,
     actual_nodes,
     switches,
 )
+from colgames.strategy import _R2State
 from colgames.suite import first_mover_wins
 
 
@@ -65,31 +67,47 @@ def is_legal(game, run) -> bool:
     return offender(game, run) is None
 
 
+@dataclass(frozen=True)
+class _BrokenState:
+    fmap: tuple[tuple[str, str], ...]
+    tree: NodeTree  # the environment's tight tree, which the map falls behind
+
+
 class BrokenRemapStrategy(RemapStrategy):
-    """Sensitivity fixture: on an environment replication it grows only the
-    tree and forgets to update the node map, so the map's domain drifts
-    away from the outer nodes."""
+    """Sensitivity fixture: it keeps the environment's tight tree beside
+    the node map, and on an environment replication grows only the tree
+    and forgets to update the map, so the map's domain drifts away from
+    the outer nodes.  A switch goes to the outer node on the tree's zero
+    path, and is passed when the stale map lacks it."""
+
+    def init(self):
+        return _BrokenState(super().init().fmap, NodeTree(frozenset()))
 
     def react(self, state, position):
         move = position[-1].move
         sh = parse_move(move[2:])
         if move[0] == "2" and sh.kind is ShapeKind.REPLICATIVE:
             return replace(state, tree=state.tree.replicate(sh.address)), ()
-        try:
-            return super().react(state, position)
-        except KeyError:
-            # the stale map may lack entries; a real machine would crash,
-            # for the harness test a silent pass is enough to keep playing
-            return state, ()
+        if move[0] == "2" and sh.kind is ShapeKind.SWITCH:
+            target, outer = sh.address, state.tree.outer()
+            while target not in outer:
+                target += "0"
+            # a real machine would crash on the stale map; for the harness
+            # test a silent pass is enough to keep playing
+            fmap = dict(state.fmap)
+            return state, ("1." + fmap[target],) if target in fmap else ()
+        inner, moves = super().react(_R2State(state.fmap), position)
+        return replace(state, fmap=inner.fmap), moves
 
 
 class TreeOracle:
     """Wraps a translation machine and asserts, after every reaction, that
-    the tree the machine keeps is ``actual_nodes`` of the tight component
-    of the whole position and the machine's replies: component 1 (grown
-    by the machine, whose state is that tree) tight-to-loose, component 2
-    (grown by the environment, the state's ``tree``) loose-to-tight.
-    Counts the reactions it checked."""
+    the machine's books match ``actual_nodes`` of the tight component of
+    the whole position and the machine's replies.  Tight-to-loose, the
+    machine's state is that tree (component 1, grown by the machine);
+    loose-to-tight, its node map's keys are that tree's outer nodes
+    (component 2, grown by the environment).  Counts the reactions it
+    checked."""
 
     def __init__(self, machine, direction: Direction) -> None:
         self.machine = machine
@@ -104,8 +122,11 @@ class TreeOracle:
         state, moves = self.machine.react(state, position)
         after = position + tuple(LabMove(TOP, move) for move in moves)
         expected = actual_nodes(split_disjunction(after)[self.component], self.structural)
-        tree = state if self.tight_to_loose else state.tree
-        assert tree == expected, (after, tree, expected)
+        if self.tight_to_loose:
+            assert state == expected, (after, state, expected)
+        else:
+            keys = frozenset(k for k, _ in state.fmap)
+            assert keys == expected.outer(), (after, keys, expected.outer())
         self.checked += 1
         return state, moves
 

@@ -640,12 +640,8 @@ outcome: won by T
         "cbr_l(bot_choice)": (["0.b", "1"], """\
 no machine strategy for this expression; you play the environment
 position: <>
-actual: ['']
-outer:  ['']
 along last switch (root): <>
 position: <B"0.b">
-actual: ['']
-outer:  ['']
 along last switch (root): <B"b">
 offender: index 1 by B
 outcome: won by T

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -19,6 +20,7 @@ from colgames import (
     PreconditionError,
     RemapStrategy,
     StaticVerdict,
+    Trace,
     audit_trace,
     disjoin,
     leaf,
@@ -36,6 +38,7 @@ from colgames import (
 )
 from colgames import sim
 from colgames.recurrence import TIGHT_RECURRENCE
+from colgames.strategy import StepNote
 from colgames.suite import (
     SWAP_SUITE,
     alternating,
@@ -303,13 +306,57 @@ class TestSwapSuite:
 
 
 class TestAuditTrace:
+    """One test per audit message; each asserts the whole tuple."""
+
+    LOST = "outcome: machine did not win"
+
+    @staticmethod
+    def _tight_to_loose(machine, script):
+        game = translation_compound(bot_choice(), Direction.TIGHT_TO_LOOSE)
+        trace = run_interaction(machine, scripted_adversary(script), game, 10)
+        return audit_trace(trace, Direction.TIGHT_TO_LOOSE, game)
+
+    @staticmethod
+    def _loose_to_tight(move, state):
+        # one environment move in the tight component, noted with ``state``
+        game = translation_compound(bot_choice(), Direction.LOOSE_TO_TIGHT)
+        trace = Trace((LabMove(BOT, move),), (StepNote(0, state),), TOP, None)
+        return audit_trace(trace, Direction.LOOSE_TO_TIGHT, game)
+
     def test_flags_wrong_outcome_traces(self):
         # hand-build a legal but machine-lost trace: the adversary plays its
         # base move in the loose component and the machine never answers
+        assert self._tight_to_loose(pass_strategy(), ["2..b"]) == (
+            self.LOST, "identity: decisive projections do not mirror")
+
+    def test_a_wrong_recorded_offender_is_reported_not_trusted(self):
+        # the environment's junk move offends, but the trace records no
+        # offender; the audit must not split the illegal run
         game = translation_compound(bot_choice(), Direction.TIGHT_TO_LOOSE)
-        trace = run_interaction(pass_strategy(), scripted_adversary(["2..b"]), game, 10)
-        problems = audit_trace(trace, Direction.TIGHT_TO_LOOSE, game)
-        assert any("outcome" in p for p in problems)
+        trace = Trace((LabMove(BOT, "9"),), (), TOP, None)
+        assert audit_trace(trace, Direction.TIGHT_TO_LOOSE, game) == (
+            "offender: recorded offender disagrees with recomputation",)
+
+    def test_flags_a_machine_offence(self):
+        assert self._tight_to_loose(scripted_adversary(["9"]), ["2.1"]) == (
+            self.LOST, "offender: machine made the first illegal move")
+
+    def test_flags_disagreeing_last_switches(self):
+        assert self._tight_to_loose(pass_strategy(), ["2.1"]) == (
+            "identity: components disagree on the last switch",)
+
+    def test_flags_differing_switch_counts(self):
+        assert self._loose_to_tight("2.", RemapStrategy().init()) == (
+            "identity: switch counts differ between components",)
+
+    def test_flags_a_map_domain_off_the_outer_nodes(self):
+        assert self._loose_to_tight("2.:", RemapStrategy().init()) == (
+            "fmap: domain is not the outer nodes after step 0",)
+
+    def test_flags_map_values_that_prefix_each_other(self):
+        state = replace(RemapStrategy().init(), fmap=(("0", "0"), ("1", "0")))
+        assert self._loose_to_tight("2.:", state) == (
+            "fmap: values not prefix-free after step 0",)
 
 
 class TestVerifyStaticPreservation:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -148,6 +150,13 @@ class TestRemapStrategy:
         position = position + (lm(BOT, "2.0"),)
         state, moves = machine.react(state, position)
         assert moves == ("1.00",)
+
+    @pytest.mark.parametrize("keys", [("1",), ("0", "00")], ids=["none", "two"])
+    def test_switch_without_one_zero_path_key_raises(self, keys):
+        # a map whose keys are no tree's outer nodes: no key, or two, on the zero path from 0
+        state = replace(RemapStrategy().init(), fmap=tuple((k, k) for k in keys))
+        with pytest.raises(ValueError):
+            RemapStrategy().react(state, (lm(BOT, "2.0"),))
 
     def test_absorbs_off_ray_loose_move(self):
         game = compound2(top_choice())
