@@ -27,12 +27,18 @@ The scans count runs by game state: equal states have equal futures (the
 contract of :class:`Game`), so each distinct state is stepped once by
 each pool move, and the runs of each length are a count per state.  An
 offended run's state is the culprit of its first offence, which every
-move keeps.  A swap gamma = P x y T, delta = P y x T is decided by the
-pair of states the two runs reach.  Pairs start from each state's head
-swaps, weighted by its runs, and follow the tails one move at a time,
-both states stepped by the same move.  The counterexample and the
-shortest lemma violations are found by a depth-first search over
+move keeps.  Pool moves of one label that lead to the same state from
+every state stepped form a move class, and after the build every phase
+steps by one move per class, weighted by the class's size.  A swap
+gamma = P x y T, delta = P y x T is decided by the pair of states the
+two runs reach.  Pairs start from each state's head swaps, weighted by
+its runs, and follow the tails one move at a time, both states stepped
+by the same move.  One pair key, the states after x y and after y x,
+stands for the swap of each player, read in mirror.  The counterexample
+and the shortest lemma violations are found by a depth-first search over
 gamma's digits, pruned by memoised checks that a bad pair is reachable.
+A pool that lists a move twice would count its runs twice, and is
+refused with :class:`PreconditionError`.
 """
 
 from __future__ import annotations
@@ -169,71 +175,98 @@ class _StateScan:
     with ``k = 2 |pool|`` a digit ``d < |pool|`` is a TOP move.  A run of
     length n is numbered by its digit string read in base k, first move
     most significant; reports come in (length, id, position) order.
-    ``rows[s][d]`` is the state after digit d in state s, ``wins[s]`` the
-    bit of the player who wins in s, and a swap's pair (g, d, p) holds
-    gamma's and delta's states and p's bit.
+    ``rows[s][d]`` is the state after digit d in state s, and ``wins[s]``
+    the bit of the player who wins in s.
+
+    Digits of one label whose columns are equal, so that they lead to the
+    same state from every stepped state, form a move class.  Every phase
+    after the build steps by one representative per class, weighted by
+    the class's size: ``tops`` and ``bots`` list (representative, size)
+    for each class of TOP and of BOT digits, and ``rep[d]`` is the
+    representative of d's class.  A swap's pair (a, b) holds the states
+    after x y and after y x, x TOP's digit and y BOT's: TOP's swap has
+    gamma in a and delta in b, BOT's the reverse.
     """
 
     def __init__(self, game: Game, bounds: EnumBounds, pool: Sequence[str] | None) -> None:
         pool = move_pool(game, bounds) if pool is None else pool
-        self.tops = len(pool)
+        if len(set(pool)) < len(pool):
+            twice = next(m for m, c in Counter(pool).items() if c > 1)
+            raise PreconditionError(f"the pool lists the move {twice!r} twice")
         self.labmoves = [LabMove(TOP, m) for m in pool] + [LabMove(BOT, m) for m in pool]
         self.rows: list[list[int] | None] = [[OFF_T] * len(self.labmoves), [OFF_B] * len(self.labmoves)]
         self.wins = [1, 0]
         self._build(game, bounds.max_run_len)
+        first: dict[tuple, int] = {}
+        self.rep = [first.setdefault((d < len(pool), column), d)
+                    for d, column in enumerate(zip(*[row for row in self.rows if row is not None]))]
+        sizes = Counter(self.rep)
+        self.tops = [(d, m) for d, m in sizes.items() if d < len(pool)]
+        self.bots = [(d, m) for d, m in sizes.items() if d >= len(pool)]
 
     def _build(self, game: Game, longest: int) -> None:
         """Count the runs of each length by the state they reach (``levels``);
         a state is stepped once, by every labmove."""
         rows, wins, ids, states = self.rows, self.wins, {}, [None, None]
+        step, offended = game.step, [(lm, OFF_T if lm.label is TOP else OFF_B) for lm in self.labmoves]
 
         def intern(state: State) -> int:
-            s = ids.get(state)
-            if s is None:
-                s = ids[state] = len(states)
-                states.append(state)
-                rows.append(None)
-                wins.append(0 if game.outcome(state) is TOP else 1)
+            s = ids[state] = len(states)
+            states.append(state)
+            rows.append(None)
+            wins.append(0 if game.outcome(state) is TOP else 1)
             return s
 
         self.levels = [{intern(game.start()): 1}]
         for _ in range(longest):
             level = {}
             for s, c in self.levels[-1].items():
-                if rows[s] is None:
-                    rows[s] = [(OFF_T if d < self.tops else OFF_B) if (t := game.step(states[s], lm)) is None
-                               else intern(t) for d, lm in enumerate(self.labmoves)]
-                for t in rows[s]:
+                row = rows[s]
+                if row is None:
+                    state = states[s]
+                    rows[s] = row = [off if (t := step(state, lm)) is None else ids.get(t) or intern(t)
+                                     for lm, off in offended]
+                for t in row:
                     level[t] = level.get(t, 0) + c
             self.levels.append(level)
 
     def _count(self) -> tuple[int, list[int]]:
         """Follow the swap pairs to every length, counting by weight the swaps
         whose delta has p as first offender, and per length the violations.
-        An offended state s heads tops² swaps of each p, all to (s, s, p)."""
-        k, tops, longest = len(self.labmoves), self.tops, len(self.levels) - 1
-        rows, heads, counts, pairs = self.rows, {}, [0] * (longest + 1), 0
-        here: dict[tuple[int, int, int], int] = {}
+        One key (a, b) stands for both players' swaps, which have equal
+        weights and mirrored pairs.  An offended state s heads |pool|² swaps
+        of each p, all to the pair (s, s)."""
+        rows, tops, bots, longest = self.rows, self.tops, self.bots, len(self.levels) - 1
+        every, heads, counts, pairs = tops + bots, {}, [0] * (longest + 1), 0
+        here: dict[tuple[int, int], int] = {}
         for n in range(2, longest + 1):
             for s, c in self.levels[n - 2].items():
-                if s not in heads:
-                    kids = [rows[t] for t in rows[s]]
-                    found = Counter([(kids[x][y], kids[y][x]) for x in range(tops) for y in range(tops, k)])
-                    heads[s] = [(key, m) for (a, b), m in found.items() for key in ((a, b, 0), (b, a, 1))]
-                for key, m in heads[s]:
+                found = heads.get(s)
+                if found is None:
+                    row, found = rows[s], {}
+                    for x, mx in tops:
+                        after_x = rows[row[x]]
+                        for y, my in bots:
+                            key = (after_x[y], rows[row[y]][x])
+                            found[key] = found.get(key, 0) + mx * my
+                    heads[s] = found = list(found.items())
+                for key, m in found:
                     here[key] = here.get(key, 0) + c * m
-            after: dict[tuple[int, int, int], int] = {}
-            for key, w in here.items():
-                g, d, p = key
-                if d == p:
+            after: dict[tuple[int, int], int] = {}
+            for (a, b), w in here.items():
+                if b == OFF_T:
                     pairs += w
-                    if g != p:
+                    if a != OFF_T:
                         counts[n] += w
-                if n == longest:
-                    continue
-                for a, b in zip(rows[g], rows[d]):
-                    key = (a, b, p)
-                    after[key] = after.get(key, 0) + w
+                if a == OFF_B:
+                    pairs += w
+                    if b != OFF_B:
+                        counts[n] += w
+                if n < longest:
+                    row_a, row_b = rows[a], rows[b]
+                    for t, m in every:
+                        key = (row_a[t], row_b[t])
+                        after[key] = after.get(key, 0) + w * m
             here = after
         return pairs, counts
 
@@ -241,8 +274,13 @@ class _StateScan:
         """(length, gamma's id, position) of each swap of the given lengths
         whose pair is bad, in that order: a depth-first walk over gamma's
         digits, entering a digit only while a swap begun or to begin can end
-        bad.  A pair is never bad if its runs agree or p offended in gamma."""
-        rows, tops, k = self.rows, self.tops, len(self.labmoves)
+        bad.  A pair is never bad if its runs agree or p offended in gamma.
+        The walk steps by every digit, which numbers gamma, but the memoised
+        checks step by class representatives and key on them."""
+        rows, rep, k = self.rows, self.rep, len(self.labmoves)
+        half = k // 2
+        tops, bots = [x for x, _ in self.tops], [y for y, _ in self.bots]
+        every, opposite = tops + bots, (bots, tops)
         reachable, opening = {}, {}  # keyed by (g, d, p, m) and by (s, x, m)
 
         def reach(g: int, d: int, p: int, m: int) -> bool:
@@ -254,20 +292,20 @@ class _StateScan:
             key = (g, d, p, m)
             found = reachable.get(key)
             if found is None:
-                found = reachable[key] = any(reach(a, b, p, m - 1) for a, b in zip(rows[g], rows[d]))
+                row_g, row_d = rows[g], rows[d]
+                found = reachable[key] = any(reach(row_g[t], row_d[t], p, m - 1) for t in every)
             return found
 
         def viable(s: int, x: int, m: int) -> bool:
-            """After digit x from state s and m more moves, a swap of x or of
-            a later move can be bad."""
+            """After the class of digit x from state s and m more moves, a swap
+            of x or of a later move can be bad."""
             key = (s, x, m)
             found = opening.get(key)
             if found is None:
-                row, p = rows[s], (0 if x < tops else 1)
+                row, p = rows[s], (0 if x < half else 1)
                 found = opening[key] = row[x] > OFF_B and (
-                    m > 0 and any(reach(rows[row[x]][y], rows[row[y]][x], p, m - 1)
-                                  for y in (range(tops, k) if p == 0 else range(tops)))
-                    or m > 1 and any(viable(row[x], y, m - 1) for y in range(k)))
+                    m > 0 and any(reach(rows[row[x]][y], rows[row[y]][x], p, m - 1) for y in opposite[p])
+                    or m > 1 and any(viable(row[x], y, m - 1) for y in every))
             return found
 
         def walk(n: int, j: int, gid: int, before: int, s: int, x: int, begun: list) -> Iterator:
@@ -280,11 +318,11 @@ class _StateScan:
             for t in range(k):
                 after = row[t]
                 kept = [(i, rows[d][t], p) for i, d, p in begun if reach(after, rows[d][t], p, left)]
-                if j and (x < tops) != (t < tops):
-                    p, d = (0 if x < tops else 1), rows[rows[before][t]][x]
+                if j and (x < half) != (t < half):
+                    p, d = (0 if x < half else 1), rows[rows[before][t]][x]
                     if reach(after, d, p, left):
                         kept.append((j - 1, d, p))
-                if kept or s > OFF_B and viable(s, t, left):
+                if kept or s > OFF_B and viable(s, rep[t], left):
                     yield from walk(n, j + 1, gid * k + t, s, after, t, kept)
 
         for n in lengths:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 
 import pytest
@@ -24,7 +25,7 @@ from colgames import (
     won_by,
 )
 from colgames.delay import OFF_B, _StateScan, move_pool, static_and_lemma
-from colgames.games import FiniteGame, Game, GameNode, leaf, node
+from colgames.games import FiniteGame, Game, GameNode, PreconditionError, leaf, node
 from colgames.recurrence import ALL_KINDS, LOOSE_RECURRENCE, TIGHT_RECURRENCE, Version
 from colgames.suite import STATIC_SUITE, TRANSLATION_SUITE, bot_choice, first_mover_wins, leaf_top
 
@@ -550,6 +551,79 @@ class TestStateScanAgainstSwapScan:
         # every pool run is counted once, under the state it leads to
         scan = _StateScan(*case)
         assert all(sum(level.values()) == len(scan.labmoves) ** n for n, level in enumerate(scan.levels))
+
+
+# Twin moves: T a and T c, and B b and B d, lead to equal states from
+# every state, so each pair is one move class.
+_TWINS = (
+    FiniteGame("first_mover_wins_twins", node(BOT, {
+        lm(TOP, "a"): leaf(TOP), lm(TOP, "c"): leaf(TOP),
+        lm(BOT, "b"): leaf(BOT), lm(BOT, "d"): leaf(BOT)})),
+    FiniteGame("second_mover_wins_twins", node(TOP, {
+        lm(TOP, "a"): node(TOP, {lm(BOT, "b"): leaf(BOT), lm(BOT, "d"): leaf(BOT)}),
+        lm(TOP, "c"): node(TOP, {lm(BOT, "b"): leaf(BOT), lm(BOT, "d"): leaf(BOT)}),
+        lm(BOT, "b"): node(TOP, {lm(TOP, "a"): leaf(TOP), lm(TOP, "c"): leaf(TOP)}),
+        lm(BOT, "d"): node(TOP, {lm(TOP, "a"): leaf(TOP), lm(TOP, "c"): leaf(TOP)})})),
+)
+
+
+def _class_cases():
+    """(game, pool) whose pools hold move classes of more than one move:
+    the first_mover_wins recurrences with two junk moves added to their
+    pools, and the twin-move bases with a junk move."""
+    for kind in ALL_KINDS:
+        yield make_recurrence(first_mover_wins(), kind), _BOTH_PAYLOAD_POOLS[kind.version] + ("x", "y")
+    for base in _TWINS:
+        yield base, ("a", "b", "c", "d", "x")
+
+
+class TestMoveClasses:
+    """The scan steps by one move per class of moves that lead to equal
+    states, weighted by the class's size, and reports what the swap scan
+    reports, which steps by every move."""
+
+    CASES = list(_class_cases())
+
+    @pytest.mark.parametrize("game, pool", CASES, ids=[g.name for g, _ in CASES])
+    @pytest.mark.parametrize("max_run_len", [3, 4])
+    def test_equals_swap_scan(self, game, pool, max_run_len):
+        bounds = EnumBounds(2, max_run_len)
+        scan = _StateScan(game, bounds, pool)
+        assert any(m > 1 for _, m in scan.tops + scan.bots)
+        oracle = SWAP_SCAN(game, bounds, pool)
+        assert static_and_lemma(game, bounds, pool) == (oracle.static_verdict(), oracle.lemma_report())
+
+    def test_twin_moves_share_a_class(self):
+        scan = _StateScan(_TWINS[0], EnumBounds(0, 3), ("a", "b", "c", "d", "x"))
+        # T a and T c; T b, T d and T x are illegal everywhere; likewise for B
+        assert scan.tops == [(0, 2), (1, 3)]
+        assert scan.bots == [(5, 3), (6, 2)]
+        assert scan.rep == [0, 1, 0, 1, 1, 5, 6, 5, 6, 5]
+
+    @pytest.mark.parametrize("scan", [static_and_lemma, is_static, check_illegality_lemma])
+    def test_a_pool_listing_a_move_twice_is_refused(self, scan):
+        # the repeated move would count its runs twice: 482 swaps checked
+        # and 4 violations, each listed twice, where there are 290 and 2
+        game = make_recurrence(first_mover_wins(), TIGHT_RECURRENCE)
+        with pytest.raises(PreconditionError, match="'0.a' twice"):
+            scan(game, EnumBounds(2, 3), (":", "0:", "0", "0.a", "0.b", "0.a"))
+        report = check_illegality_lemma(game, EnumBounds(2, 3), _BOTH_PAYLOAD_POOLS[Version.TIGHT])
+        assert (report.pairs_checked, report.violation_count) == (290, 2)
+
+
+class TestPinnedResults:
+    def test_the_sixty_static_and_lemma_results(self):
+        # every static suite base and first_mover_wins, under each of the
+        # four recurrences, at run lengths 3, 4 and 5
+        digest = hashlib.sha256()
+        for base in STATIC_SUITE + (first_mover_wins(),):
+            for kind in ALL_KINDS:
+                game = make_recurrence(base, kind)
+                for max_run_len in (3, 4, 5):
+                    v, r = static_and_lemma(game, EnumBounds(2, max_run_len), _BOTH_PAYLOAD_POOLS[kind.version])
+                    digest.update(repr((v.static, v.counterexample, r.violations, r.pairs_checked,
+                                        r.violation_count)).encode())
+        assert digest.hexdigest()[:16] == "3c1a8e4153371eb2"
 
 
 class TestStateInterning:
