@@ -211,7 +211,8 @@ def _print_position(run: Run, expr, state: State) -> None:
     projection along the structural player's last switch, after the
     actual and outer nodes of a tight recurrence (a compound's tight
     component's only; a loose one has no tree).  The tree and the stem
-    are read from the recurrences' states."""
+    are read from the recurrences' states, so a stem shows without its
+    trailing zeros, and a switch to ``0`` as the root."""
     print(f"position: {format_run(run)}")
     if translation_shape(expr) is not None:
         shown = list(zip(("component 1 ", "component 2 "), split_disjunction(run), state))

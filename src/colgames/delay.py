@@ -38,7 +38,8 @@ stands for the swap of each player, read in mirror.  The counterexample
 and the shortest lemma violations are found by a depth-first search over
 gamma's digits, pruned by memoised checks that a bad pair is reachable.
 A pool that lists a move twice would count its runs twice, and is
-refused with :class:`PreconditionError`.
+refused with :class:`PreconditionError`, as is a run bound past
+``MAX_RUN_LEN``.
 """
 
 from __future__ import annotations
@@ -140,11 +141,26 @@ class LemmaReport:
     violation_count: int
 
 
+# The longest run bound the scans take.  They count the runs of length n
+# in integers of about n log2(2 |pool|) bits, one level per unit of the
+# bound: on a 2-CPU VM, ``leaf_top`` takes 0.01 s at 1,024 and 2.5 s at
+# 100,000, and ``tbr_l(top_choice)`` at address <= 2 takes 4.4 s at 1,024.
+MAX_RUN_LEN = 1 << 10
+
+
+def _check_run_bound(bounds: EnumBounds) -> None:
+    if bounds.max_run_len > MAX_RUN_LEN:
+        raise PreconditionError(f"run bound {bounds.max_run_len} is past the {MAX_RUN_LEN} moves "
+                                f"a delay scan takes")
+
+
 def move_pool(game: Game, bounds: EnumBounds) -> tuple[str, ...]:
     """Every move ``game.moves`` offers either player, within ``bounds``, at
     a state reached by offered moves in fewer than ``bounds.max_run_len``
     moves; sorted, then a junk move (``x``, else ``xx``, ...) that is not
-    among them."""
+    among them.  A run bound past ``MAX_RUN_LEN`` raises
+    :class:`PreconditionError`."""
+    _check_run_bound(bounds)
     longest = bounds.max_run_len
     level, seen, found = {game.start()}, set(), set()
     for n in range(longest):
@@ -189,6 +205,7 @@ class _StateScan:
     """
 
     def __init__(self, game: Game, bounds: EnumBounds, pool: Sequence[str] | None) -> None:
+        _check_run_bound(bounds)
         pool = move_pool(game, bounds) if pool is None else pool
         if len(set(pool)) < len(pool):
             twice = next(m for m, c in Counter(pool).items() if c > 1)

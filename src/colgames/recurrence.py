@@ -15,16 +15,21 @@ global constraint is that the run read along every infinite bitstring
 (its moves addressed to prefixes of it, stripped to their payloads) is a
 legal run of the base.
 
-A recurrence's state (:class:`RayState`) holds the replicated set (tight
-only), the structural player's last switch stem, and one base state per
+A recurrence's state (:class:`RayState`) is canonical: two legal runs
+reach equal states exactly when they denote one position, with the same
+tree, the same decisive ray and the same base state along every ray.  It
+holds the replicated set (tight only), the structural player's last
+switch stem without trailing zeros (the decisive ray is that stem padded
+with zeros, so ``0`` and the root name one ray), and one base state per
 class of rays.  Rays in one class agree on their first ``depth`` bits,
-where ``depth`` is the length of the longest addressed move so far, so
-they read the run identically.  A longer address splits every class,
-and the new classes copy their parent's base state; an addressed move
-``u.x`` steps with ``x`` the base state of each class whose key starts
-with ``u``, and the move is legal iff every one of those steps is.  The
-outcome is the base outcome of the class holding the last switch stem
-padded with zeros.  The moves a player may make in a state come from the
+where ``depth`` is the fewest leading bits that fix every ray's base
+state.  An addressed move ``u.x`` longer than ``depth`` first splits
+every class, the new classes copying their parent's base state; it then
+steps with ``x`` the base state of each class whose key starts with
+``u``, and is legal iff every one of those steps is.  Last, while every
+pair of sibling classes holds equal states, each pair merges into its
+parent.  The outcome is the base outcome of the class holding the
+decisive ray.  The moves a player may make in a state come from the
 state too: an addressed move ``u.x`` is offered when every class below
 ``u`` offers ``x``, which is what ``step`` accepts.
 """
@@ -179,13 +184,13 @@ MAX_ADDRESS_BITS = 16
 
 
 class RayState(NamedTuple):
-    """A recurrence's state after a legal run.
+    """A recurrence's state after a legal run, one per position.
 
     ``tree`` holds the actual nodes (None in the loose version) and
-    ``stem`` the address of the structural player's last switch.  The
-    rays are split into classes by the ``depth`` first bits, where
-    ``depth`` is the length of the longest addressed move so far; rays in
-    one class read the run identically.  ``classes[i]`` is the base state
+    ``stem`` the address of the structural player's last switch without
+    its trailing zeros.  The rays are split into classes by their first
+    ``depth`` bits, the fewest that fix every ray's base state, so no two
+    sibling classes hold equal states.  ``classes[i]`` is the base state
     of the run read along the class whose key is the ``depth`` bits of
     ``i``.
     """
@@ -212,14 +217,15 @@ class RecurrenceGame(Game):
         """Switches and replications change the stem and the tree; an
         addressed move ``u.x`` steps the base state of every class below
         ``u`` with ``x``, after splitting each class in copies of itself
-        when ``u`` is longer than the classes' keys.  An address longer than
-        ``MAX_ADDRESS_BITS`` raises :class:`PreconditionError`."""
+        when ``u`` is longer than the classes' keys, then merges sibling
+        classes while every pair holds equal states.  An address longer
+        than ``MAX_ADDRESS_BITS`` raises :class:`PreconditionError`."""
         sh = parse_move(lm.move)
         tree, stem, depth, classes = state
         if sh.kind is ShapeKind.SWITCH:
             if lm.label is not self.structural or tree is not None and not tree.is_actual(sh.address):
                 return None
-            return RayState(tree, sh.address, depth, classes)
+            return RayState(tree, sh.address.rstrip("0"), depth, classes)
         if sh.kind is ShapeKind.REPLICATIVE:
             if tree is None or lm.label is not self.structural or sh.address not in tree.outer():
                 return None
@@ -243,7 +249,10 @@ class RecurrenceGame(Game):
             if inner is None:
                 return None
             stepped.append(inner)
-        return RayState(tree, stem, depth, classes[:low] + tuple(stepped) + classes[low + width :])
+        classes = classes[:low] + tuple(stepped) + classes[low + width :]
+        while depth and classes[::2] == classes[1::2]:
+            classes, depth = classes[::2], depth - 1
+        return RayState(tree, stem, depth, classes)
 
     def outcome(self, state: RayState) -> Player:
         """Winner of a legal run: the base winner of the run read along the

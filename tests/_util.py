@@ -440,6 +440,25 @@ class WholeRunGame(Game):
             m for m in candidates if self.extend_legal(position, LabMove(player, m))
         )
 
+
+def same_position(game, one, two) -> bool:
+    """Do two legal runs of the recurrence ``game`` denote one position?
+
+    Read from the runs alone: they must have the same actual-node tree
+    (tight only), the same decisive ray (the last switch's stem padded
+    with zeros, so stems equal up to trailing zeros), and, along every ray
+    of the classes of both runs together, projections that take the base
+    to equal states."""
+    structural = game.kind.structural
+    if game.kind.version is Version.TIGHT and actual_nodes(one, structural) != actual_nodes(two, structural):
+        return False
+    last = [switches(run, structural)[-1:] or ("",) for run in (one, two)]
+    if Ray(last[0][0]) != Ray(last[1][0]):
+        return False
+    return all(game.base.replay(project(one, ray)) == game.base.replay(project(two, ray))
+               for ray in ray_classes(one + two))
+
+
 def probe_pool(game, bounds):
     """A small deterministic pool of a game's move shapes: the library's
     default pool before it offered every move, kept for the brute-force

@@ -284,6 +284,11 @@ class TestStatic:
         assert main(["static", "--game", "tbr_l(bot_choice)", "--max-addr", "17"]) == 3
         assert_one_line_error(capsys)
 
+    def test_run_bound_past_the_ceiling_exits_three(self, capsys):
+        # one level per unit of the bound, its run counts 2**n-sized integers
+        assert main(["static", "--game", "leaf_top", "--max-run", "99999999999999999999"]) == 3
+        assert_one_line_error(capsys)
+
 
 class TestSimulate:
     def test_exhaustive_suite_exit_zero(self, capsys):
@@ -636,6 +641,27 @@ actual: ['', '0', '00', '01', '1']
 outer:  ['00', '01', '1']
 along last switch (01): <>
 outcome: won by T
+"""),
+        # a switch to 0 names the root's ray, so the stem shows as the root
+        "tbr_t(bot_choice)": ([":", "0", "0.b", ""], """\
+no machine strategy for this expression; you play the environment
+position: <>
+actual: ['']
+outer:  ['']
+along last switch (root): <>
+position: <B":">
+actual: ['', '0', '1']
+outer:  ['0', '1']
+along last switch (root): <>
+position: <B":", B"0">
+actual: ['', '0', '1']
+outer:  ['0', '1']
+along last switch (root): <>
+position: <B":", B"0", B"0.b">
+actual: ['', '0', '1']
+outer:  ['0', '1']
+along last switch (root): <B"b">
+outcome: won by B
 """),
         "cbr_l(bot_choice)": (["0.b", "1"], """\
 no machine strategy for this expression; you play the environment

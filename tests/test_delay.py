@@ -24,10 +24,17 @@ from colgames import (
     offender,
     won_by,
 )
-from colgames.delay import OFF_B, _StateScan, move_pool, static_and_lemma
+from colgames.delay import MAX_RUN_LEN, OFF_B, _StateScan, move_pool, static_and_lemma
 from colgames.games import FiniteGame, Game, GameNode, PreconditionError, leaf, node
 from colgames.recurrence import ALL_KINDS, LOOSE_RECURRENCE, TIGHT_RECURRENCE, Version
-from colgames.suite import STATIC_SUITE, TRANSLATION_SUITE, bot_choice, first_mover_wins, leaf_top
+from colgames.suite import (
+    STATIC_SUITE,
+    TRANSLATION_SUITE,
+    bot_choice,
+    first_mover_wins,
+    leaf_top,
+    second_mover_wins,
+)
 
 from _util import (
     ReferenceRunTable,
@@ -651,3 +658,39 @@ class TestStateInterning:
         assert after_a == after_c and hash(after_a) == hash(after_c)
         scan = _StateScan(game, EnumBounds(0, 1), (".a", ".c"))
         assert [c for s, c in scan.levels[1].items() if s > OFF_B] == [2]
+
+    ROWS = [
+        (make_recurrence(second_mover_wins(), TIGHT_RECURRENCE), 1075),
+        (make_recurrence(second_mover_wins(), LOOSE_RECURRENCE), 2418),
+        (make_recurrence(bot_choice(), TIGHT_RECURRENCE), 246),
+        (make_recurrence(bot_choice(), LOOSE_RECURRENCE), 66),
+    ]
+
+    @pytest.mark.parametrize("game, rows", ROWS, ids=[game.name for game, _ in ROWS])
+    def test_canonical_states_fix_the_row_count(self, game, rows):
+        # the honest-pool rows, both offended rows included: a switch keeps
+        # its stem without trailing zeros and equal sibling classes merge,
+        # so one position is one row (1575, 4405, 406 and 142 without)
+        assert len(_StateScan(game, EnumBounds(2, 5), None).rows) == rows
+
+
+class TestRunBoundCeiling:
+    """The scans count runs of each length in integers that grow with the
+    length, so a run bound past ``MAX_RUN_LEN`` is refused before any
+    level is built."""
+
+    @pytest.mark.parametrize("max_run_len", [MAX_RUN_LEN + 1, 10**20])
+    def test_a_bound_past_the_ceiling_is_refused(self, max_run_len):
+        bounds = EnumBounds(0, max_run_len)
+        with pytest.raises(PreconditionError, match="past the 1024 moves"):
+            move_pool(leaf_top(), bounds)
+        for scan in (static_and_lemma, is_static, check_illegality_lemma):
+            for pool in (None, ("x",)):
+                with pytest.raises(PreconditionError, match="past the 1024 moves"):
+                    scan(leaf_top(), bounds, pool)
+
+    def test_the_ceiling_itself_is_scanned(self):
+        bounds = EnumBounds(0, MAX_RUN_LEN)
+        verdict, report = static_and_lemma(leaf_top(), bounds)
+        assert verdict.static and report.violation_count == 0
+        assert move_pool(leaf_top(), bounds) == ("x",)

@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colgames import BOT, TOP, EnumBounds, LabMove, offender
+from colgames.core import ShapeKind, parse_move
 from colgames.delay import move_pool
 from colgames.games import FiniteGame, disjoin, leaf, negate, node
 from colgames.recurrence import ALL_KINDS, LOOSE_RECURRENCE, TIGHT_RECURRENCE, make_recurrence
+from colgames.suite import STATIC_SUITE, SWAP_SUITE, bot_choice, first_mover_wins, leaf_top
 
-from _util import WholeRunGame, game_nodes, is_legal
+from _util import WholeRunGame, game_nodes, is_legal, same_position
 
 # A finite tree's moves are its alphabet plus a junk move; a recurrence's
 # are every probe-move shape at addresses of length <= 2 over its base's
@@ -151,3 +153,96 @@ class TestRayClasses:
         assert game.winner(run) is winner
         assert offender(WholeRunGame(game), run) is None
         assert WholeRunGame(game).winner(run) is winner
+
+
+@st.composite
+def _offered_runs(draw, game):
+    """A legal run of one to five moves, each one that ``moves`` offers
+    either player in the state reached (the structural player may always
+    switch)."""
+    run, state = (), game.start()
+    for _ in range(draw(st.integers(1, 5))):
+        lm = draw(st.sampled_from([LabMove(player, move) for player in (TOP, BOT)
+                                   for move in sorted(game.moves(state, player, BOUNDS))]))
+        run, state = run + (lm,), game.step(state, lm)
+    return run
+
+
+@st.composite
+def _run_pairs(draw):
+    """(game, one, two): a recurrence of any kind over a random tree of
+    depth <= 3, a legal run, and a second legal run.  The second is drawn
+    on its own, or rewritten from the first by changes that may keep the
+    position (a switch to w as one to w0 or to w without trailing zeros,
+    an addressed move u.x as u0.x then u1.x) and cut at its first offence."""
+    game = make_recurrence(FiniteGame("random", draw(game_nodes(3))), draw(st.sampled_from(ALL_KINDS)))
+    one = draw(_offered_runs(game))
+    if draw(st.booleans()):
+        return game, one, draw(_offered_runs(game))
+    two = ()
+    for lm in one:
+        sh = parse_move(lm.move)
+        if sh.kind is ShapeKind.SWITCH:
+            two += (LabMove(lm.label, draw(st.sampled_from((sh.address + "0", sh.address.rstrip("0"))))),)
+        elif sh.kind is ShapeKind.NONREPLICATIVE and len(sh.address) < 2 and draw(st.booleans()):
+            two += tuple(LabMove(lm.label, f"{sh.address}{bit}.{sh.payload}") for bit in "01")
+        else:
+            two += (lm,)
+    off = offender(game, two)
+    return game, one, two if off is None else two[: off.index]
+
+
+class TestCanonicalStates:
+    """A recurrence's state is canonical: two legal runs reach equal states
+    exactly when they denote one position, which ``same_position`` decides
+    from the runs alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_run_pairs())
+    def test_equal_states_exactly_for_one_position(self, case):
+        game, one, two = case
+        assert (game.replay(one) == game.replay(two)) == same_position(game, one, two)
+
+    @pytest.mark.parametrize("game, one, two", [
+        # a switch to 0 names the root's ray, 000...
+        (make_recurrence(leaf_top(), TIGHT_RECURRENCE), _run("B:", "B0"), _run("B:")),
+        # b at both children of 0 is b at 0: the classes below 0 collapse
+        (make_recurrence(bot_choice(), LOOSE_RECURRENCE), _run("B00.b", "B01.b"), _run("B0.b")),
+        # the last of the four grandchildren collapses two levels at once
+        (make_recurrence(bot_choice(), LOOSE_RECURRENCE), _run("B00.b", "B01.b", "B10.b", "B11.b"), _run("B.b")),
+    ], ids=["switch-to-0-is-the-root", "both-children-are-the-parent", "four-grandchildren-are-the-root"])
+    def test_one_position_one_state(self, game, one, two):
+        assert same_position(game, one, two)
+        assert game.replay(one) == game.replay(two)
+
+
+class TestMoveQueryContract:
+    """At every state the honest-pool scan reaches, ``step`` accepts a pool
+    move for a label exactly when ``moves`` offers it, so the pool's runs
+    cover every move within the bounds.  ``moves`` reads class tuples that
+    may be shallower than the addresses it offers."""
+
+    GAMES = [make_recurrence(base, kind) for base in STATIC_SUITE + SWAP_SUITE + (first_mover_wins(),)
+             for kind in ALL_KINDS]
+
+    @pytest.mark.parametrize("max_address_len", [1, 2])
+    @pytest.mark.parametrize("game", GAMES, ids=[game.name for game in GAMES])
+    def test_step_accepts_what_moves_offers(self, game, max_address_len):
+        bounds = EnumBounds(max_address_len, 4)
+        pool = move_pool(game, bounds)
+        level, seen = {game.start()}, set()
+        for n in range(bounds.max_run_len + 1):
+            seen |= level
+            following = set()
+            for state in level:
+                for player in (TOP, BOT):
+                    offered = game.moves(state, player, bounds)
+                    accepted = set()
+                    for move in pool:
+                        after = game.step(state, LabMove(player, move))
+                        if after is not None:
+                            accepted.add(move)
+                            following.add(after)
+                    assert accepted == offered & set(pool), (state, player)
+                    assert n == bounds.max_run_len or offered <= set(pool)
+            level = following - seen
