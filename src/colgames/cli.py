@@ -24,7 +24,7 @@ from .core import (
     neg_player,
     project,
 )
-from .delay import enumerate_delays, is_delay, is_static, move_pool
+from .delay import _StateScan, enumerate_delays, is_delay
 from .dsl import ElaborationError, ExprParseError, Rec, elaborate, parse_game_expr, translation_shape
 from .files import FileFormatError, TraceFile, dumps_trace, load_game_defs, loads_trace
 from .games import EnumBounds, State, offender, split_disjunction
@@ -116,11 +116,10 @@ def cmd_delays(args) -> int:
 def cmd_static(args) -> int:
     defs = _load_defs(args.defs)
     game = elaborate(parse_game_expr(args.game), defs)
-    bounds = EnumBounds(args.max_addr, args.max_run)
-    pool = move_pool(game, bounds)
-    verdict = is_static(game, bounds, pool)
+    scan = _StateScan(game, EnumBounds(args.max_addr, args.max_run), None)
+    verdict = scan.static_verdict()
     print(f"static: {'yes' if verdict.static else 'no'}")
-    print(f"pool: {len(pool)} moves")
+    print(f"pool: {len(scan.pool)} moves")
     if verdict.static:
         return 0
     gamma, delta, p = verdict.counterexample

@@ -21,25 +21,26 @@ over unrestricted move strings would be infinite.  The default pool,
 bounds at a state reached in fewer moves than the length bound, plus one
 junk move.  Any other move string behaves like the junk move at every
 such state (illegal for its author), so the scans then cover every move
-within the address bound, not a sample.
+within the address bound, not a sample.  The scan finds that pool in
+its own walk, stepping each state only by the moves it offers: the move
+query's contract makes every other pool move illegal there.
 
 The scans count runs by game state: equal states have equal futures (the
-contract of :class:`Game`), so each distinct state is stepped once by
-each pool move, and the runs of each length are a count per state.  An
-offended run's state is the culprit of its first offence, which every
-move keeps.  Pool moves of one label that lead to the same state from
-every state stepped form a move class, and after the build every phase
-steps by one move per class, weighted by the class's size.  A swap
-gamma = P x y T, delta = P y x T is decided by the pair of states the
-two runs reach.  Pairs start from each state's head swaps, weighted by
-its runs, and follow the tails one move at a time, both states stepped
-by the same move.  One pair key, the states after x y and after y x,
-stands for the swap of each player, read in mirror.  The counterexample
-and the shortest lemma violations are found by a depth-first search over
-gamma's digits, pruned by memoised checks that a bad pair is reachable.
-A pool that lists a move twice would count its runs twice, and is
-refused with :class:`PreconditionError`, as is a run bound past
-``MAX_RUN_LEN``.
+contract of :class:`Game`), so each distinct state is stepped once, and
+the runs of each length are a count per state.  An offended run's state
+is the culprit of its first offence, which every move keeps.  Pool moves
+of one label that lead to the same state from every state stepped form a
+move class, and after the build every phase steps by one move per class,
+weighted by the class's size.  A swap gamma = P x y T, delta = P y x T
+is decided by the pair of states the two runs reach.  Pairs start from
+each state's head swaps, weighted by its runs, and follow the tails one
+move at a time, both states stepped by the same move.  One pair key, the
+states after x y and after y x, stands for the swap of each player, read
+in mirror.  The counterexample and the shortest lemma violations are
+found by a depth-first search over gamma's digits, pruned by memoised
+checks that a bad pair is reachable.  A pool that lists a move twice
+would count its runs twice, and is refused with
+:class:`PreconditionError`, as is a run bound past ``MAX_RUN_LEN``.
 """
 
 from __future__ import annotations
@@ -148,32 +149,13 @@ class LemmaReport:
 MAX_RUN_LEN = 1 << 10
 
 
-def _check_run_bound(bounds: EnumBounds) -> None:
-    if bounds.max_run_len > MAX_RUN_LEN:
-        raise PreconditionError(f"run bound {bounds.max_run_len} is past the {MAX_RUN_LEN} moves "
-                                f"a delay scan takes")
-
-
 def move_pool(game: Game, bounds: EnumBounds) -> tuple[str, ...]:
     """Every move ``game.moves`` offers either player, within ``bounds``, at
     a state reached by offered moves in fewer than ``bounds.max_run_len``
     moves; sorted, then a junk move (``x``, else ``xx``, ...) that is not
-    among them.  A run bound past ``MAX_RUN_LEN`` raises
-    :class:`PreconditionError`."""
-    _check_run_bound(bounds)
-    longest = bounds.max_run_len
-    level, seen, found = {game.start()}, set(), set()
-    for n in range(longest):
-        seen |= level
-        offered = [(state, LabMove(p, m)) for state in level for p in (TOP, BOT)
-                   for m in game.moves(state, p, bounds)]
-        found.update(lm.move for _, lm in offered)
-        if n + 1 < longest:
-            level = {game.step(state, lm) for state, lm in offered} - seen
-    junk = "x"
-    while junk in found:
-        junk += "x"
-    return tuple(sorted(found)) + (junk,)
+    among them: the pool a delay scan finds in its one walk.  A run bound
+    past ``MAX_RUN_LEN`` raises :class:`PreconditionError`."""
+    return _StateScan(game, bounds, None).pool
 
 
 # The two absorbing states: an offended run's state id is the bit of its
@@ -183,9 +165,9 @@ OFF_T, OFF_B = 0, 1
 
 
 class _StateScan:
-    """Every adjacent swap of the runs over a labmove pool (None: the
-    ``move_pool``), counted over the distinct game states the runs reach,
-    the two absorbing offended states among them.
+    """Every adjacent swap of the runs over a labmove pool (None: every move
+    the game offers, ``pool`` after the build), counted over the distinct
+    game states the runs reach, the two absorbing offended states among them.
 
     ``labmoves`` are the pool's moves labelled TOP, then labelled BOT, so
     with ``k = 2 |pool|`` a digit ``d < |pool|`` is a TOP move.  A run of
@@ -205,15 +187,13 @@ class _StateScan:
     """
 
     def __init__(self, game: Game, bounds: EnumBounds, pool: Sequence[str] | None) -> None:
-        _check_run_bound(bounds)
-        pool = move_pool(game, bounds) if pool is None else pool
-        if len(set(pool)) < len(pool):
+        if bounds.max_run_len > MAX_RUN_LEN:
+            raise PreconditionError(f"run bound {bounds.max_run_len} is past the {MAX_RUN_LEN} moves "
+                                    f"a delay scan takes")
+        if pool is not None and len(set(pool)) < len(pool):
             twice = next(m for m, c in Counter(pool).items() if c > 1)
             raise PreconditionError(f"the pool lists the move {twice!r} twice")
-        self.labmoves = [LabMove(TOP, m) for m in pool] + [LabMove(BOT, m) for m in pool]
-        self.rows: list[list[int] | None] = [[OFF_T] * len(self.labmoves), [OFF_B] * len(self.labmoves)]
-        self.wins = [1, 0]
-        self._build(game, bounds.max_run_len)
+        self.pool = pool = self._build(game, bounds, pool)
         first: dict[tuple, int] = {}
         self.rep = [first.setdefault((d < len(pool), column), d)
                     for d, column in enumerate(zip(*[row for row in self.rows if row is not None]))]
@@ -221,11 +201,15 @@ class _StateScan:
         self.tops = [(d, m) for d, m in sizes.items() if d < len(pool)]
         self.bots = [(d, m) for d, m in sizes.items() if d >= len(pool)]
 
-    def _build(self, game: Game, longest: int) -> None:
-        """Count the runs of each length by the state they reach (``levels``);
-        a state is stepped once, by every labmove."""
-        rows, wins, ids, states = self.rows, self.wins, {}, [None, None]
-        step, offended = game.step, [(lm, OFF_T if lm.label is TOP else OFF_B) for lm in self.labmoves]
+    def _build(self, game: Game, bounds: EnumBounds, pool: Sequence[str] | None) -> Sequence[str]:
+        """Intern the states the runs reach in one breadth-first walk that steps
+        each state once, count the runs of each length by state (``levels``)
+        and return the pool.  A given pool is stepped labmove by labmove; with
+        none, a state is stepped by the moves it offers, the pool is their
+        union and a junk move, and a digit not offered goes to its label's
+        offended state, as the move query's contract in :class:`Game` says."""
+        self.rows, self.wins = rows, wins = [None, None], [1, 0]
+        ids, states, step = {}, [None, None], game.step
 
         def intern(state: State) -> int:
             s = ids[state] = len(states)
@@ -235,7 +219,23 @@ class _StateScan:
             return s
 
         self.levels = [{intern(game.start()): 1}]
-        for _ in range(longest):
+        if pool is None:
+            offers, level = {}, [OFF_B + 1]
+            for _ in range(bounds.max_run_len):
+                for s in level:
+                    state = states[s]
+                    offers[s] = [{m: off if (t := step(state, LabMove(p, m))) is None else ids.get(t) or intern(t)
+                                  for m in game.moves(state, p, bounds)} for p, off in ((TOP, OFF_T), (BOT, OFF_B))]
+                level = {t for s in level for got in offers[s] for t in got.values() if t > OFF_B and t not in offers}
+            found = {m for tops, bots in offers.values() for m in (*tops, *bots)}
+            junk = next(x for n in range(1, len(found) + 2) if (x := "x" * n) not in found)
+            pool = tuple(sorted(found)) + (junk,)
+            for s, (tops, bots) in offers.items():
+                rows[s] = [tops.get(m, OFF_T) for m in pool] + [bots.get(m, OFF_B) for m in pool]
+        self.labmoves = [LabMove(TOP, m) for m in pool] + [LabMove(BOT, m) for m in pool]
+        rows[OFF_T], rows[OFF_B] = [OFF_T] * len(self.labmoves), [OFF_B] * len(self.labmoves)
+        offended = [(lm, OFF_T if lm.label is TOP else OFF_B) for lm in self.labmoves]
+        for _ in range(bounds.max_run_len):
             level = {}
             for s, c in self.levels[-1].items():
                 row = rows[s]
@@ -246,6 +246,7 @@ class _StateScan:
                 for t in row:
                     level[t] = level.get(t, 0) + c
             self.levels.append(level)
+        return pool
 
     def _count(self) -> tuple[int, list[int]]:
         """Follow the swap pairs to every length, counting by weight the swaps

@@ -202,10 +202,9 @@ class FiniteGame(Game):
     extend_legal, winner = Game.extend_legal, Game.winner
 
     def probe_moves(self, bounds: EnumBounds) -> tuple[str, ...]:
-        """Every move of the tree, sorted, then a junk move.  Kept for
-        perfbench/, which records it as the translation precheck's pool,
-        until ROADMAP item 2; the library's pools come from
-        ``delay.move_pool``."""
+        """Every move of the tree, sorted, then a junk move: the translation
+        precheck's pool as perfbench/ records it, kept until ROADMAP item 2;
+        the library's delay scans find their pools in their own walk."""
         moves: set[str] = set()
         stack = [self.root]
         while stack:

@@ -132,15 +132,16 @@ class NodeTree:
 def actual_nodes(position: Run, structural: Player) -> NodeTree:
     """Tree of actual nodes: the root plus children of replicated addresses.
 
-    Only replication requests made by the structural player count.
+    Only the legal replications count: the structural player's, at nodes
+    outer when made, so the tree is the one the tight game grows.
     """
-    replicated = set()
+    tree = NodeTree(frozenset())
     for lm in position:
         if lm.label is structural:
             sh = parse_move(lm.move)
-            if sh.kind is ShapeKind.REPLICATIVE:
-                replicated.add(sh.address)
-    return NodeTree(frozenset(replicated))
+            if sh.kind is ShapeKind.REPLICATIVE and sh.address in tree.outer():
+                tree = tree.replicate(sh.address)
+    return tree
 
 
 def tight_extension_legal(base: Game, position: Run, lm: LabMove, structural: Player) -> bool:

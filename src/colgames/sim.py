@@ -170,8 +170,8 @@ def verify_translation(
     """Play the translation routine against every exhaustive adversary.
 
     The base must be static over runs of length up to 4 of every move it
-    offers within the address bound (``delay.move_pool``; plenty for
-    desk-scale bases, and independent of the interaction bound in
+    offers within the address bound (the delay scan's default pool; plenty
+    for desk-scale bases, and independent of the interaction bound in
     ``bounds``); otherwise :class:`PreconditionError` is raised.  Every
     resulting trace is audited; the report aggregates all violations.
     """

@@ -8,13 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from colgames import BOT, TOP, EnumBounds, LabMove, is_static
+from colgames import BOT, TOP, EnumBounds, LabMove
 from colgames.cli import main
-from colgames.dsl import elaborate, parse_game_expr
+from colgames.dsl import elaborate
 from colgames.files import TraceFile, dump_game_defs, dumps_trace, loads_trace
-from colgames.suite import suite_defs
 
-from _util import chain_defs, late, probe_pool
+from _util import CountingGame, chain_defs, late
 
 DATA = Path(__file__).parent / "data"
 PROJECTION_TRACE = str(DATA / "projection_example.json")
@@ -174,6 +173,13 @@ class TestNodes:
         assert 'actual: {"", "0", "00", "01", "1"}' in out
         assert 'outer:  {"00", "01", "1"}' in out
 
+    def test_replication_off_the_tree_adds_no_node(self, tmp_path, capsys):
+        # 0 is not a node of the empty tree, so the tight game refuses 0:
+        # and the set printed must stay a tree
+        trace = write_trace(tmp_path, (LabMove(BOT, "0:"),))
+        assert main(["nodes", "--trace", trace]) == 0
+        assert capsys.readouterr().out == 'actual: {""}\nouter:  {""}\n'
+
     def test_structural_flag(self, tmp_path, capsys):
         trace = write_trace(tmp_path, (LabMove(TOP, ":"),))
         assert main(["nodes", "--trace", trace, "--structural", "T"]) == 0
@@ -243,19 +249,24 @@ class TestStatic:
         out = capsys.readouterr().out
         assert out.startswith("static: no\npool: 29 moves\n")
 
-    def test_deep_recurrence_nesting(self, capsys):
+    def test_deep_recurrence_nesting(self, capsys, monkeypatch):
         # each level asks its base for moves once per distinct class state,
         # not once per ray class, so 50 levels stay linear in the depth
-        # instead of doubling per level; their full pool (5302 moves) makes
-        # the scan slow, so the CLI runs at 10 levels (262 moves) and the
-        # 50 levels run over the probe pool
-        game = "tbr_t(" * 10 + "bot_choice" + ")" * 10
+        # instead of doubling per level; the scan steps each state only by
+        # the moves it offers: 10,401 steps, where stepping every state by
+        # all 5302 moves of the pool for each player took 23 s
+        counted = []
+
+        def counting(expr, defs):
+            counted.append(CountingGame(elaborate(expr, defs)))
+            return counted[-1]
+
+        monkeypatch.setattr("colgames.cli.elaborate", counting)
+        game = "tbr_t(" * 50 + "bot_choice" + ")" * 50
         code = main(["static", "--game", game, "--max-run", "2", "--max-addr", "1"])
         assert code == 0
-        assert capsys.readouterr().out == "static: yes\npool: 262 moves\n"
-        deep = elaborate(parse_game_expr("tbr_t(" * 50 + "bot_choice" + ")" * 50), suite_defs())
-        bounds = EnumBounds(1, 2)
-        assert is_static(deep, bounds, probe_pool(deep, bounds)).static
+        assert capsys.readouterr().out == "static: yes\npool: 5302 moves\n"
+        assert counted[0].steps == 10401
 
     def test_deeply_nested_expression_is_a_parse_error(self, capsys):
         game = "not(" * 1200 + "leaf_top" + ")" * 1200

@@ -26,7 +26,9 @@ from colgames import (
 )
 from colgames.delay import MAX_RUN_LEN, OFF_B, _StateScan, move_pool, static_and_lemma
 from colgames.games import FiniteGame, Game, GameNode, PreconditionError, leaf, node
-from colgames.recurrence import ALL_KINDS, LOOSE_RECURRENCE, TIGHT_RECURRENCE, Version
+from colgames.dsl import elaborate, parse_game_expr
+from colgames.recurrence import ALL_KINDS, LOOSE_RECURRENCE, OP_NAMES, TIGHT_RECURRENCE, Version
+from colgames.sim import Direction, translation_compound
 from colgames.suite import (
     STATIC_SUITE,
     TRANSLATION_SUITE,
@@ -34,9 +36,11 @@ from colgames.suite import (
     first_mover_wins,
     leaf_top,
     second_mover_wins,
+    suite_defs,
 )
 
 from _util import (
+    CountingGame,
     ReferenceRunTable,
     SwapScan,
     all_interleavings,
@@ -672,6 +676,66 @@ class TestStateInterning:
         # its stem without trailing zeros and equal sibling classes merge,
         # so one position is one row (1575, 4405, 406 and 142 without)
         assert len(_StateScan(game, EnumBounds(2, 5), None).rows) == rows
+
+
+def _composite_games():
+    """Every suite atom, its four recurrences and their negations, a
+    disjunction of each atom with the next, the sixteen recurrences of a
+    recurrence of bot_choice, each recurrence of second_mover_wins under
+    its own kind, and the translation compounds."""
+    defs = suite_defs()
+    atoms = sorted(defs)
+    ops = [OP_NAMES[kind] for kind in ALL_KINDS]
+    texts = (atoms + [f"{op}({a})" for a in atoms for op in ops] + [f"not({op}({a}))" for a in atoms for op in ops]
+             + [f"or({a}, {b})" for a, b in zip(atoms, atoms[1:])]
+             + [f"{x}({y}(bot_choice))" for x in ops for y in ops] + [f"{x}({x}(second_mover_wins))" for x in ops])
+    return ([elaborate(parse_game_expr(text), defs) for text in texts]
+            + [translation_compound(base, direction) for base in TRANSLATION_SUITE for direction in Direction])
+
+
+class TestDefaultPoolWalk:
+    """Without a pool the scan steps each state only by the moves it offers
+    and makes the pool from them.  It must report what the scan over that
+    pool given explicitly reports, which steps every pool move blind, over
+    the same states: the state ids differ, as the interning order does, so
+    the rows are compared by number and each level by its sorted counts."""
+
+    @staticmethod
+    def _assert_same(game, bounds):
+        pool = move_pool(game, bounds)
+        assert static_and_lemma(game, bounds) == static_and_lemma(game, bounds, pool)
+        walked, stepped = _StateScan(game, bounds, None), _StateScan(game, bounds, pool)
+        assert walked.pool == pool
+        assert len(walked.rows) == len(stepped.rows)
+        assert [sorted(level.values()) for level in walked.levels] == [
+            sorted(level.values()) for level in stepped.levels]
+
+    @settings(max_examples=100, deadline=None)
+    @given(_oracle_scan_cases())
+    def test_equals_the_explicit_pool(self, case):
+        game, bounds, _ = case
+        self._assert_same(game, bounds)
+
+    GAMES = _composite_games()
+
+    @pytest.mark.parametrize("game", GAMES, ids=[game.name for game in GAMES])
+    def test_equals_the_explicit_pool_on_composite_games(self, game):
+        self._assert_same(game, EnumBounds(1, 3))
+
+    STEPS = [
+        ("tbr_t(" * 20 + "bot_choice" + ")" * 20, EnumBounds(1, 2), 1761),
+        ("tbr_l(first_mover_loses)", EnumBounds(2, 5), 19208),
+        ("tbr_t(second_mover_wins)", EnumBounds(2, 5), 3638),
+    ]
+
+    @pytest.mark.parametrize("text, bounds, steps", STEPS, ids=["tbr_t-20-deep", "tbr_l-first_mover_loses",
+                                                                 "tbr_t-second_mover_wins"])
+    def test_steps_only_offered_moves(self, text, bounds, steps):
+        # stepping every pool move at every state took 40,609, 81,558 and
+        # 17,379 steps; most of them were refused
+        game = CountingGame(elaborate(parse_game_expr(text), suite_defs()))
+        static_and_lemma(game, bounds)
+        assert game.steps == steps
 
 
 class TestRunBoundCeiling:

@@ -86,9 +86,34 @@ class TestActualNodes:
             tree = NodeTree(frozenset())
             for x in run:
                 sh = parse_move(x.move)
-                if x.label is BOT and sh.kind is ShapeKind.REPLICATIVE:
+                if x.label is BOT and sh.kind is ShapeKind.REPLICATIVE and sh.address in tree.outer():
                     tree = tree.replicate(sh.address)
             assert tree.nodes() == actual_nodes(run, BOT).nodes()
+
+    @pytest.mark.parametrize("moves, nodes", [
+        # 0 is not yet a node, so 0: replicates nothing
+        (("0:",), {""}),
+        # 00 is not yet a node, nor is 1 before the root is replicated
+        ((":", "00:"), {"", "0", "1"}),
+        (("1:", ":"), {"", "0", "1"}),
+        # the root is no longer outer after the first :
+        ((":", ":"), {"", "0", "1"}),
+        ((":", ":", "1:"), {"", "0", "1", "10", "11"}),
+        # the second 0: finds 0 no longer outer
+        ((":", "0:", "0:"), {"", "0", "1", "00", "01"}),
+    ])
+    def test_replications_off_the_outer_nodes_do_not_count(self, moves, nodes):
+        tree = actual_nodes(tuple(lm(BOT, m) for m in moves), BOT)
+        assert tree.nodes() == nodes
+        assert tree.outer() == outer_brute(nodes)
+
+    def test_equals_the_tight_games_tree_on_legal_runs(self):
+        game = make_recurrence(bot_choice(), TIGHT_RECURRENCE)
+        pool = [":", "0:", "1:", "00:", "0", "1", ".b", "0.b"]
+        for run in all_runs(pool, 3):
+            state = game.replay(run)
+            if state is not None:
+                assert actual_nodes(run, BOT) == state.tree, run
 
     @pytest.mark.parametrize("cached", [_nodes_of, _outer_of], ids=lambda f: f.__name__)
     def test_distinct_trees_past_the_bound_leave_the_cache_at_it(self, cached):

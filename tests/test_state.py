@@ -16,7 +16,8 @@ from colgames.core import ShapeKind, parse_move
 from colgames.delay import move_pool
 from colgames.games import FiniteGame, disjoin, leaf, negate, node
 from colgames.recurrence import ALL_KINDS, LOOSE_RECURRENCE, TIGHT_RECURRENCE, make_recurrence
-from colgames.suite import STATIC_SUITE, SWAP_SUITE, bot_choice, first_mover_wins, leaf_top
+from colgames.sim import Direction, translation_compound
+from colgames.suite import STATIC_SUITE, SWAP_SUITE, bot_choice, first_mover_wins, leaf_top, second_mover_wins
 
 from _util import WholeRunGame, game_nodes, is_legal, same_position
 
@@ -225,10 +226,27 @@ class TestMoveQueryContract:
     GAMES = [make_recurrence(base, kind) for base in STATIC_SUITE + SWAP_SUITE + (first_mover_wins(),)
              for kind in ALL_KINDS]
 
+    # negations and disjunctions of recurrences, the translation compounds
+    # among them, and recurrences of recurrences (of second_mover_wins only
+    # the four that nest one kind twice: each takes up to 0.7 s at (1,3))
+    COMPOSITES = (
+        [negate(make_recurrence(base, kind)) for base in (bot_choice(), second_mover_wins()) for kind in ALL_KINDS]
+        + [translation_compound(base, direction) for base in STATIC_SUITE + SWAP_SUITE for direction in Direction]
+        + [make_recurrence(make_recurrence(bot_choice(), inner), outer) for inner in ALL_KINDS for outer in ALL_KINDS]
+        + [make_recurrence(make_recurrence(second_mover_wins(), kind), kind) for kind in ALL_KINDS]
+    )
+
     @pytest.mark.parametrize("max_address_len", [1, 2])
     @pytest.mark.parametrize("game", GAMES, ids=[game.name for game in GAMES])
     def test_step_accepts_what_moves_offers(self, game, max_address_len):
-        bounds = EnumBounds(max_address_len, 4)
+        self._assert_contract(game, EnumBounds(max_address_len, 4))
+
+    @pytest.mark.parametrize("game", COMPOSITES, ids=[game.name for game in COMPOSITES])
+    def test_step_accepts_what_moves_offers_on_composite_bases(self, game):
+        self._assert_contract(game, EnumBounds(1, 3))
+
+    @staticmethod
+    def _assert_contract(game, bounds):
         pool = move_pool(game, bounds)
         level, seen = {game.start()}, set()
         for n in range(bounds.max_run_len + 1):
