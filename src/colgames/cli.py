@@ -361,7 +361,12 @@ def main(argv=None) -> int:
             print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
             return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:  # the reader of stdout is gone: drop the rest, as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ExprParseError, ElaborationError, FileFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -146,6 +146,8 @@ class LemmaReport:
 # in integers of about n log2(2 |pool|) bits, one level per unit of the
 # bound: on a 2-CPU VM, ``leaf_top`` takes 0.01 s at 1,024 and 2.5 s at
 # 100,000, and ``tbr_l(top_choice)`` at address <= 2 takes 4.4 s at 1,024.
+# It bounds the integers, not the states, which grow with the bound on tight
+# recurrences: ``tbr_t(bot_choice)`` at address <= 2 takes 13 s at 64, 66 s at 256.
 MAX_RUN_LEN = 1 << 10
 
 
@@ -243,6 +245,9 @@ class _StateScan:
                     state = states[s]
                     rows[s] = row = [off if (t := step(state, lm)) is None else ids.get(t) or intern(t)
                                      for lm, off in offended]
+                if s <= OFF_B:  # every move keeps an offended run where it is
+                    level[s] = level.get(s, 0) + c * len(row)
+                    continue
                 for t in row:
                     level[t] = level.get(t, 0) + c
             self.levels.append(level)
@@ -255,17 +260,19 @@ class _StateScan:
         weights and mirrored pairs.  An offended state s heads |pool|² swaps
         of each p, all to the pair (s, s)."""
         rows, tops, bots, longest = self.rows, self.tops, self.bots, len(self.levels) - 1
-        every, heads, counts, pairs = tops + bots, {}, [0] * (longest + 1), 0
+        every, counts, pairs = tops + bots, [0] * (longest + 1), 0
+        heads = {s: [((s, s), (len(self.labmoves) // 2) ** 2)] for s in (OFF_T, OFF_B)}
         here: dict[tuple[int, int], int] = {}
         for n in range(2, longest + 1):
             for s, c in self.levels[n - 2].items():
                 found = heads.get(s)
                 if found is None:
                     row, found = rows[s], {}
+                    after_bots = [(y, my, rows[row[y]]) for y, my in bots]
                     for x, mx in tops:
                         after_x = rows[row[x]]
-                        for y, my in bots:
-                            key = (after_x[y], rows[row[y]][x])
+                        for y, my, after_y in after_bots:
+                            key = (after_x[y], after_y[x])
                             found[key] = found.get(key, 0) + mx * my
                     heads[s] = found = list(found.items())
                 for key, m in found:
@@ -280,7 +287,9 @@ class _StateScan:
                     pairs += w
                     if b != OFF_B:
                         counts[n] += w
-                if n < longest:
+                if n < longest and a <= OFF_B and b <= OFF_B:  # every tail keeps the pair
+                    after[a, b] = after.get((a, b), 0) + w * len(rows[a])
+                elif n < longest:
                     row_a, row_b = rows[a], rows[b]
                     for t, m in every:
                         key = (row_a[t], row_b[t])
@@ -335,7 +344,7 @@ class _StateScan:
             left, row = n - j - 1, rows[s]
             for t in range(k):
                 after = row[t]
-                kept = [(i, rows[d][t], p) for i, d, p in begun if reach(after, rows[d][t], p, left)]
+                kept = [(i, rows[d][t], p) for i, d, p in begun if reach(after, rows[d][t], p, left)] if begun else []
                 if j and (x < half) != (t < half):
                     p, d = (0 if x < half else 1), rows[rows[before][t]][x]
                     if reach(after, d, p, left):

@@ -187,7 +187,7 @@ class FiniteGame(Game):
 
     def step(self, state: GameNode, lm: LabMove) -> GameNode | None:
         for edge, child in state.edges:
-            if edge == lm:
+            if edge.move == lm.move and edge.label is lm.label:
                 return child
         return None
 

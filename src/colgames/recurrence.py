@@ -183,6 +183,9 @@ def switches(run: Run, structural: Player) -> tuple[str, ...]:
 # 2**d class states, so this guard caps a state at 65,536 of them.
 MAX_ADDRESS_BITS = 16
 
+# Bound once for step: a member read through its Enum class is slow on Python 3.11.
+_SWITCH, _REPLICATIVE, _NONREPLICATIVE = ShapeKind.SWITCH, ShapeKind.REPLICATIVE, ShapeKind.NONREPLICATIVE
+
 
 class RayState(NamedTuple):
     """A recurrence's state after a legal run, one per position.
@@ -216,41 +219,43 @@ class RecurrenceGame(Game):
 
     def step(self, state: RayState, lm: LabMove) -> RayState | None:
         """Switches and replications change the stem and the tree; an
-        addressed move ``u.x`` steps the base state of every class below
-        ``u`` with ``x``, after splitting each class in copies of itself
-        when ``u`` is longer than the classes' keys, then merges sibling
-        classes while every pair holds equal states.  An address longer
-        than ``MAX_ADDRESS_BITS`` raises :class:`PreconditionError`."""
+        addressed move ``u.x`` steps with ``x`` the base state of every class
+        below ``u``, refused before any class is copied if one step is; a
+        ``u`` longer than the classes' keys then splits every class in copies
+        of itself, and sibling classes merge while every pair holds equal
+        states.  Before all that, an address past ``MAX_ADDRESS_BITS``
+        raises :class:`PreconditionError`."""
         sh = parse_move(lm.move)
+        kind, u = sh.kind, sh.address
         tree, stem, depth, classes = state
-        if sh.kind is ShapeKind.SWITCH:
-            if lm.label is not self.structural or tree is not None and not tree.is_actual(sh.address):
+        if kind is _SWITCH:
+            if lm.label is not self.structural or tree is not None and not tree.is_actual(u):
                 return None
-            return RayState(tree, sh.address.rstrip("0"), depth, classes)
-        if sh.kind is ShapeKind.REPLICATIVE:
-            if tree is None or lm.label is not self.structural or sh.address not in tree.outer():
+            return RayState(tree, u.rstrip("0"), depth, classes)
+        if kind is not _NONREPLICATIVE:
+            if kind is not _REPLICATIVE or tree is None or lm.label is not self.structural or u not in tree.outer():
                 return None
-            return RayState(tree.replicate(sh.address), stem, depth, classes)
-        if sh.kind is not ShapeKind.NONREPLICATIVE or tree is not None and not tree.is_actual(sh.address):
+            return RayState(tree.replicate(u), stem, depth, classes)
+        if tree is not None and not tree.is_actual(u):
             return None
-        u = sh.address
-        if len(u) > depth:
-            if len(u) > MAX_ADDRESS_BITS:
-                raise PreconditionError(f"address {u!r} has {len(u)} bits; "
-                                        f"a recurrence takes at most {MAX_ADDRESS_BITS}")
+        if len(u) > MAX_ADDRESS_BITS:
+            raise PreconditionError(f"address {u!r} has {len(u)} bits; "
+                                    f"a recurrence takes at most {MAX_ADDRESS_BITS}")
+        key, payload, step = u[:depth], LabMove(lm.label, sh.payload), self.base.step
+        width = 1 << (depth - len(key))
+        low = int(key, 2) * width if key else 0
+        stepped, last = [], None
+        for inner in classes[low : low + width]:
+            if inner is not last:  # a split leaves copies of one state side by side
+                last, after = inner, step(inner, payload)
+                if after is None:
+                    return None
+            stepped.append(after)
+        if len(u) > depth:  # one class was below u: split it, the copy at u stepped
             copies = 1 << (len(u) - depth)
             classes = tuple(inner for inner in classes for _ in range(copies))
-            depth = len(u)
-        width = 1 << (depth - len(u))
-        low = int(u, 2) * width if u else 0
-        payload = LabMove(lm.label, sh.payload)
-        stepped = []
-        for inner in classes[low : low + width]:
-            inner = self.base.step(inner, payload)
-            if inner is None:
-                return None
-            stepped.append(inner)
-        classes = classes[:low] + tuple(stepped) + classes[low + width :]
+            low, depth = low * copies + int(u[depth:], 2), len(u)
+        classes = classes[:low] + tuple(stepped) + classes[low + len(stepped) :]
         while depth and classes[::2] == classes[1::2]:
             classes, depth = classes[::2], depth - 1
         return RayState(tree, stem, depth, classes)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -299,6 +300,18 @@ class TestStatic:
         # one level per unit of the bound, its run counts 2**n-sized integers
         assert main(["static", "--game", "leaf_top", "--max-run", "99999999999999999999"]) == 3
         assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("buffering", [-1, 1], ids=["buffered", "line-buffered"])
+    def test_a_closed_stdout_exits_quietly(self, buffering, capsys, monkeypatch):
+        # stdout is a pipe whose reader is gone, so writing to it raises
+        # BrokenPipeError: that is no malformed input (2), and nothing is said
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w", buffering=buffering) as closed:
+            monkeypatch.setattr(sys, "stdout", closed)
+            code = main(["static", "--game", "tbr_l(first_mover_wins)", "--max-run", "4", "--max-addr", "2"])
+            assert code == 141
+        assert capsys.readouterr().err == ""
 
 
 class TestSimulate:

@@ -199,6 +199,18 @@ class TestAddressGuard:
         with pytest.raises(PreconditionError):
             game.step(deep, lm(BOT, "0" * 17 + ".b"))
 
+    # bot_choice refuses TOP's a and a junk move in every class state, so
+    # only the guard, checked before any class is stepped, can refuse these
+    @pytest.mark.parametrize("label, payload", [(TOP, "a"), (BOT, "x")], ids=["top-a", "junk"])
+    def test_the_guard_comes_before_the_class_states(self, label, payload):
+        game = make_recurrence(bot_choice(), LOOSE_RECURRENCE)
+        deep = game.step(game.start(), lm(BOT, "1" * 16 + ".b"))
+        assert deep.depth == 16
+        for state in (game.start(), deep):
+            assert all(game.base.step(inner, lm(label, payload)) is None for inner in state.classes)
+            with pytest.raises(PreconditionError):
+                game.step(state, lm(label, "0" * 17 + "." + payload))
+
     @pytest.mark.parametrize("kind", [TIGHT_RECURRENCE, LOOSE_RECURRENCE])
     def test_a_bound_past_sixteen_bits_offers_no_moves(self, kind):
         # step refuses the deepest moves such a bound would offer

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from dataclasses import replace
 
@@ -38,9 +39,10 @@ from colgames import (
 )
 from colgames import sim
 from colgames.recurrence import TIGHT_RECURRENCE
-from colgames.strategy import StepNote
+from colgames.strategy import StepNote, exhaustive_adversaries
 from colgames.suite import (
     SWAP_SUITE,
+    TRANSLATION_SUITE,
     alternating,
     bot_choice,
     first_mover_wins,
@@ -231,6 +233,22 @@ class TestVerifyTranslation:
         first = verify_translation(bot_choice(), Direction.LOOSE_TO_TIGHT, BOUNDS, budget=2)
         second = verify_translation(bot_choice(), Direction.LOOSE_TO_TIGHT, BOUNDS, budget=2)
         assert first == second
+
+    def test_budget_three_traces_are_pinned(self):
+        # one running sha256 over every budget-3 trace of the translation
+        # suite in both directions, as the benchmark plays them: the moves,
+        # each note's reacted-to index and node map, the outcome, the
+        # offender and the truncation flag
+        digest, count = hashlib.sha256(), 0
+        for base in TRANSLATION_SUITE:
+            for direction in Direction:
+                compound = translation_compound(base, direction)
+                machine = sim.strategy_for(compound, direction)
+                for t in exhaustive_adversaries(compound, machine, EnumBounds(2, 64), 3, max_steps=64):
+                    notes = [(n.reacted_to, getattr(n.state, "fmap", None)) for n in t.notes]
+                    digest.update(repr((t.moves, notes, t.outcome, t.offender, t.truncated)).encode())
+                    count += 1
+        assert (count, digest.hexdigest()[:16]) == (6493, "da7edfd40f992ba4")
 
 
 class TestCompositeBases:

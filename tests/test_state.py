@@ -15,11 +15,11 @@ from colgames import BOT, TOP, EnumBounds, LabMove, offender
 from colgames.core import ShapeKind, parse_move
 from colgames.delay import move_pool
 from colgames.games import FiniteGame, disjoin, leaf, negate, node
-from colgames.recurrence import ALL_KINDS, LOOSE_RECURRENCE, TIGHT_RECURRENCE, make_recurrence
+from colgames.recurrence import ALL_KINDS, LOOSE_RECURRENCE, OP_NAMES, TIGHT_RECURRENCE, Version, make_recurrence
 from colgames.sim import Direction, translation_compound
 from colgames.suite import STATIC_SUITE, SWAP_SUITE, bot_choice, first_mover_wins, leaf_top, second_mover_wins
 
-from _util import WholeRunGame, game_nodes, is_legal, same_position
+from _util import WholeRunGame, all_stems, game_nodes, is_legal, same_position
 
 # A finite tree's moves are its alphabet plus a junk move; a recurrence's
 # are every probe-move shape at addresses of length <= 2 over its base's
@@ -264,3 +264,43 @@ class TestMoveQueryContract:
                     assert accepted == offered & set(pool), (state, player)
                     assert n == bounds.max_run_len or offered <= set(pool)
             level = following - seen
+
+
+class TestRefutePoolStates:
+    """At every state a scan over the static_refute benchmark's explicit
+    pools reaches, at (2,4), ``step`` accepts and refuses each probe move
+    as ``WholeRunGame`` does, and every outcome, before and after a probe,
+    is its winner.  The probes are the pool, every switch and replication,
+    and addressed moves of three payloads, up to two bits deeper than the
+    state's classes."""
+
+    POOLS = {Version.TIGHT: (":", "0:", "0", "0.a", "0.b"),
+             Version.LOOSE: (":", "01", ".a", ".b", "0.a", "0.b")}
+    BOUNDS = EnumBounds(2, 4)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=[OP_NAMES[kind] for kind in ALL_KINDS])
+    def test_step_judges_probes_as_the_whole_run_oracle(self, kind):
+        game = make_recurrence(first_mover_wins(), kind)
+        oracle = WholeRunGame(game)
+        pool = self.POOLS[kind.version]
+        # one run to each state, breadth-first over the pool as the scan steps it
+        runs, level = {game.start(): ()}, [game.start()]
+        for _ in range(self.BOUNDS.max_run_len):
+            following = []
+            for state in level:
+                for move in (LabMove(player, m) for player in (TOP, BOT) for m in pool):
+                    after = game.step(state, move)
+                    if after is not None and after not in runs:
+                        runs[after] = runs[state] + (move,)
+                        following.append(after)
+            level = following
+        assert len(runs) == (7 if kind.version is Version.TIGHT else 10)
+        for state, run in runs.items():
+            assert game.outcome(state) is oracle.winner(run)
+            stems = list(all_stems(state.depth + 2))
+            probes = pool + tuple(stems) + tuple(w + ":" for w in stems) + tuple(
+                f"{w}.{a}" for w in stems for a in ("a", "b", "x"))
+            for move in (LabMove(player, m) for player in (TOP, BOT) for m in probes):
+                after = game.step(state, move)
+                assert (after is not None) == oracle.extend_legal(run, move), (run, move)
+                assert after is None or game.outcome(after) is oracle.winner(run + (move,)), (run, move)
