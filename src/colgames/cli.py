@@ -3,7 +3,8 @@ checks, strategy-vs-adversary simulation, and an interactive play mode.
 
 Exit codes: 0 success, 1 property failure (lost plays, static
 counterexamples, verification failures), 2 parse/format errors, 3
-precondition violations (non-static base, guard limits).
+precondition violations (non-static base, guard limits), 141 a closed
+stdout.
 """
 
 from __future__ import annotations
@@ -284,8 +285,13 @@ def cmd_play(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, worded as main's own refusals
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="colgames",
         description="Constant games with toggling-branching (co)recurrences.",
     )

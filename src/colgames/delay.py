@@ -84,21 +84,6 @@ def is_delay(delta: Run, gamma: Run, p: Player) -> bool:
     )
 
 
-def _swaps(runs: Iterable[Run]) -> Iterator[tuple[Run, Run, Player]]:
-    """One delay step: each adjacent pair of differently labelled moves, swapped.
-
-    For each run gamma in order, yields ``(gamma, delta, p)`` where delta
-    is gamma with the moves at i and i+1 exchanged and ``p`` labels the
-    left one, so delta is the ``p``-delay of gamma that moves one ``p``
-    move past the adversary move right after it.
-    """
-    for gamma in runs:
-        for i in range(len(gamma) - 1):
-            left, right = gamma[i], gamma[i + 1]
-            if left.label is not right.label:
-                yield gamma, gamma[:i] + (right, left) + gamma[i + 2 :], left.label
-
-
 def enumerate_delays(gamma: Run, p: Player) -> frozenset[Run]:
     """All ``p``-delays of ``gamma``; guarded against interleaving blowup."""
     if len(gamma) > 8:
@@ -106,7 +91,9 @@ def enumerate_delays(gamma: Run, p: Player) -> frozenset[Run]:
     out = {gamma}
     frontier = {gamma}
     while frontier:
-        frontier = {delta for _, delta, q in _swaps(frontier) if q is p} - out
+        frontier = {run[:i] + (y, x) + run[i + 2 :] for run in frontier
+                    for i, (x, y) in enumerate(zip(run, run[1:]))
+                    if x.label is p and y.label is not p} - out
         out |= frontier
     return frozenset(out)
 

@@ -31,7 +31,7 @@ from colgames.core import (
     project,
     ray_classes,
 )
-from colgames.delay import LemmaReport, StaticVerdict, _swaps
+from colgames.delay import LemmaReport, StaticVerdict
 from colgames.games import (
     EnumBounds,
     FiniteGame,
@@ -465,11 +465,19 @@ def probe_pool(game, bounds):
     oracles, which cannot take a full pool (at (2,5) a 29-move pool has
     58^5 runs of length 5).
 
-    A finite tree gives every move of the tree and a junk move; a negation
-    its inner game's pool and a disjunction its components' under ``1.``
-    and ``2.``; a recurrence four moves of its version's shapes, with the
-    least payload its base offers at the start.  A game of another type
-    gives its own ``probe_moves``."""
+    A finite tree gives every move of the tree, sorted, and the first of
+    ``x``, ``y``, ``z`` it lacks; a negation its inner game's pool and a
+    disjunction its components' under ``1.`` and ``2.``; a recurrence four
+    moves of its version's shapes, with the least payload its base offers
+    at the start.  A game of another type gives its own ``probe_moves``."""
+    if isinstance(game, FiniteGame):
+        moves, stack = set(), [game.root]
+        while stack:
+            for edge, child in stack.pop().edges:
+                moves.add(edge.move)
+                stack.append(child)
+        junk = [m for m in ("x", "y", "z") if m not in moves][:1]
+        return tuple(sorted(moves)) + tuple(junk)
     if isinstance(game, _Negated):
         return probe_pool(game.inner, bounds)
     if isinstance(game, _Disjoined):
@@ -527,9 +535,19 @@ class ReferenceRunTable:
             return off.culprit is not p
         return self.winners[run] is p
 
+    def swaps(self):
+        """Each run's adjacent swaps, in table order and then by position:
+        (gamma, delta, p), delta being gamma with the move of p at i and
+        the adversary move at i+1 exchanged."""
+        for gamma in self.runs:
+            for i in range(len(gamma) - 1):
+                left, right = gamma[i], gamma[i + 1]
+                if left.label is not right.label:
+                    yield gamma, gamma[:i] + (right, left) + gamma[i + 2 :], left.label
+
     def static_verdict(self):
         """The first swap (in table order) that p wins before but not after."""
-        for gamma, delta, p in _swaps(self.runs):
+        for gamma, delta, p in self.swaps():
             if self.won(gamma, p) and not self.won(delta, p):
                 return StaticVerdict(False, (gamma, delta, p))
         return StaticVerdict(True)
@@ -537,7 +555,7 @@ class ReferenceRunTable:
     def lemma_report(self):
         violations = []
         pairs = 0
-        for gamma, delta, p in _swaps(self.runs):
+        for gamma, delta, p in self.swaps():
             off = self.offenders[delta]
             if off is None or off.culprit is not p:
                 continue

@@ -70,26 +70,37 @@ class TestMalformedFiles:
     """A file the loaders cannot read exits 2 with one line on stderr."""
 
     _TRACE = '{"game": "A", "version": "0.1.0", "moves": [], "outcome": %s}'
+    _DEFS = "static --defs FILE --game g"
+    _PROJECT = "project --trace FILE --ray 0"
+    # every command that reads a file: a trace, an adversary script or
+    # game definitions
+    _READERS = (
+        "eval --game leaf_top --trace FILE",
+        _PROJECT,
+        "nodes --trace FILE",
+        "delays --trace FILE --player T --enumerate",
+        "simulate --direction tight-to-loose --atom bot_choice --adversary script:FILE",
+        "static --game leaf_top --defs FILE",
+        "play --game leaf_top --defs FILE",
+    )
 
     @pytest.mark.parametrize(
         "command, data",
         [
-            ("defs", b'{"g": {"winner": ["T"]}}'),
-            ("defs", b'{"g": {"winner": "T", "moves": 5}}'),
-            ("trace", (_TRACE % "{}").encode()),
-            ("defs", b'\xff\xfe{"g": {"winner": "T"}}'),
-            ("trace", b'\xff\xfe' + (_TRACE % '"T"').encode()),
-        ],
+            (_DEFS, b'{"g": {"winner": ["T"]}}'),
+            (_DEFS, b'{"g": {"winner": "T", "moves": 5}}'),
+            (_PROJECT, (_TRACE % "{}").encode()),
+            (_DEFS, b'\xff\xfe{"g": {"winner": "T"}}'),
+            (_PROJECT, b'\xff\xfe' + (_TRACE % '"T"').encode()),
+        ] + [(command, b"{") for command in _READERS],
         ids=["unhashable-winner", "moves-not-a-list", "unhashable-outcome",
-             "defs-not-utf8", "trace-not-utf8"],
+             "defs-not-utf8", "trace-not-utf8"]
+        + ["truncated-" + command.split()[0] for command in _READERS],
     )
     def test_exits_two(self, command, data, tmp_path, capsys):
         path = tmp_path / "f.json"
         path.write_bytes(data)
-        if command == "defs":
-            argv = ["static", "--defs", str(path), "--game", "g"]
-        else:
-            argv = ["project", "--trace", str(path), "--ray", "0"]
+        argv = [arg.replace("FILE", str(path)) for arg in command.split()]
         assert main(argv) == 2
         assert_one_line_error(capsys)
 
@@ -219,17 +230,36 @@ class TestDelays:
 
 
 class TestStatic:
-    def test_static_game(self, capsys):
-        code = main(["static", "--game", "bot_choice", "--max-run", "4", "--max-addr", "2"])
-        assert code == 0
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--game", "bot_choice", "--max-run", "4", "--max-addr", "2"],
+            ["--game", "tbr_l(top_choice)"],
+            # bases whose legal swaps reach two different states, and a
+            # recurrence of each, whose pool moves fall into classes of
+            # several moves each, at the default bounds
+            ["--game", "second_mover_wins"],
+            ["--game", "first_mover_loses"],
+            ["--game", "tbr_t(second_mover_wins)"],
+            ["--game", "tbr_l(first_mover_loses)"],
+        ],
+        ids=lambda args: args[1],
+    )
+    def test_static_game(self, args, capsys):
+        assert main(["static", *args]) == 0
         assert "static: yes" in capsys.readouterr().out
 
-    def test_non_static_game(self, capsys):
-        code = main(["static", "--game", "first_mover_wins", "--max-run", "4", "--max-addr", "2"])
+    _NON_STATIC = [("first_mover_wins", '<T"a", B"b">')] + [
+        (f"{op}(first_mover_wins)", '<T".a", B".b">') for op in ("tbr_t", "cbr_t", "tbr_l", "cbr_l")
+    ]
+
+    @pytest.mark.parametrize("game, original", _NON_STATIC, ids=[game for game, _ in _NON_STATIC])
+    def test_non_static_game(self, game, original, capsys):
+        code = main(["static", "--game", game, "--max-run", "4", "--max-addr", "2"])
         assert code == 1
         out = capsys.readouterr().out
         assert "static: no" in out
-        assert 'original: <T"a", B"b">' in out
+        assert f"original: {original}" in out
 
     def test_recurrence_expression(self, capsys):
         code = main(["static", "--game", "tbr_l(top_choice)", "--max-run", "4", "--max-addr", "2"])
@@ -315,11 +345,15 @@ class TestStatic:
 
 
 class TestSimulate:
-    def test_exhaustive_suite_exit_zero(self, capsys):
-        code = main([
-            "simulate", "--direction", "loose-to-tight", "--atom", "bot_choice",
-            "--adversary", "exhaustive", "--budget", "2",
-        ])
+    # the adversary is exhaustive by default; second_mover_wins and
+    # first_mover_loses are static bases whose swaps matter
+    @pytest.mark.parametrize(
+        "direction, atom",
+        [("loose-to-tight", "bot_choice"), ("tight-to-loose", "second_mover_wins"),
+         ("loose-to-tight", "first_mover_loses")],
+    )
+    def test_exhaustive_suite_exit_zero(self, direction, atom, capsys):
+        code = main(["simulate", "--direction", direction, "--atom", atom, "--budget", "2"])
         assert code == 0
         out = capsys.readouterr().out
         assert "failures: 0" in out
@@ -714,6 +748,25 @@ outcome: won by T
         assert "play stopped at 1000 moves" in out
         assert "offender" not in out
         assert "outcome: won by T" in out
+
+
+class TestUsageErrors:
+    """argparse's refusals exit 2 with one stderr line, worded as main's."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["static"], ["static", "--game", "leaf_top", "--max-run", "abc"],
+         ["simulate", "--direction", "bogus"], ["bogus"]],
+        ids=["missing-option", "not-an-integer", "bad-choice", "unknown-command"],
+    )
+    def test_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestVersionFlag:

@@ -260,6 +260,19 @@ class TestMovePool:
         bounds = EnumBounds(2, 4)
         assert move_pool(base, bounds) == base.probe_moves(bounds)
 
+    # x is a move of the first tree, x and y of the second, so the junk
+    # move is y, then z
+    _JUNK_TREES = (
+        FiniteGame("x_move", node(TOP, {lm(TOP, "x"): leaf(BOT)})),
+        FiniteGame("xy_moves", node(TOP, {lm(TOP, "x"): node(BOT, {lm(BOT, "y"): leaf(TOP)})})),
+    )
+
+    @pytest.mark.parametrize("base", tuple(suite_defs().values()) + _JUNK_TREES,
+                             ids=lambda base: base.name)
+    def test_the_oracle_pool_of_a_tree_is_its_probe_moves(self, base):
+        bounds = EnumBounds(2, 4)
+        assert probe_pool(base, bounds) == base.probe_moves(bounds)
+
 
 # first_mover_wins recurrences need both root payloads in the pool to
 # show that they are not static.
