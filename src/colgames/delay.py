@@ -36,11 +36,11 @@ is decided by the pair of states the two runs reach.  Pairs start from
 each state's head swaps, weighted by its runs, and follow the tails one
 move at a time, both states stepped by the same move.  One pair key, the
 states after x y and after y x, stands for the swap of each player, read
-in mirror.  The counterexample and the shortest lemma violations are
-found by a depth-first search over gamma's digits, pruned by memoised
-checks that a bad pair is reachable.  A pool that lists a move twice
-would count its runs twice, and is refused with
-:class:`PreconditionError`, as is a run bound past ``MAX_RUN_LEN``.
+in mirror.  The count flags the lengths that hold a counterexample or a
+lemma violation, and a depth-first search over gamma's digits, pruned by
+memoised checks that a bad pair is reachable, decodes only the shortest
+length flagged.  A pool listing a move twice, whose runs would count
+twice, and a run bound past ``MAX_RUN_LEN`` raise :class:`PreconditionError`.
 """
 
 from __future__ import annotations
@@ -132,9 +132,8 @@ class LemmaReport:
 # The longest run bound the scans take.  They count the runs of length n
 # in integers of about n log2(2 |pool|) bits, one level per unit of the
 # bound: on a 2-CPU VM, ``leaf_top`` takes 0.01 s at 1,024 and 2.5 s at
-# 100,000, and ``tbr_l(top_choice)`` at address <= 2 takes 4.4 s at 1,024.
-# It bounds the integers, not the states, which grow with the bound on tight
-# recurrences: ``tbr_t(bot_choice)`` at address <= 2 takes 13 s at 64, 66 s at 256.
+# 100,000, and ``tbr_l(top_choice)`` at address <= 2 takes 1.4 s at 1,024.
+# It bounds the integers, not the states, which grow with the address bound.
 MAX_RUN_LEN = 1 << 10
 
 
@@ -172,7 +171,9 @@ class _StateScan:
     for each class of TOP and of BOT digits, and ``rep[d]`` is the
     representative of d's class.  A swap's pair (a, b) holds the states
     after x y and after y x, x TOP's digit and y BOT's: TOP's swap has
-    gamma in a and delta in b, BOT's the reverse.
+    gamma in a and delta in b, BOT's the reverse.  Both verdicts take one
+    path: ``_count`` flags the lengths that hold a bad pair, and
+    ``_bad_swaps`` decodes the bad swaps of one flagged length.
     """
 
     def __init__(self, game: Game, bounds: EnumBounds, pool: Sequence[str] | None) -> None:
@@ -240,15 +241,16 @@ class _StateScan:
             self.levels.append(level)
         return pool
 
-    def _count(self) -> tuple[int, list[int]]:
-        """Follow the swap pairs to every length, counting by weight the swaps
-        whose delta has p as first offender, and per length the violations.
-        One key (a, b) stands for both players' swaps, which have equal
-        weights and mirrored pairs.  An offended state s heads |pool|² swaps
-        of each p, all to the pair (s, s)."""
-        rows, tops, bots, longest = self.rows, self.tops, self.bots, len(self.levels) - 1
-        every, counts, pairs = tops + bots, [0] * (longest + 1), 0
-        heads = {s: [((s, s), (len(self.labmoves) // 2) ** 2)] for s in (OFF_T, OFF_B)}
+    def _count(self) -> Iterator[tuple[int, int, int]]:
+        """Follow the swap pairs length by length, yielding for each length from
+        2 the weight of its swaps whose delta has p as first offender, of the
+        violations among them, and of its keys (a, b) that TOP wins in a and BOT
+        in b.  One key stands for both players' swaps, which have equal weights
+        and mirrored pairs: such a key is a counterexample for both, any other
+        for neither.  An offended state s heads |pool|² swaps of each p, all to
+        the pair (s, s)."""
+        rows, wins, tops, bots, longest = self.rows, self.wins, self.tops, self.bots, len(self.levels) - 1
+        every, heads = tops + bots, {s: [((s, s), (len(self.labmoves) // 2) ** 2)] for s in (OFF_T, OFF_B)}
         here: dict[tuple[int, int], int] = {}
         for n in range(2, longest + 1):
             for s, c in self.levels[n - 2].items():
@@ -265,15 +267,18 @@ class _StateScan:
                 for key, m in found:
                     here[key] = here.get(key, 0) + c * m
             after: dict[tuple[int, int], int] = {}
+            pairs = violations = flagged = 0
             for (a, b), w in here.items():
+                if wins[a] < wins[b]:
+                    flagged += w
                 if b == OFF_T:
                     pairs += w
                     if a != OFF_T:
-                        counts[n] += w
+                        violations += w
                 if a == OFF_B:
                     pairs += w
                     if b != OFF_B:
-                        counts[n] += w
+                        violations += w
                 if n < longest and a <= OFF_B and b <= OFF_B:  # every tail keeps the pair
                     after[a, b] = after.get((a, b), 0) + w * len(rows[a])
                 elif n < longest:
@@ -281,14 +286,14 @@ class _StateScan:
                     for t, m in every:
                         key = (row_a[t], row_b[t])
                         after[key] = after.get(key, 0) + w * m
+            yield pairs, violations, flagged
             here = after
-        return pairs, counts
 
-    def _bad_swaps(self, lengths: Iterable[int], bad: Callable[[int, int, int], bool]) -> Iterator:
-        """(length, gamma's id, position) of each swap of the given lengths
-        whose pair is bad, in that order: a depth-first walk over gamma's
-        digits, entering a digit only while a swap begun or to begin can end
-        bad.  A pair is never bad if its runs agree or p offended in gamma.
+    def _bad_swaps(self, n: int, bad: Callable[[int, int, int], bool]) -> Iterator[tuple[Run, Run, Player]]:
+        """Each swap of a length n the count flags whose pair is bad, by gamma's
+        id and then position, decoded, or an error if there is none: a
+        depth-first walk over gamma's digits, entering a digit only while a
+        swap begun or to begin can end bad.  A pair is never bad if its runs agree or p offended in gamma.
         The walk steps by every digit, which numbers gamma, but the memoised
         checks step by class representatives and key on them."""
         rows, rep, k = self.rows, self.rep, len(self.labmoves)
@@ -322,11 +327,11 @@ class _StateScan:
                     or m > 1 and any(viable(row[x], y, m - 1) for y in every))
             return found
 
-        def walk(n: int, j: int, gid: int, before: int, s: int, x: int, begun: list) -> Iterator:
+        def walk(j: int, gid: int, before: int, s: int, x: int, begun: list) -> Iterator:
             """Below gamma's first j of n digits, numbered gid, the last x from
             state ``before`` to s; ``begun``: (i, delta's state, p) of live swaps."""
             if j == n:
-                yield from ((n, gid, i) for i, _, _ in begun)
+                yield from ((gid, i) for i, _, _ in begun)
                 return
             left, row = n - j - 1, rows[s]
             for t in range(k):
@@ -337,27 +342,29 @@ class _StateScan:
                     if reach(after, d, p, left):
                         kept.append((j - 1, d, p))
                 if kept or s > OFF_B and viable(s, rep[t], left):
-                    yield from walk(n, j + 1, gid * k + t, s, after, t, kept)
+                    yield from walk(j + 1, gid * k + t, s, after, t, kept)
 
-        for n in lengths:
-            yield from walk(n, 0, 0, OFF_B + 1, OFF_B + 1, 0, [])
+        gid = None
+        for gid, i in walk(0, 0, OFF_B + 1, OFF_B + 1, 0, []):
+            run = tuple(self.labmoves[gid // k ** (n - 1 - j) % k] for j in range(n))
+            yield run, run[:i] + (run[i + 1], run[i]) + run[i + 2 :], run[i].label
+        if gid is None:
+            raise RuntimeError(f"the count flags runs of length {n}, but no swap among them is bad")
 
-    def _swap(self, n: int, gamma: int, i: int) -> tuple[Run, Run, Player]:
-        """The swap at position i of the run of length n numbered gamma."""
-        k = len(self.labmoves)
-        run = tuple(self.labmoves[gamma // k ** (n - 1 - j) % k] for j in range(n))
-        return run, run[:i] + (run[i + 1], run[i]) + run[i + 2 :], run[i].label
-
-    def static_verdict(self) -> StaticVerdict:
+    def static_verdict(self, counts: Iterable[tuple[int, int, int]] | None = None) -> StaticVerdict:
+        """The first counterexample of the shortest length flagged in ``counts``
+        (default: a count that stops there)."""
         wins = self.wins
-        first = next(self._bad_swaps(range(2, len(self.levels)), lambda g, d, p: wins[g] == p != wins[d]), None)
-        return StaticVerdict(True) if first is None else StaticVerdict(False, self._swap(*first))
+        for n, (_, _, flagged) in enumerate(self._count() if counts is None else counts, 2):
+            if flagged:
+                return StaticVerdict(False, next(self._bad_swaps(n, lambda g, d, p: wins[g] == p != wins[d])))
+        return StaticVerdict(True)
 
-    def lemma_report(self) -> LemmaReport:
-        pairs, counts = self._count()
-        shortest = [n for n, c in enumerate(counts) if c][:1]
-        found = self._bad_swaps(shortest, lambda g, d, p: d == p != g)
-        return LemmaReport(tuple(self._swap(*f) for f in found), pairs, sum(counts))
+    def lemma_report(self, counts: Sequence[tuple[int, int, int]] | None = None) -> LemmaReport:
+        counts = list(self._count()) if counts is None else counts
+        shortest = [n for n, (_, violations, _) in enumerate(counts, 2) if violations][:1]
+        found = tuple(f for n in shortest for f in self._bad_swaps(n, lambda g, d, p: d == p != g))
+        return LemmaReport(found, sum(c[0] for c in counts), sum(c[1] for c in counts))
 
 
 def is_static(game: Game, bounds: EnumBounds, pool: Sequence[str] | None = None) -> StaticVerdict:
@@ -388,4 +395,5 @@ def static_and_lemma(game: Game, bounds: EnumBounds,
                      pool: Sequence[str] | None = None) -> tuple[StaticVerdict, LemmaReport]:
     """Both scans over one interning of the states; a run bound under 2 holds no swap."""
     scan = _StateScan(game, bounds, pool)
-    return scan.static_verdict(), scan.lemma_report()
+    counts = list(scan._count())
+    return scan.static_verdict(counts), scan.lemma_report(counts)

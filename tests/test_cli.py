@@ -271,6 +271,11 @@ class TestStatic:
         code = main(["static", "--game", "tbr_l(top_choice)", "--max-run", "10", "--max-addr", "2"])
         assert code == 0
         assert capsys.readouterr().out == "static: yes\npool: 15 moves\n"
+        # the tight recurrence's states stop growing at 1,228 by run length
+        # 10, and the count alone decides a static game at every length
+        code = main(["static", "--game", "tbr_t(bot_choice)", "--max-run", "64"])
+        assert code == 0
+        assert capsys.readouterr().out == "static: yes\npool: 22 moves\n"
 
     def test_non_static_recurrence_names_its_pool(self, capsys):
         # every move within the bounds is in the pool, both root payloads

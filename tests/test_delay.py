@@ -31,6 +31,7 @@ from colgames.recurrence import ALL_KINDS, LOOSE_RECURRENCE, OP_NAMES, TIGHT_REC
 from colgames.sim import Direction, translation_compound
 from colgames.suite import (
     STATIC_SUITE,
+    SWAP_SUITE,
     TRANSLATION_SUITE,
     bot_choice,
     first_mover_wins,
@@ -456,6 +457,63 @@ class TestLateCounterexamples:
         assert expected[0].counterexample == (gamma, (gamma[1], gamma[0], gamma[2]), TOP)
         assert static_and_lemma(game, bounds, ("a", "b", "c")) == expected
         assert is_static(game, bounds, ("a", "b", "c")) == expected[0]
+
+
+def _tally_cases():
+    """(game, bounds, pool): the oracle cases at run length 4, and the
+    late-counterexample games and ``_TWICE`` at run length 3."""
+    for game, pool in _oracle_cases():
+        yield game, EnumBounds(2, 4), pool
+    for game in (TestLateCounterexamples.LATE, TestLateCounterexamples.CUT, TestLateCounterexamples.WAIT, _TWICE):
+        yield game, EnumBounds(0, 3), ("a", "b", "c")
+
+
+class TestOneSearchForBothVerdicts:
+    """The count flags the lengths that hold a counterexample, and the
+    search decodes only the shortest one flagged, so a static game is
+    decided by the count alone."""
+
+    CASES = list(_tally_cases())
+
+    @pytest.mark.parametrize("game, bounds, pool", CASES, ids=[g.name for g, _, _ in CASES])
+    def test_the_tally_flags_the_lengths_of_the_counterexamples(self, game, bounds, pool):
+        flagged = {n for n, (_, _, bad) in enumerate(_StateScan(game, bounds, pool)._count(), 2) if bad}
+        table = ReferenceRunTable(game, bounds, pool)
+        assert flagged == {len(gamma) for gamma, delta, p in table.swaps()
+                           if table.won(gamma, p) and not table.won(delta, p)}
+
+    def test_the_tally_cases_include_late_and_offended_counterexamples(self):
+        # flagged lengths past 2, and counterexamples whose runs are offended
+        lengths = {n for game, bounds, pool in self.CASES
+                   for n, (_, _, bad) in enumerate(_StateScan(game, bounds, pool)._count(), 2) if bad}
+        assert lengths == {2, 3, 4}
+        table = ReferenceRunTable(TestLateCounterexamples.CUT, EnumBounds(0, 3), ("a", "b", "c"))
+        assert any(table.offenders[gamma] is not None and table.won(gamma, p) and not table.won(delta, p)
+                   for gamma, delta, p in table.swaps())
+
+    @pytest.mark.parametrize("game", [make_recurrence(base, kind) for base in STATIC_SUITE + SWAP_SUITE
+                                      for kind in ALL_KINDS], ids=lambda g: g.name)
+    def test_a_static_game_never_enters_the_search(self, game, monkeypatch):
+        def search(*args):
+            raise AssertionError("the search ran on a static game")
+
+        monkeypatch.setattr(_StateScan, "_bad_swaps", search)
+        bounds = EnumBounds(2, 5)
+        assert is_static(game, bounds).static
+        verdict, report = static_and_lemma(game, bounds)
+        assert verdict.static and report.violation_count == 0
+
+    @pytest.mark.parametrize("scan, counts", [
+        (is_static, [(0, 0, 1)]),
+        (static_and_lemma, [(0, 0, 1)]),
+        (check_illegality_lemma, [(1, 1, 0)]),
+        (static_and_lemma, [(1, 1, 0)]),
+    ])
+    def test_a_flagged_length_without_a_bad_swap_raises(self, scan, counts, monkeypatch):
+        # leaf_top has no bad swap, so a count that flags length 2 is wrong
+        monkeypatch.setattr(_StateScan, "_count", lambda self: iter(counts))
+        with pytest.raises(RuntimeError, match="the count flags runs of length 2"):
+            scan(leaf_top(), EnumBounds(0, 2), ("a", "x"))
 
 
 # Random pools draw a finite base's moves from its alphabet plus a junk
