@@ -129,11 +129,11 @@ class LemmaReport:
     violation_count: int
 
 
-# The longest run bound the scans take.  They count the runs of length n
-# in integers of about n log2(2 |pool|) bits, one level per unit of the
-# bound: on a 2-CPU VM, ``leaf_top`` takes 0.01 s at 1,024 and 2.5 s at
-# 100,000, and ``tbr_l(top_choice)`` at address <= 2 takes 1.4 s at 1,024.
-# It bounds the integers, not the states, which grow with the address bound.
+# The longest run bound the scans take.  They count the runs of length n in
+# integers of about n log2(2 |pool|) bits, one length at a time, so it bounds
+# their size and the time, not the memory: at address <= 2 and 1,024, on a
+# 2-CPU VM, ``tbr_t(bot_choice)`` takes 10 s in 18 MB.  It does not bound the
+# states, which grow with the address bound.
 MAX_RUN_LEN = 1 << 10
 
 
@@ -183,6 +183,7 @@ class _StateScan:
         if pool is not None and len(set(pool)) < len(pool):
             twice = next(m for m, c in Counter(pool).items() if c > 1)
             raise PreconditionError(f"the pool lists the move {twice!r} twice")
+        self.max_run_len = bounds.max_run_len
         self.pool = pool = self._build(game, bounds, pool)
         first: dict[tuple, int] = {}
         self.rep = [first.setdefault((d < len(pool), column), d)
@@ -192,53 +193,45 @@ class _StateScan:
         self.bots = [(d, m) for d, m in sizes.items() if d >= len(pool)]
 
     def _build(self, game: Game, bounds: EnumBounds, pool: Sequence[str] | None) -> Sequence[str]:
-        """Intern the states the runs reach in one breadth-first walk that steps
-        each state once, count the runs of each length by state (``levels``)
-        and return the pool.  A given pool is stepped labmove by labmove; with
+        """Intern the states the runs reach and step once each reached in fewer
+        than ``bounds.max_run_len`` moves, in one breadth-first walk whose
+        frontier is the states interned while stepping the level before, and
+        return the pool.  A given pool is stepped labmove by labmove; with
         none, a state is stepped by the moves it offers, the pool is their
         union and a junk move, and a digit not offered goes to its label's
         offended state, as the move query's contract in :class:`Game` says."""
-        self.rows, self.wins = rows, wins = [None, None], [1, 0]
         ids, states, step = {}, [None, None], game.step
+        self.wins = wins = [1, 0]
 
         def intern(state: State) -> int:
             s = ids[state] = len(states)
             states.append(state)
-            rows.append(None)
             wins.append(0 if game.outcome(state) is TOP else 1)
             return s
 
-        self.levels = [{intern(game.start()): 1}]
-        if pool is None:
-            offers, level = {}, [OFF_B + 1]
-            for _ in range(bounds.max_run_len):
-                for s in level:
-                    state = states[s]
+        intern(game.start())
+        given = None if pool is None else [(LabMove(p, m), off) for p, off in ((TOP, OFF_T), (BOT, OFF_B))
+                                           for m in pool]
+        offers, stepped = {}, OFF_B + 1
+        for _ in range(bounds.max_run_len):
+            frontier, stepped = range(stepped, len(states)), len(states)
+            for s in frontier:
+                state = states[s]
+                if given is not None:  # the row itself
+                    offers[s] = [off if (t := step(state, lm)) is None else ids.get(t) or intern(t)
+                                 for lm, off in given]
+                else:  # the state after each offered move, by player
                     offers[s] = [{m: off if (t := step(state, LabMove(p, m))) is None else ids.get(t) or intern(t)
                                   for m in game.moves(state, p, bounds)} for p, off in ((TOP, OFF_T), (BOT, OFF_B))]
-                level = {t for s in level for got in offers[s] for t in got.values() if t > OFF_B and t not in offers}
+        if pool is None:
             found = {m for tops, bots in offers.values() for m in (*tops, *bots)}
             junk = next(x for n in range(1, len(found) + 2) if (x := "x" * n) not in found)
             pool = tuple(sorted(found)) + (junk,)
-            for s, (tops, bots) in offers.items():
-                rows[s] = [tops.get(m, OFF_T) for m in pool] + [bots.get(m, OFF_B) for m in pool]
+            offers = {s: [tops.get(m, OFF_T) for m in pool] + [bots.get(m, OFF_B) for m in pool]
+                      for s, (tops, bots) in offers.items()}
         self.labmoves = [LabMove(TOP, m) for m in pool] + [LabMove(BOT, m) for m in pool]
-        rows[OFF_T], rows[OFF_B] = [OFF_T] * len(self.labmoves), [OFF_B] * len(self.labmoves)
-        offended = [(lm, OFF_T if lm.label is TOP else OFF_B) for lm in self.labmoves]
-        for _ in range(bounds.max_run_len):
-            level = {}
-            for s, c in self.levels[-1].items():
-                row = rows[s]
-                if row is None:
-                    state = states[s]
-                    rows[s] = row = [off if (t := step(state, lm)) is None else ids.get(t) or intern(t)
-                                     for lm, off in offended]
-                if s <= OFF_B:  # every move keeps an offended run where it is
-                    level[s] = level.get(s, 0) + c * len(row)
-                    continue
-                for t in row:
-                    level[t] = level.get(t, 0) + c
-            self.levels.append(level)
+        k = len(self.labmoves)
+        self.rows = [[OFF_T] * k, [OFF_B] * k] + [offers.get(s) for s in range(OFF_B + 1, len(states))]
         return pool
 
     def _count(self) -> Iterator[tuple[int, int, int]]:
@@ -247,13 +240,12 @@ class _StateScan:
         violations among them, and of its keys (a, b) that TOP wins in a and BOT
         in b.  One key stands for both players' swaps, which have equal weights
         and mirrored pairs: such a key is a counterexample for both, any other
-        for neither.  An offended state s heads |pool|² swaps of each p, all to
-        the pair (s, s)."""
-        rows, wins, tops, bots, longest = self.rows, self.wins, self.tops, self.bots, len(self.levels) - 1
-        every, heads = tops + bots, {s: [((s, s), (len(self.labmoves) // 2) ** 2)] for s in (OFF_T, OFF_B)}
-        here: dict[tuple[int, int], int] = {}
+        for neither.  Only one length is held: the runs of length n - 2 by state,
+        whose head swaps join the pairs; then runs and pairs step one move."""
+        rows, wins, tops, bots, longest = self.rows, self.wins, self.tops, self.bots, self.max_run_len
+        every, heads, runs, here = tops + bots, {}, {OFF_B + 1: 1}, {}
         for n in range(2, longest + 1):
-            for s, c in self.levels[n - 2].items():
+            for s, c in runs.items():
                 found = heads.get(s)
                 if found is None:
                     row, found = rows[s], {}
@@ -279,15 +271,17 @@ class _StateScan:
                     pairs += w
                     if b != OFF_B:
                         violations += w
-                if n < longest and a <= OFF_B and b <= OFF_B:  # every tail keeps the pair
-                    after[a, b] = after.get((a, b), 0) + w * len(rows[a])
-                elif n < longest:
+                if n < longest:
                     row_a, row_b = rows[a], rows[b]
                     for t, m in every:
                         key = (row_a[t], row_b[t])
                         after[key] = after.get(key, 0) + w * m
             yield pairs, violations, flagged
-            here = after
+            before, runs, here = runs, {}, after
+            for s, c in before.items() if n < longest else ():
+                row = rows[s]
+                for t, m in every:
+                    runs[row[t]] = runs.get(row[t], 0) + c * m
 
     def _bad_swaps(self, n: int, bad: Callable[[int, int, int], bool]) -> Iterator[tuple[Run, Run, Player]]:
         """Each swap of a length n the count flags whose pair is bad, by gamma's

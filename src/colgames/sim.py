@@ -27,7 +27,7 @@ from .core import (
     format_run,
     project,
 )
-from .delay import is_static, static_and_lemma
+from .delay import MAX_RUN_LEN, is_static, static_and_lemma
 from .games import (
     EnumBounds,
     Game,
@@ -190,13 +190,18 @@ def verify_translation(
 def verify_static_preservation(base: Game, bounds: EnumBounds) -> VerificationReport:
     """Static preservation and illegality propagation for all four kinds.
 
-    A run bound under 2 (no swap fits, so every check would pass
-    vacuously) and a non-static base raise :class:`PreconditionError`,
-    so a report that is not ok always names a property violation.
+    A run bound n under 2 (no swap fits, so every check would pass
+    vacuously) or not under ``MAX_RUN_LEN``, and a base not static at n + 1
+    raise :class:`PreconditionError`.  That covers the base's own lemma at
+    n: a violation, then an illegal adversary move, is a counterexample at
+    n + 1.  So a report that is not ok names a recurrence's failure.
     """
     if bounds.max_run_len < 2:
         raise PreconditionError(f"run bound {bounds.max_run_len} holds no swap; use at least 2")
-    _require_static(base, bounds)
+    if bounds.max_run_len >= MAX_RUN_LEN:
+        raise PreconditionError(f"run bound {bounds.max_run_len} leaves no room to check the base one move "
+                                f"past it; use at most {MAX_RUN_LEN - 1}")
+    _require_static(base, EnumBounds(bounds.max_address_len, bounds.max_run_len + 1))
     failures: list[Failure] = []
     for kind in ALL_KINDS:
         rec = make_recurrence(base, kind)

@@ -276,6 +276,13 @@ class TestStatic:
         code = main(["static", "--game", "tbr_t(bot_choice)", "--max-run", "64"])
         assert code == 0
         assert capsys.readouterr().out == "static: yes\npool: 22 moves\n"
+        # at the ceiling the count stops at the first flagged length, 2,
+        # after the walk, and holds one length of counts at a time
+        code = main(["static", "--game", "tbr_t(first_mover_wins)", "--max-run", "1024"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert out.startswith("static: no\npool: 29 moves\n")
+        assert 'original: <T".a", B".b">\n' in out
 
     def test_non_static_recurrence_names_its_pool(self, capsys):
         # every move within the bounds is in the pool, both root payloads

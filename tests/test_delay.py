@@ -631,8 +631,15 @@ class TestStateScanAgainstSwapScan:
         assert is_static(*case) == expected[0]
         assert check_illegality_lemma(*case) == expected[1]
         # every pool run is counted once, under the state it leads to
-        scan = _StateScan(*case)
-        assert all(sum(level.values()) == len(scan.labmoves) ** n for n, level in enumerate(scan.levels))
+        scan, runs = _StateScan(*case), {OFF_B + 1: 1}
+        for n in range(case[1].max_run_len + 1):
+            assert sum(runs.values()) == len(scan.labmoves) ** n
+            if n < case[1].max_run_len:
+                after: dict[int, int] = {}
+                for s, c in runs.items():
+                    for t in scan.rows[s]:
+                        after[t] = after.get(t, 0) + c
+                runs = after
 
 
 # Twin moves: T a and T c, and B b and B d, lead to equal states from
@@ -731,8 +738,9 @@ class TestStateInterning:
         game = make_recurrence(twins, kind)
         after_a, after_c = (game.step(game.start(), lm(TOP, move)) for move in (".a", ".c"))
         assert after_a == after_c and hash(after_a) == hash(after_c)
-        scan = _StateScan(game, EnumBounds(0, 1), (".a", ".c"))
-        assert [c for s, c in scan.levels[1].items() if s > OFF_B] == [2]
+        # the start state's row: T .a, T .c, B .a, B .c, the last two offended
+        row = _StateScan(game, EnumBounds(0, 1), (".a", ".c")).rows[OFF_B + 1]
+        assert [t for t in row if t > OFF_B] == [row[0]] * 2
 
     ROWS = [
         (make_recurrence(second_mover_wins(), TIGHT_RECURRENCE), 1075),
@@ -769,7 +777,7 @@ class TestDefaultPoolWalk:
     and makes the pool from them.  It must report what the scan over that
     pool given explicitly reports, which steps every pool move blind, over
     the same states: the state ids differ, as the interning order does, so
-    the rows are compared by number and each level by its sorted counts."""
+    the rows are compared by number and the count of each length by value."""
 
     @staticmethod
     def _assert_same(game, bounds):
@@ -778,8 +786,7 @@ class TestDefaultPoolWalk:
         walked, stepped = _StateScan(game, bounds, None), _StateScan(game, bounds, pool)
         assert walked.pool == pool
         assert len(walked.rows) == len(stepped.rows)
-        assert [sorted(level.values()) for level in walked.levels] == [
-            sorted(level.values()) for level in stepped.levels]
+        assert list(walked._count()) == list(stepped._count())
 
     @settings(max_examples=100, deadline=None)
     @given(_oracle_scan_cases())

@@ -23,10 +23,13 @@ from colgames import (
     StaticVerdict,
     Trace,
     audit_trace,
+    check_illegality_lemma,
     disjoin,
+    is_static,
     leaf,
     make_recurrence,
     negate,
+    node,
     offender,
     pass_strategy,
     random_adversary,
@@ -38,6 +41,7 @@ from colgames import (
     won_by,
 )
 from colgames import sim
+from colgames.delay import MAX_RUN_LEN
 from colgames.recurrence import TIGHT_RECURRENCE
 from colgames.strategy import StepNote, exhaustive_adversaries
 from colgames.suite import (
@@ -78,6 +82,17 @@ class _Recording:
 
 def lm(label, move):
     return LabMove(label, move)
+
+
+def _trees(depth):
+    """Every game tree of at most ``depth`` moves over T a and B b: 2, 18
+    and 722 for depths 0, 1 and 2."""
+    if depth == 0:
+        return [leaf(TOP), leaf(BOT)]
+    below = [None] + _trees(depth - 1)
+    return [node(winner, {edge: child for edge, child in ((lm(TOP, "a"), a), (lm(BOT, "b"), b))
+                          if child is not None})
+            for winner in (TOP, BOT) for a in below for b in below]
 
 
 class TestRunInteraction:
@@ -421,6 +436,44 @@ class TestVerifyStaticPreservation:
         with pytest.raises(PreconditionError,
                            match=f"^run bound {max_run_len} holds no swap; use at least 2$"):
             verify_static_preservation(base, EnumBounds(2, max_run_len))
+
+    @pytest.mark.parametrize("max_run_len", [MAX_RUN_LEN, 10 ** 20])
+    def test_a_run_bound_without_room_for_the_base_check_is_refused(self, max_run_len, monkeypatch):
+        # the base is checked one move past the bound, which the scan refuses past MAX_RUN_LEN
+        def no_scan(*args):
+            raise AssertionError("scanned at a bound the base check cannot reach")
+
+        monkeypatch.setattr(sim, "is_static", no_scan)
+        monkeypatch.setattr(sim, "static_and_lemma", no_scan)
+        with pytest.raises(PreconditionError, match=f"^run bound {max_run_len} leaves no room to check "
+                                                    f"the base one move past it; use at most 1023$"):
+            verify_static_preservation(bot_choice(), EnumBounds(2, max_run_len))
+
+    def test_a_base_whose_own_lemma_fails_at_the_bound_is_refused(self):
+        # static at run length 2, where its own lemma fails: T offends first
+        # in B b, T a but not in T a, B b; with an illegal B move after both,
+        # T wins the first and loses the second, a counterexample at length 3
+        base = FiniteGame("lemma_at_two", node(TOP, {lm(TOP, "a"): node(TOP, {lm(BOT, "b"): leaf(BOT)}),
+                                                     lm(BOT, "b"): node(TOP, {lm(BOT, "b"): leaf(BOT)})}))
+        assert is_static(base, EnumBounds(1, 2)).static
+        assert check_illegality_lemma(base, EnumBounds(1, 2)).violation_count
+        with pytest.raises(PreconditionError, match="^base game 'lemma_at_two' is not static"):
+            verify_static_preservation(base, EnumBounds(1, 2))
+
+    @pytest.mark.parametrize("max_run_len, accepted", [(2, 66), (3, 66)])
+    def test_every_base_static_past_the_bound_passes(self, max_run_len, accepted):
+        # the bounded claim over all 722 trees of depth <= 2 over T a and B b:
+        # a base static at n + 1 gets an ok report at n, any other is refused
+        bounds, passed = EnumBounds(1, max_run_len), 0
+        for i, root in enumerate(_trees(2)):
+            base = FiniteGame(f"tree{i}", root)
+            if is_static(base, EnumBounds(1, max_run_len + 1)).static:
+                assert verify_static_preservation(base, bounds).ok, base
+                passed += 1
+            else:
+                with pytest.raises(PreconditionError, match="not static"):
+                    verify_static_preservation(base, bounds)
+        assert (i + 1, passed) == (722, accepted)
 
     def test_a_non_static_base_is_refused(self):
         message = ("base game 'first_mover_wins' is not static; counterexample: "
