@@ -79,12 +79,14 @@ class MoveShape:
     """Result of decomposing a move string.
 
     ``address`` is the leading bitstring (empty for malformed moves);
-    ``payload`` is only meaningful for NONREPLICATIVE shapes.
+    ``payload`` is only meaningful for NONREPLICATIVE shapes, which carry it
+    as TOP's and BOT's move in ``payload_moves``, built once per cached shape.
     """
 
     kind: ShapeKind
     address: str = ""
     payload: str = ""
+    payload_moves: tuple[LabMove, ...] = ()
 
 
 @functools.lru_cache(maxsize=1 << 14)  # bounded; holds the delay-scan pool of tbr_l(top_choice) to address bound 12
@@ -104,7 +106,8 @@ def parse_move(move: str) -> MoveShape:
     if rest == ":":
         return MoveShape(ShapeKind.REPLICATIVE, address)
     if rest[0] == ".":
-        return MoveShape(ShapeKind.NONREPLICATIVE, address, rest[1:])
+        payload = rest[1:]
+        return MoveShape(ShapeKind.NONREPLICATIVE, address, payload, (LabMove(TOP, payload), LabMove(BOT, payload)))
     return MoveShape(ShapeKind.MALFORMED)
 
 

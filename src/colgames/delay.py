@@ -39,15 +39,17 @@ states after x y and after y x, stands for the swap of each player, read
 in mirror.  The count flags the lengths that hold a counterexample or a
 lemma violation, and a depth-first search over gamma's digits, pruned by
 memoised checks that a bad pair is reachable, decodes only the shortest
-length flagged.  A pool listing a move twice, whose runs would count
-twice, and a run bound past ``MAX_RUN_LEN`` raise :class:`PreconditionError`.
+length flagged, once for both verdicts when their shortest lengths are
+equal, sorting its swaps by their final pairs.  A pool listing a move
+twice, whose runs would count twice, and a run bound past
+``MAX_RUN_LEN`` raise :class:`PreconditionError`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import BOT, TOP, LabMove, Player, Run, label_subsequence, neg_player
 from .games import EnumBounds, Game, PreconditionError, State
@@ -146,6 +148,10 @@ def move_pool(game: Game, bounds: EnumBounds) -> tuple[str, ...]:
     return _StateScan(game, bounds, None).pool
 
 
+# The kinds of bad swap, as bits: p wins gamma and not delta (a counterexample),
+# and p offends first in delta and not in gamma (a lemma violation).
+REFUTES, VIOLATES = 1, 2
+
 # The two absorbing states: an offended run's state id is the bit of its
 # first offence's culprit, 0 for TOP and 1 for BOT, and every move keeps
 # it.  Legal states count from 2, the start state first.
@@ -237,13 +243,13 @@ class _StateScan:
     def _count(self) -> Iterator[tuple[int, int, int]]:
         """Follow the swap pairs length by length, yielding for each length from
         2 the weight of its swaps whose delta has p as first offender, of the
-        violations among them, and of its keys (a, b) that TOP wins in a and BOT
-        in b.  One key stands for both players' swaps, which have equal weights
-        and mirrored pairs: such a key is a counterexample for both, any other
-        for neither.  Only one length is held: the runs of length n - 2 by state,
-        whose head swaps join the pairs; then runs and pairs step one move."""
+        violations among them, and of its pairs (a, b), keyed a * len(rows) + b,
+        that TOP wins in a and BOT in b: such a pair is a counterexample for both
+        players' mirrored swaps, which have equal weights, any other for neither.
+        Only one length is held: the runs of length n - 2 by state, whose head
+        swaps join the pairs; then runs and pairs step one move."""
         rows, wins, tops, bots, longest = self.rows, self.wins, self.tops, self.bots, self.max_run_len
-        every, heads, runs, here = tops + bots, {}, {OFF_B + 1: 1}, {}
+        size, every, heads, runs, here = len(rows), tops + bots, {}, {OFF_B + 1: 1}, {}
         for n in range(2, longest + 1):
             for s, c in runs.items():
                 found = heads.get(s)
@@ -253,14 +259,15 @@ class _StateScan:
                     for x, mx in tops:
                         after_x = rows[row[x]]
                         for y, my, after_y in after_bots:
-                            key = (after_x[y], after_y[x])
+                            key = after_x[y] * size + after_y[x]
                             found[key] = found.get(key, 0) + mx * my
                     heads[s] = found = list(found.items())
                 for key, m in found:
                     here[key] = here.get(key, 0) + c * m
-            after: dict[tuple[int, int], int] = {}
+            after: dict[int, int] = {}
             pairs = violations = flagged = 0
-            for (a, b), w in here.items():
+            for key, w in here.items():
+                a, b = key // size, key % size
                 if wins[a] < wins[b]:
                     flagged += w
                 if b == OFF_T:
@@ -274,7 +281,7 @@ class _StateScan:
                 if n < longest:
                     row_a, row_b = rows[a], rows[b]
                     for t, m in every:
-                        key = (row_a[t], row_b[t])
+                        key = row_a[t] * size + row_b[t]
                         after[key] = after.get(key, 0) + w * m
             yield pairs, violations, flagged
             before, runs, here = runs, {}, after
@@ -283,18 +290,22 @@ class _StateScan:
                 for t, m in every:
                     runs[row[t]] = runs.get(row[t], 0) + c * m
 
-    def _bad_swaps(self, n: int, bad: Callable[[int, int, int], bool]) -> Iterator[tuple[Run, Run, Player]]:
-        """Each swap of a length n the count flags whose pair is bad, by gamma's
-        id and then position, decoded, or an error if there is none: a
-        depth-first walk over gamma's digits, entering a digit only while a
-        swap begun or to begin can end bad.  A pair is never bad if its runs agree or p offended in gamma.
-        The walk steps by every digit, which numbers gamma, but the memoised
-        checks step by class representatives and key on them."""
-        rows, rep, k = self.rows, self.rep, len(self.labmoves)
+    def _bad_swaps(self, n: int, kinds: int) -> Iterator[tuple[tuple[Run, Run, Player], int]]:
+        """Each swap of a length n the count flags that is bad for one of
+        ``kinds``, by gamma's id and then position: decoded, with the kinds it
+        is bad for; then an error if a kind had none.  A depth-first walk over
+        gamma's digits enters a digit only while a swap begun or to begin can
+        end bad; no pair is bad if its runs agree or p offended in gamma.  The
+        walk steps by every digit, which numbers gamma, but the memoised checks
+        step by class representatives, key on them and stop at the first hit."""
+        rows, rep, k, wins = self.rows, self.rep, len(self.labmoves), self.wins
         half = k // 2
         tops, bots = [x for x, _ in self.tops], [y for y, _ in self.bots]
         every, opposite = tops + bots, (bots, tops)
         reachable, opening = {}, {}  # keyed by (g, d, p, m) and by (s, x, m)
+
+        def bad(g: int, d: int, p: int) -> int:  # the kinds asked for that p's swap ending in (g, d) is bad for
+            return ((REFUTES if wins[g] == p != wins[d] else 0) | (VIOLATES if d == p != g else 0)) & kinds
 
         def reach(g: int, d: int, p: int, m: int) -> bool:
             """Some tail of m moves takes the pair to a bad one."""
@@ -305,8 +316,12 @@ class _StateScan:
             key = (g, d, p, m)
             found = reachable.get(key)
             if found is None:
-                row_g, row_d = rows[g], rows[d]
-                found = reachable[key] = any(reach(row_g[t], row_d[t], p, m - 1) for t in every)
+                row_g, row_d, found = rows[g], rows[d], False
+                for t in every:
+                    if reach(row_g[t], row_d[t], p, m - 1):
+                        found = True
+                        break
+                reachable[key] = found
             return found
 
         def viable(s: int, x: int, m: int) -> bool:
@@ -315,17 +330,25 @@ class _StateScan:
             key = (s, x, m)
             found = opening.get(key)
             if found is None:
-                row, p = rows[s], (0 if x < half else 1)
-                found = opening[key] = row[x] > OFF_B and (
-                    m > 0 and any(reach(rows[row[x]][y], rows[row[y]][x], p, m - 1) for y in opposite[p])
-                    or m > 1 and any(viable(row[x], y, m - 1) for y in every))
+                row, p, found = rows[s], (0 if x < half else 1), False
+                if row[x] > OFF_B and m:
+                    for y in opposite[p]:
+                        if reach(rows[row[x]][y], rows[row[y]][x], p, m - 1):
+                            found = True
+                            break
+                    else:
+                        for y in every if m > 1 else ():
+                            if viable(row[x], y, m - 1):
+                                found = True
+                                break
+                opening[key] = found
             return found
 
         def walk(j: int, gid: int, before: int, s: int, x: int, begun: list) -> Iterator:
             """Below gamma's first j of n digits, numbered gid, the last x from
             state ``before`` to s; ``begun``: (i, delta's state, p) of live swaps."""
             if j == n:
-                yield from ((gid, i) for i, _, _ in begun)
+                yield from ((gid, i, bad(s, d, p)) for i, d, p in begun)
                 return
             left, row = n - j - 1, rows[s]
             for t in range(k):
@@ -338,26 +361,26 @@ class _StateScan:
                 if kept or s > OFF_B and viable(s, rep[t], left):
                     yield from walk(j + 1, gid * k + t, s, after, t, kept)
 
-        gid = None
-        for gid, i in walk(0, 0, OFF_B + 1, OFF_B + 1, 0, []):
+        found = 0
+        for gid, i, failed in walk(0, 0, OFF_B + 1, OFF_B + 1, 0, []):
+            found |= failed
             run = tuple(self.labmoves[gid // k ** (n - 1 - j) % k] for j in range(n))
-            yield run, run[:i] + (run[i + 1], run[i]) + run[i + 2 :], run[i].label
-        if gid is None:
+            yield (run, run[:i] + (run[i + 1], run[i]) + run[i + 2 :], run[i].label), failed
+        if found != kinds:
             raise RuntimeError(f"the count flags runs of length {n}, but no swap among them is bad")
 
     def static_verdict(self, counts: Iterable[tuple[int, int, int]] | None = None) -> StaticVerdict:
         """The first counterexample of the shortest length flagged in ``counts``
         (default: a count that stops there)."""
-        wins = self.wins
         for n, (_, _, flagged) in enumerate(self._count() if counts is None else counts, 2):
             if flagged:
-                return StaticVerdict(False, next(self._bad_swaps(n, lambda g, d, p: wins[g] == p != wins[d])))
+                return StaticVerdict(False, next(self._bad_swaps(n, REFUTES))[0])
         return StaticVerdict(True)
 
     def lemma_report(self, counts: Sequence[tuple[int, int, int]] | None = None) -> LemmaReport:
         counts = list(self._count()) if counts is None else counts
         shortest = [n for n, (_, violations, _) in enumerate(counts, 2) if violations][:1]
-        found = tuple(f for n in shortest for f in self._bad_swaps(n, lambda g, d, p: d == p != g))
+        found = tuple(f for n in shortest for f, _ in self._bad_swaps(n, VIOLATES))
         return LemmaReport(found, sum(c[0] for c in counts), sum(c[1] for c in counts))
 
 
@@ -387,7 +410,15 @@ def check_illegality_lemma(game: Game, bounds: EnumBounds, pool: Sequence[str] |
 
 def static_and_lemma(game: Game, bounds: EnumBounds,
                      pool: Sequence[str] | None = None) -> tuple[StaticVerdict, LemmaReport]:
-    """Both scans over one interning of the states; a run bound under 2 holds no swap."""
+    """Both scans over one interning of the states and one count, and one walk
+    for both when the shortest counterexample and the shortest violations have
+    one length; a run bound under 2 holds no swap."""
     scan = _StateScan(game, bounds, pool)
     counts = list(scan._count())
-    return scan.static_verdict(counts), scan.lemma_report(counts)
+    n = next((n for n, (_, violations, flagged) in enumerate(counts, 2) if violations or flagged), 0)
+    if not (n and counts[n - 2][1] and counts[n - 2][2]):
+        return scan.static_verdict(counts), scan.lemma_report(counts)
+    found = list(scan._bad_swaps(n, REFUTES | VIOLATES))
+    violations = tuple(f for f, failed in found if failed & VIOLATES)
+    return (StaticVerdict(False, next(f for f, failed in found if failed & REFUTES)),
+            LemmaReport(violations, sum(c[0] for c in counts), sum(c[1] for c in counts)))

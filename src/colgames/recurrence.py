@@ -241,7 +241,7 @@ class RecurrenceGame(Game):
         if len(u) > MAX_ADDRESS_BITS:
             raise PreconditionError(f"address {u!r} has {len(u)} bits; "
                                     f"a recurrence takes at most {MAX_ADDRESS_BITS}")
-        key, payload, step = u[:depth], LabMove(lm.label, sh.payload), self.base.step
+        key, payload, step = u[:depth], sh.payload_moves[lm.label is BOT], self.base.step
         width = 1 << (depth - len(key))
         low = int(key, 2) * width if key else 0
         stepped, last = [], None

@@ -72,6 +72,12 @@ class TestMoveShapes:
         assert sh.kind is kind
         assert sh.address == address
         assert sh.payload == payload
+        assert parse_move(move) is sh
+        if kind is ShapeKind.NONREPLICATIVE:
+            for label in (TOP, BOT):
+                assert sh.payload_moves[label is BOT] == LabMove(label, payload)
+        else:
+            assert sh.payload_moves == ()
 
     @given(st.text(alphabet="01.:abx", max_size=8))
     def test_agrees_with_brute_classifier(self, move):

@@ -459,21 +459,64 @@ class TestLateCounterexamples:
         assert is_static(game, bounds, ("a", "b", "c")) == expected[0]
 
 
+# Static at run length 2, where its own lemma fails: T offends first in
+# B b, T a but not in T a, B b.  With an illegal B move after both, T wins
+# the first and loses the second, so its shortest counterexample has length 3.
+_LEMMA_AT_TWO = FiniteGame("lemma_at_two", node(TOP, {lm(TOP, "a"): node(TOP, {lm(BOT, "b"): leaf(BOT)}),
+                                                      lm(BOT, "b"): node(TOP, {lm(BOT, "b"): leaf(BOT)})}))
+
+
+# T a, B b is won by B and B b, T a is first offended by T: a lemma
+# violation but no counterexample, and it comes before T c, B b, which is
+# both, so one walk must not take the first swap it finds as the
+# counterexample.
+_VIOLATION_FIRST = FiniteGame("violation_first", node(BOT, {lm(TOP, "a"): node(BOT, {lm(BOT, "b"): leaf(BOT)}),
+                                                            lm(TOP, "c"): node(BOT, {lm(BOT, "b"): leaf(TOP)}),
+                                                            lm(BOT, "b"): node(BOT, {})}))
+
+
 def _tally_cases():
     """(game, bounds, pool): the oracle cases at run length 4, and the
-    late-counterexample games and ``_TWICE`` at run length 3."""
+    late-counterexample games, ``_TWICE``, ``_VIOLATION_FIRST`` and
+    ``_LEMMA_AT_TWO`` at run length 3."""
     for game, pool in _oracle_cases():
         yield game, EnumBounds(2, 4), pool
-    for game in (TestLateCounterexamples.LATE, TestLateCounterexamples.CUT, TestLateCounterexamples.WAIT, _TWICE):
+    for game in (TestLateCounterexamples.LATE, TestLateCounterexamples.CUT, TestLateCounterexamples.WAIT, _TWICE,
+                 _VIOLATION_FIRST):
         yield game, EnumBounds(0, 3), ("a", "b", "c")
+    yield _LEMMA_AT_TWO, EnumBounds(1, 3), ("a", "b", "c")
 
 
 class TestOneSearchForBothVerdicts:
     """The count flags the lengths that hold a counterexample, and the
     search decodes only the shortest one flagged, so a static game is
-    decided by the count alone."""
+    decided by the count alone.  When the shortest counterexample and the
+    shortest violations have one length, one walk decodes both."""
 
     CASES = list(_tally_cases())
+
+    @pytest.mark.parametrize("game, bounds, pool", CASES, ids=[g.name for g, _, _ in CASES])
+    def test_one_call_equals_the_two_scans(self, game, bounds, pool):
+        assert static_and_lemma(game, bounds, pool) == (is_static(game, bounds, pool),
+                                                        check_illegality_lemma(game, bounds, pool))
+
+    @pytest.mark.parametrize("game, bounds, pool, walks", [
+        *((make_recurrence(first_mover_wins(), kind), EnumBounds(2, 4), _BOTH_PAYLOAD_POOLS[kind.version],
+           [3] if kind.version is Version.TIGHT else [2]) for kind in ALL_KINDS),
+        # the lemma flags length 2 and the counterexample length 3: two walks
+        (_LEMMA_AT_TWO, EnumBounds(1, 3), ("a", "b", "c"), [3, 2]),
+    ], ids=lambda case: getattr(case, "name", None))
+    def test_equal_shortest_lengths_take_one_walk(self, game, bounds, pool, walks, monkeypatch):
+        entered, bad_swaps = [], _StateScan._bad_swaps
+
+        def counted(scan, n, kinds):
+            entered.append(n)
+            return bad_swaps(scan, n, kinds)
+
+        monkeypatch.setattr(_StateScan, "_bad_swaps", counted)
+        verdict, report = static_and_lemma(game, bounds, pool)
+        assert entered == walks
+        assert len(verdict.counterexample[0]) == walks[0] and len(report.violations[0][0]) == walks[-1]
 
     @pytest.mark.parametrize("game, bounds, pool", CASES, ids=[g.name for g, _, _ in CASES])
     def test_the_tally_flags_the_lengths_of_the_counterexamples(self, game, bounds, pool):
@@ -508,12 +551,19 @@ class TestOneSearchForBothVerdicts:
         (static_and_lemma, [(0, 0, 1)]),
         (check_illegality_lemma, [(1, 1, 0)]),
         (static_and_lemma, [(1, 1, 0)]),
+        (static_and_lemma, [(1, 1, 1)]),
     ])
     def test_a_flagged_length_without_a_bad_swap_raises(self, scan, counts, monkeypatch):
         # leaf_top has no bad swap, so a count that flags length 2 is wrong
         monkeypatch.setattr(_StateScan, "_count", lambda self: iter(counts))
         with pytest.raises(RuntimeError, match="the count flags runs of length 2"):
             scan(leaf_top(), EnumBounds(0, 2), ("a", "x"))
+
+    def test_a_flagged_kind_the_one_walk_does_not_find_raises(self, monkeypatch):
+        # _LEMMA_AT_TWO has lemma violations at length 2 but no counterexample
+        monkeypatch.setattr(_StateScan, "_count", lambda self: iter([(1, 1, 1)]))
+        with pytest.raises(RuntimeError, match="the count flags runs of length 2"):
+            static_and_lemma(_LEMMA_AT_TWO, EnumBounds(0, 2), ("a", "b", "c"))
 
 
 # Random pools draw a finite base's moves from its alphabet plus a junk
