@@ -121,6 +121,7 @@ def cmd_static(args) -> int:
     verdict = scan.static_verdict()
     print(f"static: {'yes' if verdict.static else 'no'}")
     print(f"pool: {len(scan.pool)} moves")
+    print(f"states: {len(scan.rows) - 2}")  # the legal states the walk reached
     if verdict.static:
         return 0
     gamma, delta, p = verdict.counterexample
@@ -175,34 +176,38 @@ def cmd_simulate(args) -> int:
         print(f"failures: {len(report.failures)}")
         for failure in report.failures[:20]:
             print(f"  {failure.kind}: {failure.detail}")
-        return 0 if report.ok else 1
-
-    machine = strategy_for(compound, direction)
-    if args.adversary == "random":
-        seed: int | None = _seed(args)
-        adversary = random_adversary(compound, seed, bounds, args.budget)
-    elif args.adversary.startswith("script:"):
-        script_trace = _load_trace(args.adversary.split(":", 1)[1])
-        adversary = scripted_adversary(
-            [lm.move for lm in script_trace.moves if lm.label is BOT]
-        )
-        seed = None
+        print(f"truncated: {report.truncated}")
+        failed, cut = not report.ok, report.truncated
     else:
-        raise FileFormatError(
-            f"--adversary must be exhaustive, random or script:FILE, got {args.adversary!r}"
-        )
-    trace = run_interaction(machine, adversary, compound, args.max_steps)
-    problems = audit_trace(trace, direction, compound)
-    print(f"game: {compound.name}")
-    print(f"run: {format_run(trace.moves)}")
-    print(f"outcome: {trace.outcome.value}")
-    if trace.offender is not None:
-        print(f"offender: index {trace.offender.index} by {trace.offender.culprit.value}")
-    for problem in problems:
-        print(f"failure: {problem}")
-    if args.out:
-        _write_trace(args.out, trace, compound.name, seed, bounds)
-    return 0 if not problems else 1
+        machine = strategy_for(compound, direction)
+        if args.adversary == "random":
+            seed: int | None = _seed(args)
+            adversary = random_adversary(compound, seed, bounds, args.budget)
+        elif args.adversary.startswith("script:"):
+            script_trace = _load_trace(args.adversary.split(":", 1)[1])
+            adversary = scripted_adversary(
+                [lm.move for lm in script_trace.moves if lm.label is BOT]
+            )
+            seed = None
+        else:
+            raise FileFormatError(
+                f"--adversary must be exhaustive, random or script:FILE, got {args.adversary!r}"
+            )
+        trace = run_interaction(machine, adversary, compound, args.max_steps)
+        problems = audit_trace(trace, direction, compound)
+        print(f"game: {compound.name}")
+        print(f"run: {format_run(trace.moves)}")
+        print(f"outcome: {trace.outcome.value}")
+        if trace.offender is not None:
+            print(f"offender: index {trace.offender.index} by {trace.offender.culprit.value}")
+        for problem in problems:
+            print(f"failure: {problem}")
+        if args.out:
+            _write_trace(args.out, trace, compound.name, seed, bounds)
+        failed, cut = bool(problems), int(trace.truncated)
+    if cut and not failed:  # a play cut off is neither won nor lost
+        raise PreconditionError(f"{cut} play(s) reached --max-steps {args.max_steps} before they ended")
+    return 1 if failed else 0
 
 
 def _print_position(run: Run, expr, state: State) -> None:

@@ -28,21 +28,23 @@ query's contract makes every other pool move illegal there.
 The scans count runs by game state: equal states have equal futures (the
 contract of :class:`Game`), so each distinct state is stepped once, and
 the runs of each length are a count per state.  An offended run's state
-is the culprit of its first offence, which every move keeps.  Pool moves
-of one label that lead to the same state from every state stepped form a
-move class, and after the build every phase steps by one move per class,
-weighted by the class's size.  A swap gamma = P x y T, delta = P y x T
-is decided by the pair of states the two runs reach.  Pairs start from
-each state's head swaps, weighted by its runs, and follow the tails one
-move at a time, both states stepped by the same move.  One pair key, the
-states after x y and after y x, stands for the swap of each player, read
-in mirror.  The count flags the lengths that hold a counterexample or a
-lemma violation, and a depth-first search over gamma's digits, pruned by
-memoised checks that a bad pair is reachable, decodes only the shortest
-length flagged, once for both verdicts when their shortest lengths are
-equal, sorting its swaps by their final pairs.  A pool listing a move
-twice, whose runs would count twice, and a run bound past
-``MAX_RUN_LEN`` raise :class:`PreconditionError`.
+is the culprit of its first offence, which every move keeps, so offended
+runs and pairs of two offended states are tallies each move multiplies
+by the number of pool labmoves.  Pool moves of one label that lead to
+the same state from every state stepped form a move class, and after the
+build every phase steps by one move per class, weighted by the class's
+size.  A swap gamma = P x y T, delta = P y x T is decided by the pair of
+states the two runs reach.  Pairs start from each state's head swaps,
+weighted by its runs, and follow the tails one move at a time, both
+states stepped by the same move.  One pair key, the states after x y and
+after y x, stands for the swap of each player, read in mirror.  The
+count flags the lengths that hold a counterexample or a lemma violation,
+and a depth-first search over gamma's digits, pruned by memoised checks
+that a bad pair is reachable, decodes only the shortest length flagged,
+once for both verdicts when their shortest lengths are equal, sorting
+its swaps by their final pairs.  A pool listing a move twice, whose runs
+would count twice, and a run bound past ``MAX_RUN_LEN`` raise
+:class:`PreconditionError`.
 """
 
 from __future__ import annotations
@@ -216,8 +218,8 @@ class _StateScan:
             return s
 
         intern(game.start())
-        given = None if pool is None else [(LabMove(p, m), off) for p, off in ((TOP, OFF_T), (BOT, OFF_B))
-                                           for m in pool]
+        self.labmoves = [LabMove(p, m) for p in (TOP, BOT) for m in pool or ()]
+        given = None if pool is None else list(zip(self.labmoves, [off for off in (OFF_T, OFF_B) for _ in pool]))
         offers, stepped = {}, OFF_B + 1
         for _ in range(bounds.max_run_len):
             frontier, stepped = range(stepped, len(states)), len(states)
@@ -235,7 +237,7 @@ class _StateScan:
             pool = tuple(sorted(found)) + (junk,)
             offers = {s: [tops.get(m, OFF_T) for m in pool] + [bots.get(m, OFF_B) for m in pool]
                       for s, (tops, bots) in offers.items()}
-        self.labmoves = [LabMove(TOP, m) for m in pool] + [LabMove(BOT, m) for m in pool]
+            self.labmoves = [LabMove(p, m) for p in (TOP, BOT) for m in pool]
         k = len(self.labmoves)
         self.rows = [[OFF_T] * k, [OFF_B] * k] + [offers.get(s) for s in range(OFF_B + 1, len(states))]
         return pool
@@ -247,9 +249,11 @@ class _StateScan:
         that TOP wins in a and BOT in b: such a pair is a counterexample for both
         players' mirrored swaps, which have equal weights, any other for neither.
         Only one length is held: the runs of length n - 2 by state, whose head
-        swaps join the pairs; then runs and pairs step one move."""
+        swaps join the pairs; then runs and pairs step one move per class (one
+        for all k when every state in them is offended)."""
         rows, wins, tops, bots, longest = self.rows, self.wins, self.tops, self.bots, self.max_run_len
         size, every, heads, runs, here = len(rows), tops + bots, {}, {OFF_B + 1: 1}, {}
+        stay = [(0, len(self.labmoves))]  # an offended state's one move, standing for all k
         for n in range(2, longest + 1):
             for s, c in runs.items():
                 found = heads.get(s)
@@ -280,14 +284,14 @@ class _StateScan:
                         violations += w
                 if n < longest:
                     row_a, row_b = rows[a], rows[b]
-                    for t, m in every:
+                    for t, m in every if a > OFF_B or b > OFF_B else stay:
                         key = row_a[t] * size + row_b[t]
                         after[key] = after.get(key, 0) + w * m
             yield pairs, violations, flagged
             before, runs, here = runs, {}, after
             for s, c in before.items() if n < longest else ():
                 row = rows[s]
-                for t, m in every:
+                for t, m in every if s > OFF_B else stay:
                     runs[row[t]] = runs.get(row[t], 0) + c * m
 
     def _bad_swaps(self, n: int, kinds: int) -> Iterator[tuple[tuple[Run, Run, Player], int]]:
@@ -350,16 +354,19 @@ class _StateScan:
             if j == n:
                 yield from ((gid, i, bad(s, d, p)) for i, d, p in begun)
                 return
-            left, row = n - j - 1, rows[s]
+            left, row, decided = n - j - 1, rows[s], {}
             for t in range(k):
-                after = row[t]
-                kept = [(i, rows[d][t], p) for i, d, p in begun if reach(after, rows[d][t], p, left)] if begun else []
-                if j and (x < half) != (t < half):
-                    p, d = (0 if x < half else 1), rows[rows[before][t]][x]
-                    if reach(after, d, p, left):
-                        kept.append((j - 1, d, p))
-                if kept or s > OFF_B and viable(s, rep[t], left):
-                    yield from walk(j + 1, gid * k + t, s, after, t, kept)
+                kept = decided.get(r := rep[t])
+                if kept is None:  # the digits of one class lead alike: decide each class once
+                    g = row[t]
+                    kept = [(i, rows[d][t], p) for i, d, p in begun if reach(g, rows[d][t], p, left)] if begun else []
+                    if j and (x < half) != (t < half):
+                        p, d = (0 if x < half else 1), rows[rows[before][t]][x]
+                        if reach(g, d, p, left):
+                            kept.append((j - 1, d, p))
+                    decided[r] = kept = kept if kept or left and s > OFF_B and viable(s, r, left) else False
+                if kept is not False:
+                    yield from walk(j + 1, gid * k + t, s, row[t], t, kept)
 
         found = 0
         for gid, i, failed in walk(0, 0, OFF_B + 1, OFF_B + 1, 0, []):

@@ -23,15 +23,15 @@ switch stem without trailing zeros (the decisive ray is that stem padded
 with zeros, so ``0`` and the root name one ray), and one base state per
 class of rays.  Rays in one class agree on their first ``depth`` bits,
 where ``depth`` is the fewest leading bits that fix every ray's base
-state.  An addressed move ``u.x`` longer than ``depth`` first splits
-every class, the new classes copying their parent's base state; it then
-steps with ``x`` the base state of each class whose key starts with
-``u``, and is legal iff every one of those steps is.  Last, while every
-pair of sibling classes holds equal states, each pair merges into its
-parent.  The outcome is the base outcome of the class holding the
-decisive ray.  The moves a player may make in a state come from the
-state too: an addressed move ``u.x`` is offered when every class below
-``u`` offers ``x``, which is what ``step`` accepts.
+state.  An addressed move ``u.x`` steps with ``x`` the base state of
+every class below ``u``, and is legal iff every one of those steps is:
+one class if ``u`` has ``depth`` bits or more, and a longer ``u`` then
+splits every class, the copy at ``u`` stepped and the rest unchanged.
+Last, while every pair of sibling classes holds equal states, each pair
+merges into its parent.  The outcome is the base outcome of the class
+holding the decisive ray.  The moves a player may make in a state come
+from the state too: an addressed move ``u.x`` is offered when every
+class below ``u`` offers ``x``, which is what ``step`` accepts.
 """
 
 from __future__ import annotations
@@ -183,8 +183,9 @@ def switches(run: Run, structural: Player) -> tuple[str, ...]:
 # 2**d class states, so this guard caps a state at 65,536 of them.
 MAX_ADDRESS_BITS = 16
 
-# Bound once for step: a member read through its Enum class is slow on Python 3.11.
+# Bound once for step, past slow Python 3.11 paths: Enum members, and NamedTuple's __new__ for a RayState.
 _SWITCH, _REPLICATIVE, _NONREPLICATIVE = ShapeKind.SWITCH, ShapeKind.REPLICATIVE, ShapeKind.NONREPLICATIVE
+_new = tuple.__new__
 
 
 class RayState(NamedTuple):
@@ -229,36 +230,43 @@ class RecurrenceGame(Game):
         kind, u = sh.kind, sh.address
         tree, stem, depth, classes = state
         if kind is _SWITCH:
-            if lm.label is not self.structural or tree is not None and not tree.is_actual(u):
+            if lm.label is not self.structural or tree is not None and u not in _nodes_of(tree.replicated):
                 return None
-            return RayState(tree, u.rstrip("0"), depth, classes)
+            return _new(RayState, (tree, u.rstrip("0"), depth, classes))
         if kind is not _NONREPLICATIVE:
             if kind is not _REPLICATIVE or tree is None or lm.label is not self.structural or u not in tree.outer():
                 return None
-            return RayState(tree.replicate(u), stem, depth, classes)
-        if tree is not None and not tree.is_actual(u):
+            return _new(RayState, (tree.replicate(u), stem, depth, classes))
+        if tree is not None and u not in _nodes_of(tree.replicated):
             return None
         if len(u) > MAX_ADDRESS_BITS:
             raise PreconditionError(f"address {u!r} has {len(u)} bits; "
                                     f"a recurrence takes at most {MAX_ADDRESS_BITS}")
-        key, payload, step = u[:depth], sh.payload_moves[lm.label is BOT], self.base.step
-        width = 1 << (depth - len(key))
-        low = int(key, 2) * width if key else 0
-        stepped, last = [], None
-        for inner in classes[low : low + width]:
-            if inner is not last:  # a split leaves copies of one state side by side
-                last, after = inner, step(inner, payload)
-                if after is None:
-                    return None
-            stepped.append(after)
-        if len(u) > depth:  # one class was below u: split it, the copy at u stepped
-            copies = 1 << (len(u) - depth)
-            classes = tuple(inner for inner in classes for _ in range(copies))
-            low, depth = low * copies + int(u[depth:], 2), len(u)
-        classes = classes[:low] + tuple(stepped) + classes[low + len(stepped) :]
+        payload, step = sh.payload_moves[lm.label is BOT], self.base.step
+        if len(u) >= depth:  # u names one class: step it, then split it when u is deeper
+            low = int(u[:depth], 2) if depth else 0
+            after = step(classes[low], payload)
+            if after is None:
+                return None
+            if len(u) > depth:
+                copies = 1 << (len(u) - depth)
+                classes = tuple([inner for inner in classes for _ in range(copies)])
+                low, depth = low * copies + int(u[depth:], 2), len(u)
+            classes = classes[:low] + (after,) + classes[low + 1 :]
+        else:  # u is above several classes: step each run of equal states once
+            width = 1 << (depth - len(u))
+            low = int(u, 2) * width if u else 0
+            stepped, last = [], None
+            for inner in classes[low : low + width]:
+                if inner is not last:  # a split leaves copies of one state side by side
+                    last, after = inner, step(inner, payload)
+                    if after is None:
+                        return None
+                stepped.append(after)
+            classes = classes[:low] + tuple(stepped) + classes[low + width :]
         while depth and classes[::2] == classes[1::2]:
             classes, depth = classes[::2], depth - 1
-        return RayState(tree, stem, depth, classes)
+        return _new(RayState, (tree, stem, depth, classes))
 
     def outcome(self, state: RayState) -> Player:
         """Winner of a legal run: the base winner of the run read along the
@@ -293,13 +301,19 @@ class RecurrenceGame(Game):
         out = addresses + replications if player is self.structural else []
         offered: dict[State, frozenset[str]] = {}
         for w in addresses:
-            key = w[:depth]
-            width = 1 << (depth - len(key))
-            low = int(key, 2) * width if key else 0
-            below = set(classes[low : low + width])
-            for inner in below - offered.keys():
-                offered[inner] = self.base.moves(inner, player, bounds)
-            out.extend(f"{w}.{a}" for a in frozenset.intersection(*(offered[inner] for inner in below)))
+            if len(w) >= depth:  # w names one class
+                inner = classes[int(w[:depth], 2) if depth else 0]
+                payloads = offered.get(inner)
+                if payloads is None:
+                    payloads = offered[inner] = self.base.moves(inner, player, bounds)
+            else:  # w is above several classes: what every distinct one offers
+                width = 1 << (depth - len(w))
+                low = int(w, 2) * width if w else 0
+                below = set(classes[low : low + width])
+                for inner in below - offered.keys():
+                    offered[inner] = self.base.moves(inner, player, bounds)
+                payloads = frozenset.intersection(*map(offered.__getitem__, below))
+            out.extend([f"{w}.{a}" for a in payloads])
         return frozenset(out)
 
     # Kept for perfbench/ until ROADMAP item 2 (see games.FiniteGame).

@@ -88,9 +88,10 @@ def _delay_pair(gamma: Run, delta: Run, p: Player) -> str:
 
 def audit_trace(trace: Trace, direction: Direction, game: Game) -> tuple[str, ...]:
     """Check one trace against the routine invariants; returns violations.
-    A loose-to-tight trace's notes must hold :class:`RemapStrategy` states."""
+    A loose-to-tight trace's notes must hold :class:`RemapStrategy` states.
+    A truncated trace is judged only on its offender and its node maps."""
     problems: list[str] = []
-    if trace.outcome is not TOP:
+    if trace.outcome is not TOP and not trace.truncated:
         problems.append("outcome: machine did not win")
     # The rest is judged by the recomputed offender, so a wrong record
     # cannot send an illegal run to the split below.
@@ -102,34 +103,35 @@ def audit_trace(trace: Trace, direction: Direction, game: Game) -> tuple[str, ..
             problems.append("offender: machine made the first illegal move")
         return tuple(problems)
 
-    parts = split_disjunction(trace.moves)
-    assert parts is not None  # legal compound runs always split
-    sigma, pi = parts
-    sigma_switches, pi_switches = switches(sigma, TOP), switches(pi, BOT)
-    sigma_ray = Ray(sigma_switches[-1] if sigma_switches else "")
-    pi_ray = Ray(pi_switches[-1] if pi_switches else "")
-    if direction is Direction.TIGHT_TO_LOOSE:
-        if sigma_ray != pi_ray:
-            problems.append("identity: components disagree on the last switch")
-        if project(sigma, pi_ray) != flip_labels(project(pi, pi_ray)):
-            problems.append("identity: decisive projections do not mirror")
-    else:
-        if len(sigma_switches) != len(pi_switches):
-            problems.append("identity: switch counts differ between components")
-        if project(sigma, sigma_ray) != flip_labels(project(pi, pi_ray)):
-            problems.append("identity: decisive projections do not mirror")
-        for note in trace.notes:
-            fmap = note.state.fmap
-            if not fmap_prefix_free(fmap):
-                problems.append(f"fmap: values not prefix-free after step {note.reacted_to}")
-                break
-            prefix = trace.moves[: note.reacted_to + 1]
-            prefix_parts = split_disjunction(prefix)
-            assert prefix_parts is not None
-            expected = actual_nodes(prefix_parts[1], BOT).outer()
-            if frozenset(k for k, _ in fmap) != expected:
-                problems.append(f"fmap: domain is not the outer nodes after step {note.reacted_to}")
-                break
+    if not trace.truncated:  # a play cut off mid-reply has no final projections
+        parts = split_disjunction(trace.moves)
+        assert parts is not None  # legal compound runs always split
+        sigma, pi = parts
+        sigma_switches, pi_switches = switches(sigma, TOP), switches(pi, BOT)
+        sigma_ray = Ray(sigma_switches[-1] if sigma_switches else "")
+        pi_ray = Ray(pi_switches[-1] if pi_switches else "")
+        if direction is Direction.TIGHT_TO_LOOSE:
+            if sigma_ray != pi_ray:
+                problems.append("identity: components disagree on the last switch")
+            if project(sigma, pi_ray) != flip_labels(project(pi, pi_ray)):
+                problems.append("identity: decisive projections do not mirror")
+        else:
+            if len(sigma_switches) != len(pi_switches):
+                problems.append("identity: switch counts differ between components")
+            if project(sigma, sigma_ray) != flip_labels(project(pi, pi_ray)):
+                problems.append("identity: decisive projections do not mirror")
+    for note in trace.notes if direction is Direction.LOOSE_TO_TIGHT else ():
+        fmap = note.state.fmap
+        if not fmap_prefix_free(fmap):
+            problems.append(f"fmap: values not prefix-free after step {note.reacted_to}")
+            break
+        prefix = trace.moves[: note.reacted_to + 1]
+        prefix_parts = split_disjunction(prefix)
+        assert prefix_parts is not None
+        expected = actual_nodes(prefix_parts[1], BOT).outer()
+        if frozenset(k for k, _ in fmap) != expected:
+            problems.append(f"fmap: domain is not the outer nodes after step {note.reacted_to}")
+            break
     return tuple(problems)
 
 
@@ -146,6 +148,7 @@ class VerificationReport:
     bounds: EnumBounds
     adversaries: int
     failures: tuple[Failure, ...] = field(default=())
+    truncated: int = 0  # plays cut off at the step cap
 
     @property
     def ok(self) -> bool:
@@ -179,12 +182,13 @@ def verify_translation(
     compound = translation_compound(base, direction)
     machine = strategy_for(compound, direction)
     failures: list[Failure] = []
-    count = 0
+    count = truncated = 0
     for trace in exhaustive_adversaries(compound, machine, bounds, budget, max_steps=max_steps):
         count += 1
+        truncated += trace.truncated
         for problem in audit_trace(trace, direction, compound):
             failures.append(Failure("trace-audit", problem, trace))
-    return VerificationReport(compound.name, bounds, count, tuple(failures))
+    return VerificationReport(compound.name, bounds, count, tuple(failures), truncated)
 
 
 def verify_static_preservation(base: Game, bounds: EnumBounds) -> VerificationReport:

@@ -270,18 +270,18 @@ class TestStatic:
         # the distinct states they reach
         code = main(["static", "--game", "tbr_l(top_choice)", "--max-run", "10", "--max-addr", "2"])
         assert code == 0
-        assert capsys.readouterr().out == "static: yes\npool: 15 moves\n"
-        # the tight recurrence's states stop growing at 1,228 by run length
-        # 10, and the count alone decides a static game at every length
+        assert capsys.readouterr().out == "static: yes\npool: 15 moves\nstates: 64\n"
+        # the tight recurrence's legal states stop growing at 1,226 by run
+        # length 10, and the count alone decides a static game at every length
         code = main(["static", "--game", "tbr_t(bot_choice)", "--max-run", "64"])
         assert code == 0
-        assert capsys.readouterr().out == "static: yes\npool: 22 moves\n"
+        assert capsys.readouterr().out == "static: yes\npool: 22 moves\nstates: 1226\n"
         # at the ceiling the count stops at the first flagged length, 2,
         # after the walk, and holds one length of counts at a time
         code = main(["static", "--game", "tbr_t(first_mover_wins)", "--max-run", "1024"])
         assert code == 1
         out = capsys.readouterr().out
-        assert out.startswith("static: no\npool: 29 moves\n")
+        assert out.startswith("static: no\npool: 29 moves\nstates: 5853\n")
         assert 'original: <T".a", B".b">\n' in out
 
     def test_non_static_recurrence_names_its_pool(self, capsys):
@@ -290,7 +290,7 @@ class TestStatic:
         code = main(["static", "--game", "tbr_t(first_mover_wins)"])
         assert code == 1
         out = capsys.readouterr().out
-        assert out.startswith("static: no\npool: 29 moves\n")
+        assert out.startswith("static: no\npool: 29 moves\nstates: 549\n")
 
     def test_deep_recurrence_nesting(self, capsys, monkeypatch):
         # each level asks its base for moves once per distinct class state,
@@ -308,7 +308,7 @@ class TestStatic:
         game = "tbr_t(" * 50 + "bot_choice" + ")" * 50
         code = main(["static", "--game", game, "--max-run", "2", "--max-addr", "1"])
         assert code == 0
-        assert capsys.readouterr().out == "static: yes\npool: 5302 moves\n"
+        assert capsys.readouterr().out == "static: yes\npool: 5302 moves\nstates: 4027\n"
         assert counted[0].steps == 10401
 
     def test_deeply_nested_expression_is_a_parse_error(self, capsys):
@@ -369,6 +369,27 @@ class TestSimulate:
         assert code == 0
         out = capsys.readouterr().out
         assert "failures: 0" in out
+
+    @pytest.mark.parametrize("adversary", ["exhaustive", "random"])
+    def test_plays_cut_short_exit_three(self, adversary, capsys):
+        # a play cut off by the step cap is neither won nor lost: none of
+        # them fails its audit, and the run names them on one line
+        code = main([
+            "simulate", "--direction", "tight-to-loose", "--atom", "bot_choice",
+            "--adversary", adversary, *(["--seed", "2"] if adversary == "random" else []),
+            "--budget", "2", "--max-steps", "5" if adversary == "exhaustive" else "3",
+        ])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "failure" not in captured.out.replace("failures: 0", "")
+        if adversary == "exhaustive":
+            assert "adversaries: 184\nfailures: 0\ntruncated: 140\n" in captured.out
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "reached --max-steps" in captured.err
+        code = main(["simulate", "--direction", "tight-to-loose", "--atom", "bot_choice", "--budget", "2",
+                     "--max-steps", "8"])
+        assert code == 0
+        assert "failures: 0\ntruncated: 0\n" in capsys.readouterr().out
 
     def test_non_static_base_exit_three(self, capsys):
         code = main([
@@ -498,7 +519,7 @@ class TestSimulate:
     def test_col_seed_is_read_only_by_simulate(self, monkeypatch, capsys):
         monkeypatch.setenv("COL_SEED", "abc")
         assert main(["static", "--game", "bot_choice"]) == 0
-        assert capsys.readouterr().out == "static: yes\npool: 2 moves\n"
+        assert capsys.readouterr().out == "static: yes\npool: 2 moves\nstates: 2\n"
         code = main([
             "simulate", "--direction", "tight-to-loose", "--atom", "leaf_top",
             "--adversary", "random", "--seed", "3",
@@ -559,7 +580,7 @@ class TestSimulateCompositeBase:
         ])
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[:3] == [f"game: {self.GAME}", "adversaries: 92", "failures: 0"]
+        assert lines == [f"game: {self.GAME}", "adversaries: 92", "failures: 0", "truncated: 0"]
 
     @pytest.mark.parametrize("atom", ["nope", "not(("])
     def test_bad_base_expression_is_malformed(self, atom, capsys):

@@ -764,6 +764,44 @@ class TestPinnedResults:
                                         r.violation_count)).encode())
         assert digest.hexdigest()[:16] == "3c1a8e4153371eb2"
 
+    def test_the_honest_pool_results(self):
+        # the same bases and kinds with no pool given: the pool each walk
+        # finds and both verdicts, at (2,4) and (1,5)
+        digest = hashlib.sha256()
+        for base in STATIC_SUITE + (first_mover_wins(),):
+            for kind in ALL_KINDS:
+                game = make_recurrence(base, kind)
+                for bounds in (EnumBounds(2, 4), EnumBounds(1, 5)):
+                    v, r = static_and_lemma(game, bounds)
+                    digest.update(repr((move_pool(game, bounds), v.static, v.counterexample, r.violations,
+                                        r.pairs_checked, r.violation_count)).encode())
+        assert digest.hexdigest()[:16] == "007b99f82122e652"
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=[OP_NAMES[kind] for kind in ALL_KINDS])
+    def test_the_explicit_pool_step_counts(self, kind):
+        # each state is stepped once by each labmove of the pool
+        game = CountingGame(make_recurrence(first_mover_wins(), kind))
+        static_and_lemma(game, EnumBounds(2, 4), _BOTH_PAYLOAD_POOLS[kind.version])
+        assert game.steps == {Version.TIGHT: 70, Version.LOOSE: 120}[kind.version]
+
+
+class TestOffendedTallies:
+    """On ``leaf_top`` every move of a pool of m junk moves is illegal, so a
+    run is offended by the author of its first move.  A swap of p's move
+    past the adversary's at position i leaves delta offended by p exactly
+    when i >= 1 and the run opens with a move of p's; gamma opens with the
+    same move, so no swap is a violation.  With k = 2m, a run of length n
+    holds 2 (n - 2) m^3 k^(n-3) such swaps.  The scan keeps every run and
+    pair in the offended states, and no enumeration reaches these lengths."""
+
+    @pytest.mark.parametrize("m, max_run_len", [(1, 30), (2, 30), (3, 30), (1, MAX_RUN_LEN)])
+    def test_closed_form(self, m, max_run_len):
+        k, pool = 2 * m, tuple("x" * (i + 1) for i in range(m))
+        verdict, report = static_and_lemma(leaf_top(), EnumBounds(0, max_run_len), pool)
+        assert verdict.static
+        assert report.pairs_checked == sum(2 * (n - 2) * m**3 * k ** (n - 3) for n in range(3, max_run_len + 1))
+        assert report.violation_count == 0 and report.violations == ()
+
 
 class TestStateInterning:
     """Game states are compared and hashed by structure, so runs that

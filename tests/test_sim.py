@@ -241,8 +241,21 @@ class TestVerifyTranslation:
             verify_translation(late(), Direction.TIGHT_TO_LOOSE, EnumBounds(2, 2), budget=2)
 
     def test_corrupted_routine_is_caught(self, broken_machine):
+        # at the default step cap of 64, no play is cut short
         report = verify_translation(bot_choice(), Direction.LOOSE_TO_TIGHT, BOUNDS, budget=2)
-        assert (len(report.failures), report.adversaries) == (16, 17)
+        assert (len(report.failures), report.adversaries, report.truncated) == (16, 17, 0)
+
+    # plays of bot_choice at budget 2 that the step caps 1 to 6 cut off
+    CUT_SHORT = {Direction.TIGHT_TO_LOOSE: (14, 33, 77, 166, 140, 32),
+                 Direction.LOOSE_TO_TIGHT: (10, 11, 4, 0, 0, 0)}
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_a_play_cut_short_is_not_a_lost_play(self, direction):
+        # a truncated trace is audited only on what its prefix shows
+        reports = [verify_translation(bot_choice(), direction, BOUNDS, budget=2, max_steps=max_steps)
+                   for max_steps in range(1, 7)]
+        assert all(report.failures == () for report in reports)
+        assert tuple(report.truncated for report in reports) == self.CUT_SHORT[direction]
 
     def test_reports_are_deterministic(self):
         first = verify_translation(bot_choice(), Direction.LOOSE_TO_TIGHT, BOUNDS, budget=2)
@@ -385,6 +398,20 @@ class TestAuditTrace:
     def test_flags_a_map_domain_off_the_outer_nodes(self):
         assert self._loose_to_tight("2.:", RemapStrategy().init()) == (
             "fmap: domain is not the outer nodes after step 0",)
+
+    def test_a_truncated_trace_is_judged_on_its_prefix(self):
+        # cut off before the machine answers: neither lost nor unmirrored,
+        # but an offence or a node map off the outer nodes still shows
+        game = translation_compound(bot_choice(), Direction.TIGHT_TO_LOOSE)
+        cut = Trace((LabMove(BOT, "2..b"),), (), BOT, None, truncated=True)
+        assert audit_trace(cut, Direction.TIGHT_TO_LOOSE, game) == ()
+        cut = Trace((LabMove(BOT, "2.1"), LabMove(TOP, "9")), (), BOT, Offender(1, TOP), True)
+        assert audit_trace(cut, Direction.TIGHT_TO_LOOSE, game) == (
+            "offender: machine made the first illegal move",)
+        game = translation_compound(bot_choice(), Direction.LOOSE_TO_TIGHT)
+        for move, found in (("2.", ()), ("2.:", ("fmap: domain is not the outer nodes after step 0",))):
+            cut = Trace((LabMove(BOT, move),), (StepNote(0, RemapStrategy().init()),), TOP, None, True)
+            assert audit_trace(cut, Direction.LOOSE_TO_TIGHT, game) == found
 
     def test_flags_map_values_that_prefix_each_other(self):
         state = replace(RemapStrategy().init(), fmap=(("0", "0"), ("1", "0")))
