@@ -300,21 +300,19 @@ class _StateScan:
         is bad for; then an error if a kind had none.  A depth-first walk over
         gamma's digits enters a digit only while a swap begun or to begin can
         end bad; no pair is bad if its runs agree or p offended in gamma.  The
-        walk steps by every digit, which numbers gamma, but the memoised checks
+        walk steps by every digit, which spells gamma, but the memoised checks
         step by class representatives, key on them and stop at the first hit."""
-        rows, rep, k, wins = self.rows, self.rep, len(self.labmoves), self.wins
-        half = k // 2
+        rows, rep, labmoves, wins = self.rows, self.rep, self.labmoves, self.wins
+        k, half = len(labmoves), len(labmoves) // 2
         tops, bots = [x for x, _ in self.tops], [y for y, _ in self.bots]
         every, opposite = tops + bots, (bots, tops)
         reachable, opening = {}, {}  # keyed by (g, d, p, m) and by (s, x, m)
 
-        def bad(g: int, d: int, p: int) -> int:  # the kinds asked for that p's swap ending in (g, d) is bad for
-            return ((REFUTES if wins[g] == p != wins[d] else 0) | (VIOLATES if d == p != g else 0)) & kinds
-
-        def reach(g: int, d: int, p: int, m: int) -> bool:
-            """Some tail of m moves takes the pair to a bad one."""
-            if m == 0:
-                return bad(g, d, p)
+        def reach(g: int, d: int, p: int, m: int) -> int:
+            """Some tail of m moves takes p's swap pair (g, d) to a bad one; at
+            m = 0, the kinds asked for that the pair is bad for."""
+            if m == 0:  # p wins gamma and not delta; p offends first in delta and not in gamma
+                return ((REFUTES if wins[g] == p != wins[d] else 0) | (VIOLATES if d == p != g else 0)) & kinds
             if g == d or g == p:
                 return False
             key = (g, d, p, m)
@@ -348,31 +346,34 @@ class _StateScan:
                 opening[key] = found
             return found
 
-        def walk(j: int, gid: int, before: int, s: int, x: int, begun: list) -> Iterator:
-            """Below gamma's first j of n digits, numbered gid, the last x from
-            state ``before`` to s; ``begun``: (i, delta's state, p) of live swaps."""
-            if j == n:
-                yield from ((gid, i, bad(s, d, p)) for i, d, p in begun)
-                return
-            left, row, decided = n - j - 1, rows[s], {}
-            for t in range(k):
-                kept = decided.get(r := rep[t])
-                if kept is None:  # the digits of one class lead alike: decide each class once
-                    g = row[t]
-                    kept = [(i, rows[d][t], p) for i, d, p in begun if reach(g, rows[d][t], p, left)] if begun else []
-                    if j and (x < half) != (t < half):
-                        p, d = (0 if x < half else 1), rows[rows[before][t]][x]
-                        if reach(g, d, p, left):
-                            kept.append((j - 1, d, p))
-                    decided[r] = kept = kept if kept or left and s > OFF_B and viable(s, r, left) else False
-                if kept is not False:
-                    yield from walk(j + 1, gid * k + t, s, row[t], t, kept)
-
-        found = 0
-        for gid, i, failed in walk(0, 0, OFF_B + 1, OFF_B + 1, 0, []):
-            found |= failed
-            run = tuple(self.labmoves[gid // k ** (n - 1 - j) % k] for j in range(n))
-            yield (run, run[:i] + (run[i + 1], run[i]) + run[i + 2 :], run[i].label), failed
+        # The walk's nodes: j, gamma's first j of n moves, the states before and
+        # after the last, its digit x, and ``begun``, (i, delta's state, p) of
+        # live swaps, all bad at j = n.  A node decides each digit before any is entered.
+        found, stack = 0, [(0, (), OFF_B + 1, OFF_B + 1, 0, [])]
+        try:
+            while stack:
+                j, gamma, before, s, x, begun = stack.pop()
+                if j == n:
+                    for i, d, p in begun:
+                        failed = ((REFUTES if wins[s] == p != wins[d] else 0) | (VIOLATES if d == p != s else 0)) & kinds
+                        found |= failed
+                        yield (gamma, gamma[:i] + (gamma[i + 1], gamma[i]) + gamma[i + 2 :], gamma[i].label), failed
+                    continue
+                left, row, decided = n - j - 1, rows[s], {}
+                for t in range(k - 1, -1, -1):  # pushed last to first, so popped first to last
+                    kept = decided.get(r := rep[t])
+                    if kept is None:  # the digits of one class lead alike: decide each class once
+                        g = row[t]
+                        kept = [(i, rows[d][t], p) for i, d, p in begun if reach(g, rows[d][t], p, left)] if begun else []
+                        if j and (x < half) != (t < half):
+                            p, d = (0 if x < half else 1), rows[rows[before][t]][x]
+                            if reach(g, d, p, left):
+                                kept.append((j - 1, d, p))
+                        decided[r] = kept = kept if kept or left and s > OFF_B and viable(s, r, left) else False
+                    if kept is not False:
+                        stack.append((j + 1, gamma + (labmoves[t],), s, row[t], t, kept))
+        finally:  # reach and viable refer to themselves: free them, and their memos, now
+            reach = viable = None
         if found != kinds:
             raise RuntimeError(f"the count flags runs of length {n}, but no swap among them is bad")
 

@@ -16,11 +16,14 @@ a legal run that stops early is a completed play won by the label of the
 node it reached.
 
 Every constructor here and in ``recurrence`` is a :class:`Game`, the
-finite tree included, so any game can be the base of another.
+finite tree included, so any game can be the base of another.  Tree nodes
+are hash-consed: equal trees are one object, equal by identity.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
@@ -145,26 +148,42 @@ def won_by(game: Game, run: Run, p: Player) -> bool:
     return game.winner(run) is p
 
 
-@dataclass(frozen=True)
 class GameNode:
-    """Node of a finite game tree.
+    """Node of a finite game tree, built once per distinct tree.
 
     Children are keyed by labeled move; two edges out of the same node may
-    not carry the same (label, move) pair.
-    """
+    not carry the same (label, move) pair.  The children are built first, so
+    (winner, edges), children by identity, names a tree exactly: equal trees
+    are one object and compare and hash by identity, in C.  The table of
+    built nodes is weak, so an entry dies with its node."""
 
+    __slots__ = ("winner", "edges", "__weakref__")
     winner: Player
-    edges: tuple[tuple[LabMove, "GameNode"], ...] = ()
+    edges: tuple[tuple[LabMove, GameNode], ...]
 
-    def __post_init__(self) -> None:
-        keys = [lm for lm, _ in self.edges]
-        if len(keys) != len(set(keys)):
+    def __new__(cls, winner: Player, edges: tuple[tuple[LabMove, GameNode], ...] = ()) -> GameNode:
+        if len({lm for lm, _ in edges}) != len(edges):
             raise ValueError("duplicate (label, move) edge in game node")
-        # the structural hash, once: each child's is already cached
-        object.__setattr__(self, "_hash", hash((self.winner, self.edges)))
+        with _interning:
+            self = _interned.get((winner, edges))
+            if self is None:
+                self = _interned[winner, edges] = object.__new__(cls)
+                object.__setattr__(self, "winner", winner)
+                object.__setattr__(self, "edges", edges)
+        return self
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError("a GameNode is immutable")
+
+    def __reduce__(self) -> tuple:
+        return GameNode, (self.winner, self.edges)
+
+    def __repr__(self) -> str:
+        return f"GameNode(winner={self.winner!r}, edges={self.edges!r})"
+
+
+_interned: weakref.WeakValueDictionary[tuple, GameNode] = weakref.WeakValueDictionary()
+_interning = threading.Lock()
 
 
 def leaf(winner: Player) -> GameNode:

@@ -102,9 +102,9 @@ def _outer_of(nodes: frozenset[str]) -> frozenset[str]:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class NodeTree:
-    """The set of actual nodes of a tight position.
+class NodeTree(NamedTuple):
+    """The set of actual nodes of a tight position; a tuple, so that a
+    state holding it hashes and compares in C.
 
     Stored as the set of addresses whose replication request occurred; the
     actual nodes are the root plus both children of every replicated
@@ -123,7 +123,7 @@ class NodeTree:
 
     def outer(self) -> frozenset[str]:
         """Actual nodes that are not proper prefixes of other actual nodes."""
-        return _outer_of(self.nodes())
+        return _outer_of(_nodes_of(self.replicated))
 
     def replicate(self, w: str) -> "NodeTree":
         return NodeTree(self.replicated | {w})

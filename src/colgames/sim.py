@@ -172,13 +172,18 @@ def verify_translation(
 ) -> VerificationReport:
     """Play the translation routine against every exhaustive adversary.
 
-    The base must be static over runs of length up to 4 of every move it
-    offers within the address bound (the delay scan's default pool; plenty
-    for desk-scale bases, and independent of the interaction bound in
-    ``bounds``); otherwise :class:`PreconditionError` is raised.  Every
-    resulting trace is audited; the report aggregates all violations.
+    The base must be static one move past the step cap, over every move it
+    offers within the address bound (the delay scan's default pool): no
+    play is longer than ``max_steps``, and static at ``max_steps + 1``
+    covers the base's illegality lemma at ``max_steps`` too.  A base that
+    is not, and a step cap not under ``MAX_RUN_LEN``, raise
+    :class:`PreconditionError`.  Every resulting trace is audited; the
+    report aggregates all violations.
     """
-    _require_static(base, EnumBounds(bounds.max_address_len, 4))
+    if max_steps >= MAX_RUN_LEN:
+        raise PreconditionError(f"step cap {max_steps} leaves no room to check the base one move "
+                                f"past it; use at most {MAX_RUN_LEN - 1}")
+    _require_static(base, EnumBounds(bounds.max_address_len, max_steps + 1))
     compound = translation_compound(base, direction)
     machine = strategy_for(compound, direction)
     failures: list[Failure] = []

@@ -56,10 +56,14 @@ from colgames.strategy import _R2State
 from colgames.suite import first_mover_wins
 
 
-def late() -> FiniteGame:
-    """first_mover_wins behind a forced environment move c: not static, but
-    its shortest counterexample, <B"c", T"a", B"b">, takes 3 moves."""
-    return FiniteGame("late", GameNode(TOP, ((LabMove(BOT, "c"), first_mover_wins().root),)))
+def late(forced: int = 1) -> FiniteGame:
+    """first_mover_wins behind ``forced`` forced environment moves c: not
+    static, but its shortest counterexample, <B"c", T"a", B"b"> behind one,
+    takes forced + 2 moves."""
+    root = first_mover_wins().root
+    for _ in range(forced):
+        root = GameNode(TOP, ((LabMove(BOT, "c"), root),))
+    return FiniteGame("late", root)
 
 
 def is_legal(game, run) -> bool:

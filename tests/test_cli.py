@@ -416,8 +416,16 @@ class TestSimulate:
         assert code == 3
         assert_one_line_error(capsys)
 
+    def test_step_cap_past_the_ceiling_exits_three(self, capsys):
+        # the precheck scans runs one move past the step cap, at most 1023 moves
+        code = main(["simulate", "--direction", "tight-to-loose", "--atom", "bot_choice",
+                     "--budget", "1", "--max-steps", "1024"])
+        assert code == 3
+        assert_one_line_error(capsys)
+
     def test_short_run_bound_keeps_the_precheck(self, tmp_path, capsys):
-        # late's counterexample takes 3 moves; the precheck scans runs of 4
+        # late's counterexample takes 3 moves; the precheck scans runs one
+        # move past the step cap
         path = tmp_path / "late.json"
         path.write_text(dump_game_defs({"late": late()}))
         code = main([

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
 
 import pytest
 
@@ -16,10 +19,13 @@ from colgames import (
     disjoin,
     leaf,
     negate,
+    node,
     offender,
     split_disjunction,
     won_by,
 )
+from colgames import games
+from colgames.files import dump_game_defs, load_game_defs
 from colgames.suite import STATIC_SUITE, bot_choice, first_mover_wins, leaf_top, top_choice
 
 from _util import all_runs, first_difference, is_legal, probe_pool
@@ -64,6 +70,41 @@ class TestFiniteGameInterface:
                 if is_legal(g, run):
                     for cut in range(len(run)):
                         assert is_legal(g, run[:cut])
+
+
+class TestHashConsing:
+    """Each distinct tree is built once, so equal trees are one object."""
+
+    @staticmethod
+    def _tree(winner=BOT, label=TOP, move="a", flip=False):
+        edges = [(lm(label, move), node(TOP, {lm(BOT, "b"): leaf(BOT)})), (lm(BOT, "b"), leaf(TOP))]
+        return GameNode(winner, tuple(edges[::-1] if flip else edges))
+
+    def test_equal_trees_built_apart_are_one_object(self):
+        by_helpers = node(BOT, {lm(TOP, "a"): node(TOP, {lm(BOT, "b"): leaf(BOT)}), lm(BOT, "b"): leaf(TOP)})
+        by_class = self._tree()
+        loaded = load_game_defs(dump_game_defs({"t": FiniteGame("t", by_class)}))["t"].root
+        assert by_helpers is by_class is loaded
+        assert copy.deepcopy(by_class) is pickle.loads(pickle.dumps(by_class)) is by_class
+
+    @pytest.mark.parametrize("change", [{"winner": TOP}, {"label": BOT}, {"move": "c"}, {"flip": True}],
+                             ids=["winner", "label", "move", "edge order"])
+    def test_a_different_tree_is_another_object(self, change):
+        other = self._tree(**change)
+        assert other is not self._tree() and other != self._tree()
+
+    def test_nodes_are_immutable(self):
+        with pytest.raises(AttributeError):
+            self._tree().winner = TOP
+
+    def test_the_table_holds_only_live_trees(self):
+        gc.collect()
+        bottom = leaf(BOT)  # shared by every tree below, and kept
+        before = len(games._interned)
+        trees = [node(TOP, {lm(BOT, str(i)): bottom}) for i in range(10_000)]
+        assert len(games._interned) == before + 10_000
+        del trees
+        assert len(games._interned) == before
 
 
 class TestOffender:

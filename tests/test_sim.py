@@ -240,6 +240,22 @@ class TestVerifyTranslation:
         with pytest.raises(PreconditionError, match="not static"):
             verify_translation(late(), Direction.TIGHT_TO_LOOSE, EnumBounds(2, 2), budget=2)
 
+    def test_precheck_covers_every_play_length(self):
+        # static at run bound 4 and refuted at 5: a precheck at 4 passed it,
+        # and 211 adversaries then played it at budget 2 without a failure
+        base = late(forced=3)
+        assert is_static(base, EnumBounds(2, 4)).static
+        with pytest.raises(PreconditionError, match="not static; counterexample: <B\"c\", B\"c\", B\"c\""):
+            verify_translation(base, Direction.TIGHT_TO_LOOSE, EnumBounds(2, 64), budget=2)
+
+    def test_step_cap_past_the_ceiling_is_refused(self):
+        # the precheck runs one move past the cap, so the cap stays under the ceiling
+        with pytest.raises(PreconditionError, match=f"step cap {MAX_RUN_LEN} leaves no room"):
+            verify_translation(bot_choice(), Direction.TIGHT_TO_LOOSE, BOUNDS, budget=1, max_steps=MAX_RUN_LEN)
+        report = verify_translation(bot_choice(), Direction.TIGHT_TO_LOOSE, BOUNDS, budget=1,
+                                    max_steps=MAX_RUN_LEN - 1)
+        assert report.ok and report.truncated == 0
+
     def test_corrupted_routine_is_caught(self, broken_machine):
         # at the default step cap of 64, no play is cut short
         report = verify_translation(bot_choice(), Direction.LOOSE_TO_TIGHT, BOUNDS, budget=2)
