@@ -76,10 +76,11 @@ def cmd_eval(args) -> int:
     defs = _load_defs(args.defs)
     game = elaborate(parse_game_expr(args.game), defs)
     run = _load_trace(args.trace).moves
-    off = offender(game, run)
-    if off is None:
-        print(f"legal; winner: {game.winner(run).value}")
+    state = game.replay(run)
+    if state is not None:
+        print(f"legal; winner: {game.outcome(state).value}")
     else:
+        off = offender(game, run)
         print(
             f"illegal; offender: index {off.index} by {off.culprit.value}; "
             f"won by {neg_player(off.culprit).value}"

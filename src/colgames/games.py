@@ -16,15 +16,14 @@ a legal run that stops early is a completed play won by the label of the
 node it reached.
 
 Every constructor here and in ``recurrence`` is a :class:`Game`, the
-finite tree included, so any game can be the base of another.  Tree nodes
-are hash-consed: equal trees are one object, equal by identity.
+finite tree included, so any game can be the base of another.  A finite
+tree is compiled once into a table of integer states, one per distinct
+subtree.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 from .core import BOT, TOP, LabMove, Player, Run, neg_player
@@ -148,42 +147,18 @@ def won_by(game: Game, run: Run, p: Player) -> bool:
     return game.winner(run) is p
 
 
+@dataclass(frozen=True, slots=True)
 class GameNode:
-    """Node of a finite game tree, built once per distinct tree.
+    """Node of a finite game tree: the winner of a run that stops here and
+    the edges, each a labeled move to a child.  Two edges out of the same
+    node may not carry the same (label, move) pair."""
 
-    Children are keyed by labeled move; two edges out of the same node may
-    not carry the same (label, move) pair.  The children are built first, so
-    (winner, edges), children by identity, names a tree exactly: equal trees
-    are one object and compare and hash by identity, in C.  The table of
-    built nodes is weak, so an entry dies with its node."""
-
-    __slots__ = ("winner", "edges", "__weakref__")
     winner: Player
-    edges: tuple[tuple[LabMove, GameNode], ...]
+    edges: tuple[tuple[LabMove, GameNode], ...] = ()
 
-    def __new__(cls, winner: Player, edges: tuple[tuple[LabMove, GameNode], ...] = ()) -> GameNode:
-        if len({lm for lm, _ in edges}) != len(edges):
+    def __post_init__(self) -> None:
+        if len({lm for lm, _ in self.edges}) != len(self.edges):
             raise ValueError("duplicate (label, move) edge in game node")
-        with _interning:
-            self = _interned.get((winner, edges))
-            if self is None:
-                self = _interned[winner, edges] = object.__new__(cls)
-                object.__setattr__(self, "winner", winner)
-                object.__setattr__(self, "edges", edges)
-        return self
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("a GameNode is immutable")
-
-    def __reduce__(self) -> tuple:
-        return GameNode, (self.winner, self.edges)
-
-    def __repr__(self) -> str:
-        return f"GameNode(winner={self.winner!r}, edges={self.edges!r})"
-
-
-_interned: weakref.WeakValueDictionary[tuple, GameNode] = weakref.WeakValueDictionary()
-_interning = threading.Lock()
 
 
 def leaf(winner: Player) -> GameNode:
@@ -196,25 +171,47 @@ def node(winner: Player, edges: dict[LabMove, GameNode]) -> GameNode:
 
 @dataclass(frozen=True)
 class FiniteGame(Game):
-    """A named finite rooted game tree."""
+    """A named finite rooted game tree, compiled once into a state table.
+
+    A state is an integer, one per distinct subtree (equal winners and
+    equal edges in the same order); per state the table holds the winner
+    and, for TOP and then BOT, a dict from move to next state."""
 
     name: str
     root: GameNode
+    _winners: tuple[Player, ...] = field(init=False, repr=False, compare=False)
+    _next: tuple[tuple[dict[str, int], dict[str, int]], ...] = field(init=False, repr=False, compare=False)
 
-    def start(self) -> GameNode:
-        return self.root
+    def __post_init__(self) -> None:
+        # Children before parents on an explicit stack; only children not yet
+        # compiled are pushed, so a subtree that many paths share is walked once.
+        state_of: dict[int, int] = {}  # id(node) -> state
+        states: dict[tuple, int] = {}  # (winner, ordered (move, child state) edges) -> state
+        stack = [self.root]
+        while stack:
+            current = stack[-1]
+            pending = [child for _, child in current.edges if id(child) not in state_of]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            edges = tuple((lm, state_of[id(child)]) for lm, child in current.edges)
+            state_of[id(current)] = states.setdefault((current.winner, edges), len(states))
+        object.__setattr__(self, "_winners", tuple(winner for winner, _ in states))
+        object.__setattr__(self, "_next", tuple(tuple({lm.move: s for lm, s in edges if lm.label is p}
+                                                      for p in (TOP, BOT)) for _, edges in states))
 
-    def step(self, state: GameNode, lm: LabMove) -> GameNode | None:
-        for edge, child in state.edges:
-            if edge.move == lm.move and edge.label is lm.label:
-                return child
-        return None
+    def start(self) -> int:
+        return len(self._winners) - 1  # the root is compiled last
 
-    def outcome(self, state: GameNode) -> Player:
-        return state.winner
+    def step(self, state: int, lm: LabMove) -> int | None:
+        return self._next[state][lm.label is BOT].get(lm.move)
 
-    def moves(self, state: GameNode, player: Player, bounds: EnumBounds) -> frozenset[str]:
-        return frozenset(edge.move for edge, _ in state.edges if edge.label is player)
+    def outcome(self, state: int) -> Player:
+        return self._winners[state]
+
+    def moves(self, state: int, player: Player, bounds: EnumBounds) -> frozenset[str]:
+        return frozenset(self._next[state][player is BOT])
 
     # Kept for perfbench/, which patches these names in each class's own
     # __dict__, until ROADMAP item 2 changes the benchmark.
@@ -224,17 +221,8 @@ class FiniteGame(Game):
         """Every move of the tree, sorted, then a junk move: the translation
         precheck's pool as perfbench/ records it, kept until ROADMAP item 2;
         the library's delay scans find their pools in their own walk."""
-        moves: set[str] = set()
-        stack = [self.root]
-        while stack:
-            current = stack.pop()
-            for edge, child in current.edges:
-                moves.add(edge.move)
-                stack.append(child)
-        for junk in ("x", "y", "z"):
-            if junk not in moves:
-                return tuple(sorted(moves)) + (junk,)
-        return tuple(sorted(moves))
+        moves = {move for pair in self._next for by_player in pair for move in by_player}
+        return tuple(sorted(moves)) + tuple([junk for junk in ("x", "y", "z") if junk not in moves][:1])
 
 
 # Old names kept only for perfbench/, which binds them; nothing else uses them.

@@ -825,8 +825,9 @@ class TestOffendedTallies:
 
 
 class TestStateInterning:
-    """Equal game states compare and hash equal (game trees are hash-consed),
-    so runs that reach separately built but equal states share one state id."""
+    """Equal game states compare and hash equal (a finite game compiles equal
+    subtrees to one state), so runs that reach separately built but equal
+    states share one state id."""
 
     @staticmethod
     def _tree():

@@ -7,6 +7,7 @@ import gc
 import pickle
 
 import pytest
+from hypothesis import given, settings
 
 from colgames import (
     BOT,
@@ -24,13 +25,21 @@ from colgames import (
     split_disjunction,
     won_by,
 )
-from colgames import games
 from colgames.files import dump_game_defs, load_game_defs
-from colgames.suite import STATIC_SUITE, bot_choice, first_mover_wins, leaf_top, top_choice
+from colgames.suite import (
+    STATIC_SUITE,
+    bot_choice,
+    first_mover_wins,
+    leaf_top,
+    second_mover_wins,
+    suite_defs,
+    top_choice,
+)
 
-from _util import all_runs, first_difference, is_legal, probe_pool
+from _util import _node_at, all_runs, first_difference, game_nodes, is_legal, probe_pool
 
 BOUNDS = EnumBounds(max_address_len=2, max_run_len=5)
+SUITE_TEXT = dump_game_defs(suite_defs())
 
 
 def lm(label, move):
@@ -73,38 +82,80 @@ class TestFiniteGameInterface:
 
 
 class TestHashConsing:
-    """Each distinct tree is built once, so equal trees are one object."""
+    """Trees are plain values, and a finite game compiles each distinct
+    subtree to one state: equal subtrees are one state, so the scans step
+    each once."""
 
     @staticmethod
     def _tree(winner=BOT, label=TOP, move="a", flip=False):
         edges = [(lm(label, move), node(TOP, {lm(BOT, "b"): leaf(BOT)})), (lm(BOT, "b"), leaf(TOP))]
         return GameNode(winner, tuple(edges[::-1] if flip else edges))
 
-    def test_equal_trees_built_apart_are_one_object(self):
+    def test_equal_trees_built_apart_are_equal(self):
         by_helpers = node(BOT, {lm(TOP, "a"): node(TOP, {lm(BOT, "b"): leaf(BOT)}), lm(BOT, "b"): leaf(TOP)})
         by_class = self._tree()
         loaded = load_game_defs(dump_game_defs({"t": FiniteGame("t", by_class)}))["t"].root
-        assert by_helpers is by_class is loaded
-        assert copy.deepcopy(by_class) is pickle.loads(pickle.dumps(by_class)) is by_class
+        assert by_helpers == by_class == loaded
+        assert copy.deepcopy(by_class) == pickle.loads(pickle.dumps(by_class)) == by_class
 
     @pytest.mark.parametrize("change", [{"winner": TOP}, {"label": BOT}, {"move": "c"}, {"flip": True}],
                              ids=["winner", "label", "move", "edge order"])
     def test_a_different_tree_is_another_object(self, change):
-        other = self._tree(**change)
-        assert other is not self._tree() and other != self._tree()
+        assert self._tree(**change) != self._tree()
 
     def test_nodes_are_immutable(self):
         with pytest.raises(AttributeError):
             self._tree().winner = TOP
 
-    def test_the_table_holds_only_live_trees(self):
+    @staticmethod
+    def _legal_runs(root, run=()):
+        yield run
+        for edge, child in root.edges:
+            yield from TestHashConsing._legal_runs(child, run + (edge,))
+
+    @settings(max_examples=200, deadline=None)
+    @given(game_nodes(3), game_nodes(3))
+    def test_equal_subtrees_are_one_state(self, one, two):
+        # a copy of one built apart, beside it, so that equal subtrees meet
+        root = GameNode(BOT, ((lm(TOP, "a"), one), (lm(BOT, "b"), copy.deepcopy(one)), (lm(TOP, "c"), two)))
+        game = FiniteGame("g", root)
+        runs = list(self._legal_runs(root))
+        states = [game.replay(run) for run in runs]
+        nodes = [_node_at(root, run) for run in runs]
+        for state, at in zip(states, nodes):
+            assert [other == state for other in states] == [other == at for other in nodes]
+
+    def test_shared_subtrees_are_compiled_once(self):
+        # 64 levels, each node's two edges sharing one child: 2^64 paths
+        current = leaf(BOT)
+        for _ in range(64):
+            current = GameNode(TOP, ((lm(TOP, "a"), current), (lm(BOT, "b"), current)))
+        game = FiniteGame("shared", current)
+        bounds = EnumBounds(0, 64)
+        seen, frontier = {game.start()}, [game.start()]
+        while frontier:
+            state = frontier.pop()
+            for player in (TOP, BOT):
+                for move in game.moves(state, player, bounds):
+                    after = game.step(state, lm(player, move))
+                    if after not in seen:
+                        seen.add(after)
+                        frontier.append(after)
+        assert len(seen) == 65
+        end = game.replay(tuple(lm(TOP, "a") if i % 2 else lm(BOT, "b") for i in range(64)))
+        assert end is not None and game.outcome(end) is BOT
+        assert game.probe_moves(bounds) == ("a", "b", "x")
+
+    @pytest.mark.parametrize("build", [second_mover_wins, lambda: load_game_defs(SUITE_TEXT)],
+                             ids=["second_mover_wins", "suite defs"])
+    def test_building_a_game_leaves_no_cycles(self, build):
         gc.collect()
-        bottom = leaf(BOT)  # shared by every tree below, and kept
-        before = len(games._interned)
-        trees = [node(TOP, {lm(BOT, str(i)): bottom}) for i in range(10_000)]
-        assert len(games._interned) == before + 10_000
-        del trees
-        assert len(games._interned) == before
+        gc.disable()
+        try:
+            build()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestOffender:
