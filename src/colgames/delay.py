@@ -102,16 +102,16 @@ def enumerate_delays(gamma: Run, p: Player) -> frozenset[Run]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class StaticVerdict:
-    """Outcome of a bounded static check, with the first violation if any."""
+    """Outcome of a bounded static check: its first violating swap
+    (gamma, delta, p), or None when the game is static."""
 
-    static: bool
     counterexample: tuple[Run, Run, Player] | None = None
 
-    def __post_init__(self) -> None:
-        if self.static == (self.counterexample is not None):
-            raise ValueError("counterexample must be present iff not static")
+    @property
+    def static(self) -> bool:
+        return self.counterexample is None
 
 
 @dataclass(frozen=True)
@@ -382,8 +382,8 @@ class _StateScan:
         (default: a count that stops there)."""
         for n, (_, _, flagged) in enumerate(self._count() if counts is None else counts, 2):
             if flagged:
-                return StaticVerdict(False, next(self._bad_swaps(n, REFUTES))[0])
-        return StaticVerdict(True)
+                return StaticVerdict(counterexample=next(self._bad_swaps(n, REFUTES))[0])
+        return StaticVerdict()
 
     def lemma_report(self, counts: Sequence[tuple[int, int, int]] | None = None) -> LemmaReport:
         counts = list(self._count()) if counts is None else counts
@@ -428,5 +428,5 @@ def static_and_lemma(game: Game, bounds: EnumBounds,
         return scan.static_verdict(counts), scan.lemma_report(counts)
     found = list(scan._bad_swaps(n, REFUTES | VIOLATES))
     violations = tuple(f for f, failed in found if failed & VIOLATES)
-    return (StaticVerdict(False, next(f for f, failed in found if failed & REFUTES)),
+    return (StaticVerdict(counterexample=next(f for f, failed in found if failed & REFUTES)),
             LemmaReport(violations, sum(c[0] for c in counts), sum(c[1] for c in counts)))

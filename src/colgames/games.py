@@ -23,7 +23,7 @@ subtree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 from .core import BOT, TOP, LabMove, Player, Run, neg_player
@@ -169,25 +169,23 @@ def node(winner: Player, edges: dict[LabMove, GameNode]) -> GameNode:
     return GameNode(winner, tuple(edges.items()))
 
 
-@dataclass(frozen=True)
 class FiniteGame(Game):
     """A named finite rooted game tree, compiled once into a state table.
 
     A state is an integer, one per distinct subtree (equal winners and
     equal edges in the same order); per state the table holds the winner
-    and, for TOP and then BOT, a dict from move to next state."""
+    and, for TOP and then BOT, a dict from move to next state.  Like any
+    game it is equal only to itself and prints as ``FiniteGame('name')``,
+    so neither walks the tree's paths."""
 
-    name: str
-    root: GameNode
-    _winners: tuple[Player, ...] = field(init=False, repr=False, compare=False)
-    _next: tuple[tuple[dict[str, int], dict[str, int]], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, root: GameNode) -> None:
+        self.name = name
+        self.root = root
         # Children before parents on an explicit stack; only children not yet
         # compiled are pushed, so a subtree that many paths share is walked once.
         state_of: dict[int, int] = {}  # id(node) -> state
         states: dict[tuple, int] = {}  # (winner, ordered (move, child state) edges) -> state
-        stack = [self.root]
+        stack = [root]
         while stack:
             current = stack[-1]
             pending = [child for _, child in current.edges if id(child) not in state_of]
@@ -197,9 +195,12 @@ class FiniteGame(Game):
             stack.pop()
             edges = tuple((lm, state_of[id(child)]) for lm, child in current.edges)
             state_of[id(current)] = states.setdefault((current.winner, edges), len(states))
-        object.__setattr__(self, "_winners", tuple(winner for winner, _ in states))
-        object.__setattr__(self, "_next", tuple(tuple({lm.move: s for lm, s in edges if lm.label is p}
-                                                      for p in (TOP, BOT)) for _, edges in states))
+        self._winners = tuple(winner for winner, _ in states)
+        self._next = tuple(tuple({lm.move: s for lm, s in edges if lm.label is p} for p in (TOP, BOT))
+                           for _, edges in states)
+
+    def __repr__(self) -> str:
+        return f"FiniteGame({self.name!r})"
 
     def start(self) -> int:
         return len(self._winners) - 1  # the root is compiled last

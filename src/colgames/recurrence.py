@@ -96,10 +96,8 @@ def _nodes_of(replicated: frozenset[str]) -> frozenset[str]:
 
 
 @functools.lru_cache(maxsize=1 << 12)
-def _outer_of(nodes: frozenset[str]) -> frozenset[str]:
-    return frozenset(
-        v for v in nodes if not any(w != v and w.startswith(v) for w in nodes)
-    )
+def _outer_of(replicated: frozenset[str]) -> frozenset[str]:
+    return _nodes_of(replicated) - replicated
 
 
 class NodeTree(NamedTuple):
@@ -118,12 +116,10 @@ class NodeTree(NamedTuple):
     def nodes(self) -> frozenset[str]:
         return _nodes_of(self.replicated)
 
-    def is_actual(self, w: str) -> bool:
-        return w in self.nodes()
-
     def outer(self) -> frozenset[str]:
-        """Actual nodes that are not proper prefixes of other actual nodes."""
-        return _outer_of(_nodes_of(self.replicated))
+        """Actual nodes not yet replicated: in a tree grown by legal
+        replications, exactly those that are no proper prefix of another."""
+        return _outer_of(self.replicated)
 
     def replicate(self, w: str) -> "NodeTree":
         return NodeTree(self.replicated | {w})

@@ -155,9 +155,15 @@ class VerificationReport:
         return not self.failures
 
 
-def _require_static(base: Game, bounds: EnumBounds) -> None:
-    """Refuse a base that is not static within ``bounds``, naming a counterexample swap."""
-    verdict = is_static(base, bounds)
+def _require_static(base: Game, address_bound: int, n: int, bound_name: str) -> None:
+    """Both drivers' precheck of their bound ``n``, called ``bound_name`` in
+    messages: refuse an n not under ``MAX_RUN_LEN``, since the base is
+    checked one move past it, then a base that is not static at n + 1
+    within ``address_bound``, naming a counterexample swap."""
+    if n >= MAX_RUN_LEN:
+        raise PreconditionError(f"{bound_name} {n} leaves no room to check the base one move "
+                                f"past it; use at most {MAX_RUN_LEN - 1}")
+    verdict = is_static(base, EnumBounds(address_bound, n + 1))
     if not verdict.static:
         pair = _delay_pair(*verdict.counterexample)
         raise PreconditionError(f"base game {base.name!r} is not static; counterexample: {pair}")
@@ -180,10 +186,7 @@ def verify_translation(
     :class:`PreconditionError`.  Every resulting trace is audited; the
     report aggregates all violations.
     """
-    if max_steps >= MAX_RUN_LEN:
-        raise PreconditionError(f"step cap {max_steps} leaves no room to check the base one move "
-                                f"past it; use at most {MAX_RUN_LEN - 1}")
-    _require_static(base, EnumBounds(bounds.max_address_len, max_steps + 1))
+    _require_static(base, bounds.max_address_len, max_steps, "step cap")
     compound = translation_compound(base, direction)
     machine = strategy_for(compound, direction)
     failures: list[Failure] = []
@@ -207,10 +210,7 @@ def verify_static_preservation(base: Game, bounds: EnumBounds) -> VerificationRe
     """
     if bounds.max_run_len < 2:
         raise PreconditionError(f"run bound {bounds.max_run_len} holds no swap; use at least 2")
-    if bounds.max_run_len >= MAX_RUN_LEN:
-        raise PreconditionError(f"run bound {bounds.max_run_len} leaves no room to check the base one move "
-                                f"past it; use at most {MAX_RUN_LEN - 1}")
-    _require_static(base, EnumBounds(bounds.max_address_len, bounds.max_run_len + 1))
+    _require_static(base, bounds.max_address_len, bounds.max_run_len, "run bound")
     failures: list[Failure] = []
     for kind in ALL_KINDS:
         rec = make_recurrence(base, kind)

@@ -310,10 +310,10 @@ def _tight_extension_legal(base, position, lm, structural):
         return False
     tree = actual_nodes(position, structural)
     if sh.kind is ShapeKind.SWITCH:
-        return lm.label is structural and tree.is_actual(sh.address)
+        return lm.label is structural and sh.address in tree.nodes()
     if sh.kind is ShapeKind.REPLICATIVE:
         return lm.label is structural and sh.address in tree.outer()
-    if not tree.is_actual(sh.address):
+    if sh.address not in tree.nodes():
         return False
     extended = position + (lm,)
     return all(
@@ -553,8 +553,8 @@ class ReferenceRunTable:
         """The first swap (in table order) that p wins before but not after."""
         for gamma, delta, p in self.swaps():
             if self.won(gamma, p) and not self.won(delta, p):
-                return StaticVerdict(False, (gamma, delta, p))
-        return StaticVerdict(True)
+                return StaticVerdict(counterexample=(gamma, delta, p))
+        return StaticVerdict()
 
     def lemma_report(self):
         violations = []
@@ -713,8 +713,8 @@ class SwapScan:
 
     def static_verdict(self) -> StaticVerdict:
         if self.first is None:
-            return StaticVerdict(True)
-        return StaticVerdict(False, self._swap(*self.first))
+            return StaticVerdict()
+        return StaticVerdict(counterexample=self._swap(*self.first))
 
     def lemma_report(self) -> LemmaReport:
         """Decode each reported swap as its head's swap plus a shared tail.
@@ -769,8 +769,8 @@ def pairwise_static_scan(table):
                     delta_profile = profiles[delta][p_index]
                     if all(d >= g for d, g in zip(delta_profile, gamma_profile)):
                         if not table.won(delta, p):
-                            return StaticVerdict(False, (gamma, delta, p))
-    return StaticVerdict(True)
+                            return StaticVerdict(counterexample=(gamma, delta, p))
+    return StaticVerdict()
 
 
 def pairwise_lemma_scan(table):

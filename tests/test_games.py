@@ -146,6 +146,17 @@ class TestHashConsing:
         assert end is not None and game.outcome(end) is BOT
         assert game.probe_moves(bounds) == ("a", "b", "x")
 
+    def test_a_game_compares_hashes_and_prints_without_walking_paths(self):
+        # the 64 levels above: a game's cost follows its states, not its 2^64 paths
+        root = leaf(BOT)
+        for _ in range(64):
+            root = GameNode(TOP, ((lm(TOP, "a"), root), (lm(BOT, "b"), root)))
+        game = FiniteGame("shared", root)
+        assert hash(game) == hash(game)
+        assert game == game
+        assert game != FiniteGame("shared", root)
+        assert repr(game) == "FiniteGame('shared')"
+
     @pytest.mark.parametrize("build", [second_mover_wins, lambda: load_game_defs(SUITE_TEXT)],
                              ids=["second_mover_wins", "suite defs"])
     def test_building_a_game_leaves_no_cycles(self, build):

@@ -5,11 +5,13 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colgames import (
     BOT,
     TOP,
     EnumBounds,
+    FiniteGame,
     LabMove,
     NodeTree,
     PreconditionError,
@@ -33,7 +35,7 @@ from colgames.recurrence import (
 )
 from colgames.suite import STATIC_SUITE, bot_choice, first_mover_wins, leaf_bot, leaf_top, top_choice
 
-from _util import all_runs, all_stems, first_difference, is_legal, probe_pool
+from _util import all_runs, all_stems, first_difference, game_nodes, is_legal, probe_pool
 
 BOUNDS = EnumBounds(max_address_len=2, max_run_len=5)
 
@@ -362,3 +364,26 @@ class TestDeMorgan:
             right = negate(make_recurrence(negate(base), rec_kind))
             pool = sorted(set(probe_pool(left, BOUNDS)) | set(probe_pool(right, BOUNDS)))
             assert first_difference(left, right, pool, 4) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(game_nodes(3).map(lambda root: FiniteGame("random", root)),
+                     st.sampled_from([negate(bot_choice()), make_recurrence(bot_choice(), TIGHT_RECURRENCE)])),
+           st.sampled_from([(TIGHT_CORECURRENCE, TIGHT_RECURRENCE), (LOOSE_CORECURRENCE, LOOSE_RECURRENCE)]),
+           st.data())
+    def test_corecurrence_is_negated_recurrence_state_for_state(self, base, kinds, data):
+        # cbr_x(A) = not(tbr_x(not(A))) at every state of a walk over offered moves
+        co_kind, rec_kind = kinds
+        left = make_recurrence(base, co_kind)
+        right = negate(make_recurrence(negate(base), rec_kind))
+        one, two, steps = left.start(), right.start(), data.draw(st.integers(0, 8))
+        for n in range(steps + 1):
+            assert one == two
+            offered = {p: left.moves(one, p, BOUNDS) for p in (TOP, BOT)}
+            assert offered == {p: right.moves(two, p, BOUNDS) for p in (TOP, BOT)}
+            assert left.outcome(one) is right.outcome(two)
+            labmoves = [LabMove(p, m) for p in (TOP, BOT) for m in sorted(offered[p])]
+            if n == steps or not labmoves:
+                break
+            move = data.draw(st.sampled_from(labmoves))
+            one, two = left.step(one, move), right.step(two, move)
+            assert one is not None

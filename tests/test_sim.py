@@ -450,7 +450,7 @@ class TestVerifyStaticPreservation:
         gamma = (LabMove(TOP, "0.a"), LabMove(BOT, "0.b"))
         report = LemmaReport(((gamma, gamma[::-1], TOP),), 7, 3)
         monkeypatch.setattr(sim, "static_and_lemma",
-                            lambda game, bounds: (StaticVerdict(True), report))
+                            lambda game, bounds: (StaticVerdict(), report))
         failures = verify_static_preservation(bot_choice(), EnumBounds(2, 4)).failures
         assert [f.kind for f in failures] == ["illegality-lemma"] * 4
         assert all(f.detail.endswith("(a shortest one of 3 violations)") for f in failures)
@@ -459,7 +459,7 @@ class TestVerifyStaticPreservation:
 
     def test_static_failure_prints_its_counterexample_as_runs(self, monkeypatch):
         gamma = (LabMove(TOP, "0.a"), LabMove(BOT, "0.b"))
-        verdict = StaticVerdict(False, (gamma, gamma[::-1], TOP))
+        verdict = StaticVerdict(counterexample=(gamma, gamma[::-1], TOP))
         monkeypatch.setattr(sim, "static_and_lemma",
                             lambda game, bounds: (verdict, LemmaReport((), 7, 0)))
         failures = verify_static_preservation(bot_choice(), EnumBounds(2, 4)).failures
