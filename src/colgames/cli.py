@@ -25,7 +25,7 @@ from .core import (
     neg_player,
     project,
 )
-from .delay import _StateScan, enumerate_delays, is_delay
+from .delay import REFUTES, _StateScan, enumerate_delays, is_delay
 from .dsl import ElaborationError, ExprParseError, Rec, elaborate, parse_game_expr, translation_shape
 from .files import FileFormatError, TraceFile, dumps_trace, load_game_defs, loads_trace
 from .games import EnumBounds, State, offender, split_disjunction
@@ -119,7 +119,7 @@ def cmd_static(args) -> int:
     defs = _load_defs(args.defs)
     game = elaborate(parse_game_expr(args.game), defs)
     scan = _StateScan(game, EnumBounds(args.max_addr, args.max_run), None)
-    verdict = scan.static_verdict()
+    verdict, _ = scan.verdicts(REFUTES)
     print(f"static: {'yes' if verdict.static else 'no'}")
     print(f"pool: {len(scan.pool)} moves")
     print(f"states: {len(scan.rows) - 2}")  # the legal states the walk reached

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import BOT, TOP, LabMove, Player, Run, label_subsequence, neg_player
 from .games import EnumBounds, Game, PreconditionError, State
@@ -180,8 +180,8 @@ class _StateScan:
     representative of d's class.  A swap's pair (a, b) holds the states
     after x y and after y x, x TOP's digit and y BOT's: TOP's swap has
     gamma in a and delta in b, BOT's the reverse.  Both verdicts take one
-    path: ``_count`` flags the lengths that hold a bad pair, and
-    ``_bad_swaps`` decodes the bad swaps of one flagged length.
+    path, ``verdicts``: ``_count`` flags the lengths that hold a bad pair,
+    and ``_bad_swaps`` decodes the bad swaps of one flagged length.
     """
 
     def __init__(self, game: Game, bounds: EnumBounds, pool: Sequence[str] | None) -> None:
@@ -377,19 +377,28 @@ class _StateScan:
         if found != kinds:
             raise RuntimeError(f"the count flags runs of length {n}, but no swap among them is bad")
 
-    def static_verdict(self, counts: Iterable[tuple[int, int, int]] | None = None) -> StaticVerdict:
-        """The first counterexample of the shortest length flagged in ``counts``
-        (default: a count that stops there)."""
-        for n, (_, _, flagged) in enumerate(self._count() if counts is None else counts, 2):
-            if flagged:
-                return StaticVerdict(counterexample=next(self._bad_swaps(n, REFUTES))[0])
-        return StaticVerdict()
-
-    def lemma_report(self, counts: Sequence[tuple[int, int, int]] | None = None) -> LemmaReport:
-        counts = list(self._count()) if counts is None else counts
-        shortest = [n for n, (_, violations, _) in enumerate(counts, 2) if violations][:1]
-        found = tuple(f for n in shortest for f, _ in self._bad_swaps(n, VIOLATES))
-        return LemmaReport(found, sum(c[0] for c in counts), sum(c[1] for c in counts))
+    def verdicts(self, kinds: int) -> tuple[StaticVerdict | None, LemmaReport | None]:
+        """The static verdict if ``kinds`` has REFUTES, the lemma report if it has
+        VIOLATES, else None: one count, stopped at the first flag when only REFUTES
+        is asked, and one walk per distinct shortest flagged length, refuting first."""
+        seen, lengths, pairs, violation_count = 0, {}, 0, 0  # lengths: n -> the kinds first flagged at n
+        for n, (checked, violations, flagged) in enumerate(self._count(), 2):
+            pairs, violation_count = pairs + checked, violation_count + violations
+            if first := ((REFUTES if flagged else 0) | (VIOLATES if violations else 0)) & kinds & ~seen:
+                lengths[n], seen = first, seen | first
+            if seen and kinds == REFUTES:
+                break
+        counterexample, found = None, []
+        for n, wanted in sorted(lengths.items(), key=lambda item: not item[1] & REFUTES):
+            for swap, failed in self._bad_swaps(n, wanted):
+                if failed & VIOLATES:
+                    found.append(swap)
+                if failed & REFUTES and counterexample is None:
+                    counterexample = swap
+                    if wanted == REFUTES:
+                        break
+        return (StaticVerdict(counterexample=counterexample) if kinds & REFUTES else None,
+                LemmaReport(tuple(found), pairs, violation_count) if kinds & VIOLATES else None)
 
 
 def is_static(game: Game, bounds: EnumBounds, pool: Sequence[str] | None = None) -> StaticVerdict:
@@ -401,7 +410,7 @@ def is_static(game: Game, bounds: EnumBounds, pool: Sequence[str] | None = None)
     then in run-id and position order) is returned as a counterexample.
     A run bound under 2 holds no swap, so every game is static there.
     """
-    return _StateScan(game, bounds, pool).static_verdict()
+    return _StateScan(game, bounds, pool).verdicts(REFUTES)[0]
 
 
 def check_illegality_lemma(game: Game, bounds: EnumBounds, pool: Sequence[str] | None = None) -> LemmaReport:
@@ -413,20 +422,11 @@ def check_illegality_lemma(game: Game, bounds: EnumBounds, pool: Sequence[str] |
     (expected: none for recurrences of static bases).  A run bound under
     2 holds no swap, so it reports none.
     """
-    return _StateScan(game, bounds, pool).lemma_report()
+    return _StateScan(game, bounds, pool).verdicts(VIOLATES)[1]
 
 
 def static_and_lemma(game: Game, bounds: EnumBounds,
                      pool: Sequence[str] | None = None) -> tuple[StaticVerdict, LemmaReport]:
-    """Both scans over one interning of the states and one count, and one walk
-    for both when the shortest counterexample and the shortest violations have
-    one length; a run bound under 2 holds no swap."""
-    scan = _StateScan(game, bounds, pool)
-    counts = list(scan._count())
-    n = next((n for n, (_, violations, flagged) in enumerate(counts, 2) if violations or flagged), 0)
-    if not (n and counts[n - 2][1] and counts[n - 2][2]):
-        return scan.static_verdict(counts), scan.lemma_report(counts)
-    found = list(scan._bad_swaps(n, REFUTES | VIOLATES))
-    violations = tuple(f for f, failed in found if failed & VIOLATES)
-    return (StaticVerdict(counterexample=next(f for f, failed in found if failed & REFUTES)),
-            LemmaReport(violations, sum(c[0] for c in counts), sum(c[1] for c in counts)))
+    """Both verdicts from one scan: one count, and one walk for both when their
+    shortest flagged lengths agree; a run bound under 2 holds no swap."""
+    return _StateScan(game, bounds, pool).verdicts(REFUTES | VIOLATES)

@@ -144,6 +144,11 @@ class Failure:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """What a verification run checked and found.  ``bounds`` are the
+    bounds it was given: ``verify_translation`` reads only their address
+    bound and caps its plays at ``max_steps``, so there ``max_run_len`` is
+    recorded but bounds nothing."""
+
     game: str
     bounds: EnumBounds
     adversaries: int
@@ -184,7 +189,9 @@ def verify_translation(
     covers the base's illegality lemma at ``max_steps`` too.  A base that
     is not, and a step cap not under ``MAX_RUN_LEN``, raise
     :class:`PreconditionError`.  Every resulting trace is audited; the
-    report aggregates all violations.
+    report aggregates all violations.  Only ``bounds.max_address_len`` is
+    read: plays are capped by ``max_steps`` and adversaries by ``budget``,
+    whatever ``bounds.max_run_len`` says.
     """
     _require_static(base, bounds.max_address_len, max_steps, "step cap")
     compound = translation_compound(base, direction)

@@ -206,7 +206,9 @@ class _RandomAdversary:
 def random_adversary(game: Game, seed: int, bounds: EnumBounds, budget: int, pass_probability: float = 0.25):
     """Seeded adversary: passes with fixed probability, else plays a
     uniformly chosen legal move within bounds, up to ``budget`` moves.
-    Fully determined by the seed; it steps each move of the run once."""
+    Fully determined by the seed; it steps each move of the run once.
+    Only ``bounds.max_address_len`` is read: ``budget`` and the play's
+    step cap bound its moves, whatever ``bounds.max_run_len`` says."""
     return _RandomAdversary(game, seed, bounds, budget, pass_probability)
 
 
@@ -280,7 +282,9 @@ def exhaustive_adversaries(game: Game, machine, bounds: EnumBounds, budget: int,
     play's last position is where its script's next move is chosen.
     Scripts are walked depth-first in ascending move order, and each is
     played once from the empty run; a truncated play has no children.
-    Deterministic and duplicate-free; nothing is cached.
+    Deterministic and duplicate-free; nothing is cached.  Only
+    ``bounds.max_address_len`` is read: ``budget`` and ``max_steps`` bound
+    the plays, whatever ``bounds.max_run_len`` says.
     """
     stack: list[tuple[str, ...]] = [()]
     while stack:

@@ -9,12 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from colgames import BOT, TOP, EnumBounds, LabMove
+from colgames import BOT, TOP, EnumBounds, LabMove, cli, sim
 from colgames.cli import main
 from colgames.dsl import elaborate
 from colgames.files import TraceFile, dump_game_defs, dumps_trace, loads_trace
 
-from _util import CountingGame, chain_defs, late
+from _util import BrokenRemapStrategy, CountingGame, chain_defs, late
 
 DATA = Path(__file__).parent / "data"
 PROJECTION_TRACE = str(DATA / "projection_example.json")
@@ -92,9 +92,11 @@ class TestMalformedFiles:
             (_PROJECT, (_TRACE % "{}").encode()),
             (_DEFS, b'\xff\xfe{"g": {"winner": "T"}}'),
             (_PROJECT, b'\xff\xfe' + (_TRACE % '"T"').encode()),
+            (_PROJECT, (_TRACE % '"T", "bounds": [2, 5]').encode()),
+            (_PROJECT, (_TRACE % '"T", "offender": 0').encode()),
         ] + [(command, b"{") for command in _READERS],
         ids=["unhashable-winner", "moves-not-a-list", "unhashable-outcome",
-             "defs-not-utf8", "trace-not-utf8"]
+             "defs-not-utf8", "trace-not-utf8", "bounds-not-an-object", "offender-not-an-object"]
         + ["truncated-" + command.split()[0] for command in _READERS],
     )
     def test_exits_two(self, command, data, tmp_path, capsys):
@@ -489,6 +491,23 @@ class TestSimulate:
         assert replay_tf.moves == golden_tf.moves
         assert replay_tf.outcome == golden_tf.outcome
 
+    def test_unknown_adversary_is_malformed(self, capsys):
+        code = main(["simulate", "--direction", "tight-to-loose", "--atom", "bot_choice",
+                     "--adversary", "bogus"])
+        assert code == 2
+        assert_one_line_error(capsys)
+
+    def test_script_adversary_offending_first(self, tmp_path, capsys):
+        # the environment's first move is illegal: the play ends there, and
+        # the machine, which made no move, wins
+        script = write_trace(tmp_path, (LabMove(BOT, "zzz"),))
+        code = main(["simulate", "--direction", "tight-to-loose", "--atom", "bot_choice",
+                     "--adversary", f"script:{script}"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert 'run: <B"zzz">\noutcome: T\noffender: index 0 by B\n' in out
+        assert "failure" not in out
+
     def test_seed_determinism_bytes(self, tmp_path):
         # end-to-end determinism through fresh interpreter processes
         outputs = []
@@ -574,6 +593,31 @@ class TestSimulate:
         assert code == 2
         assert_one_line_error(capsys)
         assert not out_path.exists()
+
+
+class TestSimulateBrokenMachine:
+    """With the corrupted routine as every direction's machine, the
+    command lists what the audits found and exits 1."""
+
+    @pytest.fixture(autouse=True)
+    def broken_machine(self, monkeypatch):
+        for module in (sim, cli):
+            monkeypatch.setattr(module, "strategy_for", lambda compound, direction: BrokenRemapStrategy())
+
+    def test_exhaustive_run_lists_its_failures(self, capsys):
+        code = main(["simulate", "--direction", "loose-to-tight", "--atom", "bot_choice", "--budget", "2"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "adversaries: 17\nfailures: 16\n" in out
+        assert "  trace-audit: fmap: domain is not the outer nodes after step 0\n" in out
+
+    def test_one_play_prints_each_failure(self, tmp_path, capsys):
+        script = write_trace(tmp_path, (LabMove(BOT, "2.:"), LabMove(BOT, "2.0.b")))
+        code = main(["simulate", "--direction", "loose-to-tight", "--atom", "bot_choice",
+                     "--adversary", f"script:{script}"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "outcome: B\nfailure: outcome: machine did not win\n" in out
 
 
 class TestSimulateCompositeBase:
@@ -760,6 +804,13 @@ position: <B":", B"0", B"0.b">
 actual: ['', '0', '1']
 outer:  ['0', '1']
 along last switch (root): <B"b">
+outcome: won by B
+"""),
+        # a plain game shows its position and nothing more
+        "bot_choice": (["b", ""], """\
+no machine strategy for this expression; you play the environment
+position: <>
+position: <B"b">
 outcome: won by B
 """),
         "cbr_l(bot_choice)": (["0.b", "1"], """\

@@ -57,6 +57,15 @@ class TestFiniteGameInterface:
         g = bot_choice()
         assert g.winner((lm(BOT, "b"),)) is BOT
 
+    def test_winner_of_an_illegal_run_is_refused(self):
+        with pytest.raises(ValueError, match="only defined on legal runs"):
+            bot_choice().winner((lm(TOP, "b"),))
+
+    @pytest.mark.parametrize("bounds", [(-1, 0), (0, -1)])
+    def test_negative_bounds_are_refused(self, bounds):
+        with pytest.raises(ValueError, match="non-negative"):
+            EnumBounds(*bounds)
+
     def test_winner_defined_at_every_node(self):
         g = bot_choice()
         assert g.winner(()) is TOP  # stopping early is a completed play
@@ -292,6 +301,10 @@ class TestDisjoin:
                 assert any(not x.move.startswith(("1.", "2.")) for x in run)
             else:
                 assert parts == (oracle_first, oracle_second)
+
+    def test_a_move_without_a_component_prefix_does_not_split(self):
+        assert split_disjunction((lm(TOP, "1.a"), lm(BOT, "b"))) is None
+        assert split_disjunction((lm(BOT, "3.b"),)) is None
 
     def test_legal_moves_are_prefixed_union(self):
         g = disjoin(

@@ -24,6 +24,7 @@ from colgames import (
     tight_extension_legal,
 )
 from colgames.core import ShapeKind, parse_move
+from colgames.delay import _StateScan, move_pool, static_and_lemma
 from colgames.recurrence import (
     ALL_KINDS,
     LOOSE_CORECURRENCE,
@@ -33,7 +34,15 @@ from colgames.recurrence import (
     _nodes_of,
     _outer_of,
 )
-from colgames.suite import STATIC_SUITE, bot_choice, first_mover_wins, leaf_bot, leaf_top, top_choice
+from colgames.suite import (
+    STATIC_SUITE,
+    bot_choice,
+    first_mover_wins,
+    leaf_bot,
+    leaf_top,
+    suite_defs,
+    top_choice,
+)
 
 from _util import all_runs, all_stems, first_difference, game_nodes, is_legal, probe_pool
 
@@ -364,6 +373,20 @@ class TestDeMorgan:
             right = negate(make_recurrence(negate(base), rec_kind))
             pool = sorted(set(probe_pool(left, BOUNDS)) | set(probe_pool(right, BOUNDS)))
             assert first_difference(left, right, pool, 4) is None
+
+    @pytest.mark.parametrize("bounds", [EnumBounds(1, 4), EnumBounds(2, 5)], ids=["1-4", "2-5"])
+    @pytest.mark.parametrize("kinds", [(TIGHT_CORECURRENCE, TIGHT_RECURRENCE),
+                                       (LOOSE_CORECURRENCE, LOOSE_RECURRENCE)], ids=["tight", "loose"])
+    @pytest.mark.parametrize("name", sorted(suite_defs()))
+    def test_corecurrence_scans_as_negated_recurrence(self, name, kinds, bounds):
+        # the two builds walk equal states in one order, so the delay scans
+        # find one pool, one state table and one pair of verdicts
+        base, (co_kind, rec_kind) = suite_defs()[name], kinds
+        left = make_recurrence(base, co_kind)
+        right = negate(make_recurrence(negate(base), rec_kind))
+        assert move_pool(left, bounds) == move_pool(right, bounds)
+        assert _StateScan(left, bounds, None).rows == _StateScan(right, bounds, None).rows
+        assert static_and_lemma(left, bounds) == static_and_lemma(right, bounds)
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(game_nodes(3).map(lambda root: FiniteGame("random", root)),

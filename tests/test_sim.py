@@ -106,6 +106,11 @@ class TestRunInteraction:
         assert trace.outcome is TOP
         assert trace.offender is None
 
+    @pytest.mark.parametrize("max_steps", [0, -1])
+    def test_a_step_cap_under_one_is_refused(self, max_steps):
+        with pytest.raises(ValueError, match="at least 1"):
+            run_interaction(pass_strategy(), pass_strategy(), leaf_top(), max_steps)
+
     def test_outcome_recomputes_from_run(self):
         game = translation_compound(bot_choice(), Direction.TIGHT_TO_LOOSE)
         machine = MirrorStrategy()
