@@ -26,7 +26,7 @@ from .core import (
     project,
 )
 from .delay import REFUTES, _StateScan, enumerate_delays, is_delay
-from .dsl import ElaborationError, ExprParseError, Rec, elaborate, parse_game_expr, translation_shape
+from .dsl import ElaborationError, ExprParseError, Rec, elaborate, parse_game_expr
 from .files import FileFormatError, TraceFile, dumps_trace, load_game_defs, loads_trace
 from .games import EnumBounds, State, offender, split_disjunction
 from .recurrence import actual_nodes
@@ -38,6 +38,7 @@ from .sim import (
     run_interaction,
     strategy_for,
     translation_compound,
+    translation_shape,
     verify_translation,
 )
 from .strategy import pass_strategy, random_adversary, scripted_adversary

@@ -49,6 +49,7 @@ would count twice, and a run bound past ``MAX_RUN_LEN`` raise
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -208,7 +209,7 @@ class _StateScan:
         none, a state is stepped by the moves it offers, the pool is their
         union and a junk move, and a digit not offered goes to its label's
         offended state, as the move query's contract in :class:`Game` says."""
-        ids, states, step = {}, [None, None], game.step
+        ids, states, step, limit = {}, [None, None], game.step, bounds.max_address_len
         self.wins = wins = [1, 0]
 
         def intern(state: State) -> int:
@@ -230,7 +231,7 @@ class _StateScan:
                                  for lm, off in given]
                 else:  # the state after each offered move, by player
                     offers[s] = [{m: off if (t := step(state, LabMove(p, m))) is None else ids.get(t) or intern(t)
-                                  for m in game.moves(state, p, bounds)} for p, off in ((TOP, OFF_T), (BOT, OFF_B))]
+                                  for m in game.moves(state, p, limit)} for p, off in ((TOP, OFF_T), (BOT, OFF_B))]
         if pool is None:
             found = {m for tops, bots in offers.values() for m in (*tops, *bots)}
             junk = next(x for n in range(1, len(found) + 2) if (x := "x" * n) not in found)
@@ -349,7 +350,8 @@ class _StateScan:
         # The walk's nodes: j, gamma's first j of n moves, the states before and
         # after the last, its digit x, and ``begun``, (i, delta's state, p) of
         # live swaps, all bad at j = n.  A node decides each digit before any is entered.
-        found, stack = 0, [(0, (), OFF_B + 1, OFF_B + 1, 0, [])]
+        found, stack, frames = 0, [(0, (), OFF_B + 1, OFF_B + 1, 0, [])], sys.getrecursionlimit()
+        sys.setrecursionlimit(frames + n)  # reach and viable recurse once per move left
         try:
             while stack:
                 j, gamma, before, s, x, begun = stack.pop()
@@ -374,6 +376,7 @@ class _StateScan:
                         stack.append((j + 1, gamma + (labmoves[t],), s, row[t], t, kept))
         finally:  # reach and viable refer to themselves: free them, and their memos, now
             reach = viable = None
+            sys.setrecursionlimit(frames)
         if found != kinds:
             raise RuntimeError(f"the count flags runs of length {n}, but no swap among them is bad")
 

@@ -24,7 +24,6 @@ from typing import Mapping, Union
 
 from .games import Game, disjoin, negate
 from .recurrence import OP_NAMES, RecurrenceKind, make_recurrence
-from .sim import COMPOUND_KINDS, Direction
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,6 @@ class Rec:
 GameExpr = Union[Atom, Not, Or, Rec]
 
 _KIND_NAMED = {name: kind for kind, name in OP_NAMES.items()}
-_COMPOUND_DIRECTION = {kinds: direction for direction, kinds in COMPOUND_KINDS.items()}
 
 
 # Deepest operator nesting an expression may have; the parser and every
@@ -149,18 +147,3 @@ def elaborate(expr: GameExpr, defs: Mapping[str, Game]) -> Game:
     if isinstance(expr, Or):
         return disjoin(elaborate(expr.left, defs), elaborate(expr.right, defs))
     return make_recurrence(elaborate(expr.arg, defs), expr.kind)
-
-
-def translation_shape(expr: GameExpr) -> tuple[Direction, GameExpr] | None:
-    """Recognize the two translation compounds ``or(co(not(X)), rec(X))``
-    of ``sim.COMPOUND_KINDS``; returns the direction and the shared
-    subexpression X, or None."""
-    if not (
-        isinstance(expr, Or)
-        and isinstance(expr.left, Rec)
-        and isinstance(expr.right, Rec)
-        and expr.left.arg == Not(expr.right.arg)
-    ):
-        return None
-    direction = _COMPOUND_DIRECTION.get((expr.left.kind, expr.right.kind))
-    return None if direction is None else (direction, expr.right.arg)

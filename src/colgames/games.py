@@ -3,13 +3,13 @@
 A game is a state machine over labelled moves: ``start()`` is the state
 of the empty run, ``step(state, lm)`` the state after one more move (or
 None when the move is illegal there), and ``outcome(state)`` the winner
-of a legal run in that state.  ``moves(state, player, bounds)`` answers
-which moves ``player`` may make in a state, within enumeration bounds.
-The whole-run views, ``extend_legal``, ``winner`` and ``legal_moves``,
-are derived once in :class:`Game` by replaying ``step`` from
-``start()``.  Legality checking is exact and unbounded; only enumeration
-takes bounds, because some constructors (the loose recurrences) admit
-unboundedly many legal moves at a position.
+of a legal run in that state.  ``moves(state, player, max_address_len)``
+answers which moves ``player`` may make in a state within an address
+bound, the only bound a game's move query takes.  The whole-run views,
+``extend_legal``, ``winner`` and ``legal_moves``, are derived once in
+:class:`Game` by replaying ``step`` from ``start()``.  Legality is exact
+and unbounded; only enumeration takes a bound, because the loose
+recurrences admit unboundedly many legal moves at a position.
 
 The winner is defined at every node of a finite game, not only at leaves:
 a legal run that stops early is a completed play won by the label of the
@@ -77,14 +77,15 @@ class Game:
         """The winner of a legal run that ends in ``state``."""
         raise NotImplementedError
 
-    def moves(self, state: State, player: Player, bounds: EnumBounds) -> frozenset[str]:
-        """The moves ``player`` may make in ``state`` within ``bounds``.
+    def moves(self, state: State, player: Player, max_address_len: int) -> frozenset[str]:
+        """The moves ``player`` may make in ``state`` whose addresses have
+        at most ``max_address_len`` bits.
 
         Exactly the moves ``step`` accepts there that pass a test of the
-        move alone (its addresses are no longer than the bound), so a
-        move offered in one state and legal in another is offered there
-        too.  A game whose ``step`` guards the address length raises
-        :class:`PreconditionError` for a bound past that guard.
+        move alone (its addresses are within the bound), so a move offered
+        in one state and legal in another is offered there too.  A game
+        whose ``step`` guards the address length checks the bound's range:
+        a negative bound or one past that guard raises :class:`PreconditionError`.
         """
         raise NotImplementedError
 
@@ -110,11 +111,10 @@ class Game:
             raise ValueError("winner is only defined on legal runs")
         return self.outcome(state)
 
-    def legal_moves(self, position: Run, player: Player, bounds: EnumBounds) -> frozenset[str]:
-        """The moves ``player`` may make after ``position`` within ``bounds``;
-        none after an illegal run."""
+    def legal_moves(self, position: Run, player: Player, max_address_len: int) -> frozenset[str]:
+        """The moves ``player`` may make after ``position``; none after an illegal run."""
         state = self.replay(position)
-        return frozenset() if state is None else self.moves(state, player, bounds)
+        return frozenset() if state is None else self.moves(state, player, max_address_len)
 
 
 class Offender(NamedTuple):
@@ -211,7 +211,7 @@ class FiniteGame(Game):
     def outcome(self, state: int) -> Player:
         return self._winners[state]
 
-    def moves(self, state: int, player: Player, bounds: EnumBounds) -> frozenset[str]:
+    def moves(self, state: int, player: Player, max_address_len: int) -> frozenset[str]:
         return frozenset(self._next[state][player is BOT])
 
     # Kept for perfbench/, which patches these names in each class's own
@@ -245,8 +245,8 @@ class _Negated(Game):
     def outcome(self, state: State) -> Player:
         return neg_player(self.inner.outcome(state))
 
-    def moves(self, state: State, player: Player, bounds: EnumBounds) -> frozenset[str]:
-        return self.inner.moves(state, neg_player(player), bounds)
+    def moves(self, state: State, player: Player, max_address_len: int) -> frozenset[str]:
+        return self.inner.moves(state, neg_player(player), max_address_len)
 
     # Kept for perfbench/ until ROADMAP item 2 (see FiniteGame).
     extend_legal, winner = Game.extend_legal, Game.winner
@@ -306,9 +306,9 @@ class _Disjoined(Game):
             return TOP
         return BOT
 
-    def moves(self, state: tuple[State, State], player: Player, bounds: EnumBounds) -> frozenset[str]:
-        left = self.left.moves(state[0], player, bounds)
-        right = self.right.moves(state[1], player, bounds)
+    def moves(self, state: tuple[State, State], player: Player, max_address_len: int) -> frozenset[str]:
+        left = self.left.moves(state[0], player, max_address_len)
+        right = self.right.moves(state[1], player, max_address_len)
         return frozenset(["1." + m for m in left] + ["2." + m for m in right])
 
     # Kept for perfbench/ until ROADMAP item 2 (see FiniteGame).

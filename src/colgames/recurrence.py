@@ -50,7 +50,7 @@ from .core import (
     ShapeKind,
     parse_move,
 )
-from .games import EnumBounds, Game, PreconditionError, State
+from .games import Game, PreconditionError, State
 
 
 class Version(enum.Enum):
@@ -277,17 +277,17 @@ class RecurrenceGame(Game):
         key = (state.stem + "0" * state.depth)[: state.depth]
         return self.base.outcome(state.classes[int(key, 2) if key else 0])
 
-    def moves(self, state: RayState, player: Player, bounds: EnumBounds) -> frozenset[str]:
+    def moves(self, state: RayState, player: Player, max_address_len: int) -> frozenset[str]:
         """Switches and replications from the tree (tight) or at every stem
         within the address bound (loose), and each addressed move ``w.a``
-        whose payload every distinct class state below ``w`` offers.  An
-        address bound past ``MAX_ADDRESS_BITS`` raises
-        :class:`PreconditionError` before any stem is built: ``step``
-        refuses the deepest moves it would offer."""
+        whose payload every distinct class state below ``w`` offers.  A
+        bound outside 0..``MAX_ADDRESS_BITS`` raises :class:`PreconditionError`
+        before any stem is built: ``step`` refuses the deepest moves a larger
+        one offers, and the loose stems of a negative one hold the root."""
         tree, _, depth, classes = state
-        limit = bounds.max_address_len
-        if limit > MAX_ADDRESS_BITS:
-            raise PreconditionError(f"address bound {limit} is past the {MAX_ADDRESS_BITS} bits "
+        limit = max_address_len
+        if not 0 <= limit <= MAX_ADDRESS_BITS:
+            raise PreconditionError(f"address bound {limit} is outside the 0 to {MAX_ADDRESS_BITS} bits "
                                     f"a recurrence takes")
         if tree is not None:
             addresses = [w for w in tree.nodes() if len(w) <= limit]
@@ -301,13 +301,13 @@ class RecurrenceGame(Game):
                 inner = classes[int(w[:depth], 2) if depth else 0]
                 payloads = offered.get(inner)
                 if payloads is None:
-                    payloads = offered[inner] = self.base.moves(inner, player, bounds)
+                    payloads = offered[inner] = self.base.moves(inner, player, limit)
             else:  # w is above several classes: what every distinct one offers
                 width = 1 << (depth - len(w))
                 low = int(w, 2) * width if w else 0
                 below = set(classes[low : low + width])
                 for inner in below - offered.keys():
-                    offered[inner] = self.base.moves(inner, player, bounds)
+                    offered[inner] = self.base.moves(inner, player, limit)
                 payloads = frozenset.intersection(*map(offered.__getitem__, below))
             out.extend([f"{w}.{a}" for a in payloads])
         return frozenset(out)

@@ -2,7 +2,8 @@
 
 The interaction loop (``run_interaction``, recording a ``Trace``) and
 the exhaustive adversary enumerator live in ``strategy``; the first two
-are re-exported here.
+are re-exported here.  ``translation_compound`` builds a translation
+compound and ``translation_shape`` finds one in a game expression.
 
 ``verify_translation`` builds one of the two translation compounds over
 any base game, plays the matching routine against every exhaustive
@@ -28,6 +29,7 @@ from .core import (
     project,
 )
 from .delay import MAX_RUN_LEN, is_static, static_and_lemma
+from .dsl import GameExpr, Not, Or, Rec
 from .games import (
     EnumBounds,
     Game,
@@ -68,12 +70,23 @@ COMPOUND_KINDS = {
     Direction.TIGHT_TO_LOOSE: (TIGHT_CORECURRENCE, LOOSE_RECURRENCE),
     Direction.LOOSE_TO_TIGHT: (LOOSE_CORECURRENCE, TIGHT_RECURRENCE),
 }
+_COMPOUND_DIRECTION = {kinds: direction for direction, kinds in COMPOUND_KINDS.items()}
 
 
 def translation_compound(base: Game, direction: Direction) -> Game:
     """The compound game the corresponding translation routine plays."""
     co, rec = COMPOUND_KINDS[direction]
     return disjoin(make_recurrence(negate(base), co), make_recurrence(base, rec))
+
+
+def translation_shape(expr: GameExpr) -> tuple[Direction, GameExpr] | None:
+    """The direction and the shared subexpression X of a translation
+    compound ``or(co(not(X)), rec(X))`` of ``COMPOUND_KINDS``, or None."""
+    if not (isinstance(expr, Or) and isinstance(expr.left, Rec) and isinstance(expr.right, Rec)
+            and expr.left.arg == Not(expr.right.arg)):
+        return None
+    direction = _COMPOUND_DIRECTION.get((expr.left.kind, expr.right.kind))
+    return None if direction is None else (direction, expr.right.arg)
 
 
 def strategy_for(compound: Game, direction: Direction):

@@ -185,7 +185,7 @@ class _RandomAdversary:
     def __init__(self, game: Game, seed: int, bounds: EnumBounds, budget: int, pass_probability: float) -> None:
         self._game = game
         self._seed = seed
-        self._bounds = bounds
+        self._max_address_len = bounds.max_address_len
         self._budget = budget
         self._pass_probability = pass_probability
 
@@ -197,7 +197,7 @@ class _RandomAdversary:
         if made >= self._budget or rng.random() < self._pass_probability:
             return state, ()
         current = self._game.replay(position[seen:], current)
-        options = () if current is None else sorted(self._game.moves(current, BOT, self._bounds))
+        options = () if current is None else sorted(self._game.moves(current, BOT, self._max_address_len))
         if not options:
             return state, ()
         return (rng, made + 1, len(position), current), (options[rng.randrange(len(options))],)
@@ -293,6 +293,6 @@ def exhaustive_adversaries(game: Game, machine, bounds: EnumBounds, budget: int,
         # Children are found before the yield, so the time a consumer sees
         # between two traces covers one play and its own legal_moves call.
         if len(script) < budget and not trace.truncated:
-            options = sorted(game.legal_moves(trace.moves, BOT, bounds))
+            options = sorted(game.legal_moves(trace.moves, BOT, bounds.max_address_len))
             stack.extend(script + (m,) for m in reversed(options))
         yield trace

@@ -155,7 +155,7 @@ class ReplayingRandomAdversary:
             return state, ()
         if rng.random() < self.pass_probability:
             return state, ()
-        options = sorted(self.game.legal_moves(position, BOT, self.bounds))
+        options = sorted(self.game.legal_moves(position, BOT, self.bounds.max_address_len))
         if not options:
             return state, ()
         return (rng, made + 1), (options[rng.randrange(len(options))],)
@@ -178,8 +178,8 @@ class CountingGame(Game):
     def outcome(self, state):
         return self.inner.outcome(state)
 
-    def moves(self, state, player, bounds):
-        return self.inner.moves(state, player, bounds)
+    def moves(self, state, player, max_address_len):
+        return self.inner.moves(state, player, max_address_len)
 
 
 def classify_move_brute(move: str) -> tuple[str, str, str]:
@@ -401,7 +401,7 @@ class WholeRunGame(Game):
             return self.base.winner(project(run, Ray(stems[-1] if stems else "")))
         return game.winner(run)
 
-    def legal_moves(self, position, player, bounds):
+    def legal_moves(self, position, player, max_address_len):
         game = self.game
         if isinstance(game, FiniteGame):
             current = _node_at(game.root, position)
@@ -409,21 +409,20 @@ class WholeRunGame(Game):
                 return frozenset()
             return frozenset(edge.move for edge, _ in current.edges if edge.label is player)
         if isinstance(game, _Negated):
-            return self.inner.legal_moves(flip_labels(position), neg_player(player), bounds)
+            return self.inner.legal_moves(flip_labels(position), neg_player(player), max_address_len)
         if isinstance(game, _Disjoined):
             parts = split_disjunction(position)
             if parts is None:
                 return frozenset()
-            out = {"1." + m for m in self.left.legal_moves(parts[0], player, bounds)}
-            out |= {"2." + m for m in self.right.legal_moves(parts[1], player, bounds)}
+            out = {"1." + m for m in self.left.legal_moves(parts[0], player, max_address_len)}
+            out |= {"2." + m for m in self.right.legal_moves(parts[1], player, max_address_len)}
             return frozenset(out)
         if isinstance(game, RecurrenceGame):
-            return self._recurrence_legal_moves(position, player, bounds)
-        return game.legal_moves(position, player, bounds)
+            return self._recurrence_legal_moves(position, player, max_address_len)
+        return game.legal_moves(position, player, max_address_len)
 
-    def _recurrence_legal_moves(self, position, player, bounds):
+    def _recurrence_legal_moves(self, position, player, limit):
         kind = self.game.kind
-        limit = bounds.max_address_len
         candidates = set()
         if kind.version is Version.TIGHT:
             tree = actual_nodes(position, kind.structural)
@@ -438,7 +437,7 @@ class WholeRunGame(Game):
         for w in addresses:
             payloads = set()
             for ray in ray_classes(position, w):
-                payloads |= self.base.legal_moves(project(position, ray), player, bounds)
+                payloads |= self.base.legal_moves(project(position, ray), player, limit)
             candidates.update(f"{w}.{a}" for a in payloads)
         return frozenset(
             m for m in candidates if self.extend_legal(position, LabMove(player, m))
@@ -489,8 +488,8 @@ def probe_pool(game, bounds):
                 + tuple("2." + m for m in probe_pool(game.right, bounds)))
     if isinstance(game, RecurrenceGame):
         alphas = sorted(
-            game.base.legal_moves((), TOP, bounds)
-            | game.base.legal_moves((), BOT, bounds)
+            game.base.legal_moves((), TOP, bounds.max_address_len)
+            | game.base.legal_moves((), BOT, bounds.max_address_len)
         )
         a = alphas[0] if alphas else "a"
         if game.kind.version is Version.TIGHT:

@@ -49,6 +49,7 @@ _PINNED = _DELAY + "TestPinnedResults::test_the_sixty_static_and_lemma_results"
 _ONE_CALL = _DELAY + "TestOneSearchForBothVerdicts::test_one_call_equals_the_two_scans"
 _SUITE_TABLES = _DELAY + "TestRunTableAgainstReference::test_suite_games"
 _LATE = _DELAY + "TestLateCounterexamples::test_first_counterexample_is_the_smallest_of_length_3"
+_POOL = "tests/test_state.py::TestMovePool::test_every_offered_move_and_a_junk_move"
 
 MUTANTS = (
     # _StateScan.verdicts, the one reader of the delay count
@@ -89,6 +90,32 @@ MUTANTS = (
         "if failed & REFUTES and counterexample is None:",
         "if failed & REFUTES:",
         (_PINNED, _SUITE_TABLES, _ONE_CALL),
+    ),
+    # the move query's address bound, and the decode's depth
+    Mutant(
+        "recurrence-offers-addresses-one-bit-past-the-bound", "recurrence",
+        "limit = max_address_len",
+        "limit = max_address_len + 1",
+        ("tests/test_recurrence.py::TestLegalMoveEnumeration::test_matches_extension_legality_on_candidates",
+         _POOL, _PINNED),
+    ),
+    Mutant(
+        "address-guard-accepts-a-negative-bound", "recurrence",
+        "if not 0 <= limit <= MAX_ADDRESS_BITS:",
+        "if limit > MAX_ADDRESS_BITS:",
+        ("tests/test_recurrence.py::TestAddressGuard::test_a_bound_outside_the_guard_is_refused",),
+    ),
+    Mutant(
+        "scan-passes-the-run-bound-to-the-move-query", "delay",
+        "game.step, bounds.max_address_len",
+        "game.step, bounds.max_run_len",
+        (_POOL, _PINNED),
+    ),
+    Mutant(
+        "decode-keeps-the-default-recursion-limit", "delay",
+        "sys.setrecursionlimit(frames + n)",
+        "sys.setrecursionlimit(frames)",
+        (_DELAY + "TestLateCounterexamples::test_a_counterexample_at_the_longest_run_bound_decodes",),
     ),
 )
 

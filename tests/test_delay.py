@@ -6,6 +6,7 @@ import functools
 import gc
 import hashlib
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +50,7 @@ from _util import (
     all_runs,
     game_nodes,
     is_delay_naive,
+    late,
     pairwise_lemma_scan,
     pairwise_static_scan,
     probe_pool,
@@ -162,7 +164,7 @@ class _SetWinnerGame(Game):
     def outcome(self, state):
         return self._winner_fn(state)
 
-    def moves(self, state, player, bounds):
+    def moves(self, state, player, max_address_len):
         return frozenset(self._alphabet)
 
     def probe_moves(self, bounds):
@@ -458,6 +460,19 @@ class TestLateCounterexamples:
         assert expected[0].counterexample == (gamma, (gamma[1], gamma[0], gamma[2]), TOP)
         assert static_and_lemma(game, bounds, ("a", "b", "c")) == expected
         assert is_static(game, bounds, ("a", "b", "c")) == expected[0]
+
+    def test_a_counterexample_at_the_longest_run_bound_decodes(self):
+        # the decode's memoised checks recurse once per move left, past the
+        # interpreter's default limit of 1,000 frames
+        bounds, frames = EnumBounds(0, MAX_RUN_LEN), sys.getrecursionlimit()
+        gamma = (lm(BOT, "c"),) * (MAX_RUN_LEN - 2) + (lm(TOP, "a"), lm(BOT, "b"))
+        delta = gamma[:-2] + (gamma[-1], gamma[-2])
+        verdict, report = static_and_lemma(late(MAX_RUN_LEN - 2), bounds)
+        assert verdict.counterexample == (gamma, delta, TOP)
+        assert report.violations == ((gamma, delta, TOP), (delta, gamma, BOT))
+        assert report.violation_count == 2
+        assert is_static(late(MAX_RUN_LEN - 2), bounds) == verdict
+        assert sys.getrecursionlimit() == frames
 
 
 # Static at run length 2, where its own lemma fails: T offends first in

@@ -16,10 +16,9 @@ from colgames.dsl import (
     Rec,
     elaborate,
     parse_game_expr,
-    translation_shape,
 )
 from colgames.recurrence import ALL_KINDS, LOOSE_RECURRENCE, TIGHT_CORECURRENCE
-from colgames.sim import translation_compound
+from colgames.sim import translation_compound, translation_shape
 from colgames.suite import suite_defs
 
 from _util import is_legal

@@ -77,8 +77,8 @@ class TestFiniteGameInterface:
 
     def test_legal_moves_by_player(self):
         g = first_mover_wins()
-        assert g.legal_moves((), TOP, BOUNDS) == {"a"}
-        assert g.legal_moves((), BOT, BOUNDS) == {"b"}
+        assert g.legal_moves((), TOP, BOUNDS.max_address_len) == {"a"}
+        assert g.legal_moves((), BOT, BOUNDS.max_address_len) == {"b"}
 
     def test_prefix_closure_exhaustive(self):
         for suite_game in STATIC_SUITE:
@@ -145,7 +145,7 @@ class TestHashConsing:
         while frontier:
             state = frontier.pop()
             for player in (TOP, BOT):
-                for move in game.moves(state, player, bounds):
+                for move in game.moves(state, player, bounds.max_address_len):
                     after = game.step(state, lm(player, move))
                     if after not in seen:
                         seen.add(after)
@@ -247,8 +247,8 @@ class TestNegate:
 
     def test_legal_moves_role_swapped(self):
         g = negate(first_mover_wins())
-        assert g.legal_moves((), TOP, BOUNDS) == {"b"}
-        assert g.legal_moves((), BOT, BOUNDS) == {"a"}
+        assert g.legal_moves((), TOP, BOUNDS.max_address_len) == {"b"}
+        assert g.legal_moves((), BOT, BOUNDS.max_address_len) == {"a"}
 
 
 class TestDisjoin:
@@ -310,5 +310,5 @@ class TestDisjoin:
         g = disjoin(
             top_choice(), bot_choice()
         )
-        assert g.legal_moves((), TOP, BOUNDS) == {"1.a"}
-        assert g.legal_moves((), BOT, BOUNDS) == {"2.b"}
+        assert g.legal_moves((), TOP, BOUNDS.max_address_len) == {"1.a"}
+        assert g.legal_moves((), BOT, BOUNDS.max_address_len) == {"2.b"}

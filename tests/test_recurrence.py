@@ -17,6 +17,7 @@ from colgames import (
     PreconditionError,
     Ray,
     actual_nodes,
+    disjoin,
     loose_extension_legal,
     make_recurrence,
     negate,
@@ -29,6 +30,7 @@ from colgames.recurrence import (
     ALL_KINDS,
     LOOSE_CORECURRENCE,
     LOOSE_RECURRENCE,
+    MAX_ADDRESS_BITS,
     TIGHT_CORECURRENCE,
     TIGHT_RECURRENCE,
     _nodes_of,
@@ -227,8 +229,21 @@ class TestAddressGuard:
         # step refuses the deepest moves such a bound would offer
         game = make_recurrence(bot_choice(), kind)
         with pytest.raises(PreconditionError):
-            game.moves(game.start(), BOT, EnumBounds(17, 2))
-        assert game.moves(game.start(), BOT, EnumBounds(2, 2))
+            game.moves(game.start(), BOT, 17)
+        assert game.moves(game.start(), BOT, 2)
+
+    @pytest.mark.parametrize("bound", [-1, MAX_ADDRESS_BITS + 1])
+    @pytest.mark.parametrize("kind", [TIGHT_RECURRENCE, LOOSE_RECURRENCE], ids=["tight", "loose"])
+    @pytest.mark.parametrize("wrap", [lambda rec: rec, negate, lambda rec: disjoin(leaf_top(), rec)],
+                             ids=["alone", "not", "or"])
+    def test_a_bound_outside_the_guard_is_refused(self, bound, kind, wrap):
+        # at -1 a loose recurrence would offer the root's moves, past 16 bits moves step refuses
+        game = wrap(make_recurrence(bot_choice(), kind))
+        for player in (TOP, BOT):
+            with pytest.raises(PreconditionError):
+                game.moves(game.start(), player, bound)
+            with pytest.raises(PreconditionError):
+                game.legal_moves((), player, bound)
 
     def test_sixteen_bits_still_step(self):
         game = make_recurrence(bot_choice(), LOOSE_RECURRENCE)
@@ -327,7 +342,7 @@ class TestLegalMoveEnumeration:
         game = make_recurrence(base, kind)
         bounds = EnumBounds(max_address_len=1, max_run_len=5)
         for position in [(), (lm(kind.structural, ":"),) if kind.version.value == "tight" else (lm(kind.structural, "0"),)]:
-            enumerated = game.legal_moves(position, player, bounds)
+            enumerated = game.legal_moves(position, player, bounds.max_address_len)
             oracle = {
                 s
                 for s in self.candidates()
@@ -339,14 +354,14 @@ class TestLegalMoveEnumeration:
     def test_tight_root_moves_exclude_unreplicated_addresses(self):
         base = bot_choice()
         game = make_recurrence(base, TIGHT_RECURRENCE)
-        moves = game.legal_moves((), BOT, EnumBounds(1, 5))
+        moves = game.legal_moves((), BOT, 1)
         assert moves == {"", ":", ".b"}
         assert "0.b" not in moves
 
     def test_loose_root_moves_include_unreplicated_addresses(self):
         base = bot_choice()
         game = make_recurrence(base, LOOSE_RECURRENCE)
-        moves = game.legal_moves((), BOT, EnumBounds(1, 5))
+        moves = game.legal_moves((), BOT, 1)
         assert {"0.b", "1.b", ".b", "", "0", "1"} <= moves
         assert ":" not in moves
 
@@ -356,7 +371,7 @@ class TestLegalMoveEnumeration:
             game = make_recurrence(base, kind)
             position = ()
             for player in (TOP, BOT):
-                for move in game.legal_moves(position, player, BOUNDS):
+                for move in game.legal_moves(position, player, BOUNDS.max_address_len):
                     assert game.extend_legal(position, LabMove(player, move))
 
 
@@ -401,8 +416,8 @@ class TestDeMorgan:
         one, two, steps = left.start(), right.start(), data.draw(st.integers(0, 8))
         for n in range(steps + 1):
             assert one == two
-            offered = {p: left.moves(one, p, BOUNDS) for p in (TOP, BOT)}
-            assert offered == {p: right.moves(two, p, BOUNDS) for p in (TOP, BOT)}
+            offered = {p: left.moves(one, p, BOUNDS.max_address_len) for p in (TOP, BOT)}
+            assert offered == {p: right.moves(two, p, BOUNDS.max_address_len) for p in (TOP, BOT)}
             assert left.outcome(one) is right.outcome(two)
             labmoves = [LabMove(p, m) for p in (TOP, BOT) for m in sorted(offered[p])]
             if n == steps or not labmoves:

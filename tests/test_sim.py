@@ -345,7 +345,7 @@ class TestSwapSuite:
         swaps, stack = [], [base.start()]
         while stack:
             state = stack.pop()
-            tops, bots = (sorted(base.moves(state, p, BOUNDS)) for p in (TOP, BOT))
+            tops, bots = (sorted(base.moves(state, p, BOUNDS.max_address_len)) for p in (TOP, BOT))
             for x, y in itertools.product(tops, bots):
                 one = base.replay((LabMove(TOP, x), LabMove(BOT, y)), state)
                 other = base.replay((LabMove(BOT, y), LabMove(TOP, x)), state)

@@ -66,7 +66,7 @@ def _cases(draw):
         offered = []
         if is_legal(oracle, run):
             offered = [LabMove(player, m) for player in (TOP, BOT)
-                       for m in sorted(oracle.legal_moves(run, player, BOUNDS))]
+                       for m in sorted(oracle.legal_moves(run, player, BOUNDS.max_address_len))]
         if offered and draw(st.integers(0, 3)) < 3:
             run += (draw(st.sampled_from(offered)),)
         else:
@@ -86,7 +86,8 @@ class TestStateMachineAgainstWholeRun:
         for n in range(len(legal) + 1):
             assert game.winner(legal[:n]) is oracle.winner(legal[:n])
         for player in (TOP, BOT):
-            assert game.legal_moves(legal, player, BOUNDS) == oracle.legal_moves(legal, player, BOUNDS)
+            assert (game.legal_moves(legal, player, BOUNDS.max_address_len)
+                    == oracle.legal_moves(legal, player, BOUNDS.max_address_len))
 
 
 class TestMovePool:
@@ -109,7 +110,7 @@ class TestMovePool:
             following = []
             for run in level:
                 for player in (TOP, BOT):
-                    moves = oracle.legal_moves(run, player, bounds)
+                    moves = oracle.legal_moves(run, player, bounds.max_address_len)
                     offered |= moves
                     if len(run) + 1 < max_run_len:
                         following += [run + (LabMove(player, m),) for m in moves]
@@ -164,7 +165,7 @@ def _offered_runs(draw, game):
     run, state = (), game.start()
     for _ in range(draw(st.integers(1, 5))):
         lm = draw(st.sampled_from([LabMove(player, move) for player in (TOP, BOT)
-                                   for move in sorted(game.moves(state, player, BOUNDS))]))
+                                   for move in sorted(game.moves(state, player, BOUNDS.max_address_len))]))
         run, state = run + (lm,), game.step(state, lm)
     return run
 
@@ -254,7 +255,7 @@ class TestMoveQueryContract:
             following = set()
             for state in level:
                 for player in (TOP, BOT):
-                    offered = game.moves(state, player, bounds)
+                    offered = game.moves(state, player, bounds.max_address_len)
                     accepted = set()
                     for move in pool:
                         after = game.step(state, LabMove(player, move))

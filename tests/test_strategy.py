@@ -297,7 +297,7 @@ class TestExhaustiveAdversaries:
     def test_budget_one_counts_moves_plus_pass(self):
         game = compound1(leaf_top())
         machine = MirrorStrategy()
-        k = len(game.legal_moves((), BOT, BOUNDS))
+        k = len(game.legal_moves((), BOT, BOUNDS.max_address_len))
         assert k > 0
         count = sum(1 for _ in exhaustive_adversaries(game, machine, BOUNDS, budget=1, max_steps=20))
         assert count == k + 1
@@ -307,7 +307,7 @@ class TestExhaustiveAdversaries:
         machine = MirrorStrategy()
 
         def recount(run, machine_state, depth):
-            options = sorted(game.legal_moves(run, BOT, BOUNDS))
+            options = sorted(game.legal_moves(run, BOT, BOUNDS.max_address_len))
             total = 1  # passing right here is one behavior
             if depth == 0:
                 return total
@@ -345,7 +345,7 @@ class TestExhaustiveAdversaries:
             found = [(run, False)]
             if depth == 0:
                 return found
-            for move in sorted(game.legal_moves(run, BOT, BOUNDS)):
+            for move in sorted(game.legal_moves(run, BOT, BOUNDS.max_address_len)):
                 if len(run) >= max_steps:
                     found.append((run, True))
                     continue
