@@ -167,13 +167,12 @@ def cmd_simulate(args) -> int:
     direction = Direction(args.direction)
     # A play's own run bound is its step cap.
     bounds = EnumBounds(args.max_addr, args.max_steps)
-    compound = translation_compound(base, direction)
 
     if args.adversary == "exhaustive":
         report = verify_translation(
             base, direction, bounds, budget=args.budget, max_steps=args.max_steps
         )
-        print(f"game: {compound.name}")
+        print(f"game: {report.game}")
         print(f"adversaries: {report.adversaries}")
         print(f"failures: {len(report.failures)}")
         for failure in report.failures[:20]:
@@ -181,6 +180,7 @@ def cmd_simulate(args) -> int:
         print(f"truncated: {report.truncated}")
         failed, cut = not report.ok, report.truncated
     else:
+        compound = translation_compound(base, direction)
         machine = strategy_for(compound, direction)
         if args.adversary == "random":
             seed: int | None = _seed(args)

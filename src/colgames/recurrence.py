@@ -106,23 +106,24 @@ class NodeTree(NamedTuple):
 
     Stored as the set of addresses whose replication request occurred; the
     actual nodes are the root plus both children of every replicated
-    address.  For positions built from legal play this is a proper binary
-    tree: prefix-closed, every node with zero or two children, and the
-    outer nodes are exactly the leaves.
+    address.  Every tree this package builds is grown from ``NodeTree()``,
+    the bare root, by ``replicate``, so it is a proper binary tree and
+    ``outer()`` is exact: the outer nodes are exactly the leaves.
     """
 
-    replicated: frozenset[str]
+    replicated: frozenset[str] = frozenset()
 
     def nodes(self) -> frozenset[str]:
         return _nodes_of(self.replicated)
 
     def outer(self) -> frozenset[str]:
-        """Actual nodes not yet replicated: in a tree grown by legal
-        replications, exactly those that are no proper prefix of another."""
+        """Actual nodes not yet replicated: in a tree grown by
+        ``replicate``, exactly those that are no proper prefix of another."""
         return _outer_of(self.replicated)
 
-    def replicate(self, w: str) -> "NodeTree":
-        return NodeTree(self.replicated | {w})
+    def replicate(self, w: str) -> NodeTree | None:
+        """The tree with ``w`` replicated; None unless ``w`` is outer."""
+        return NodeTree(self.replicated | {w}) if w in _outer_of(self.replicated) else None
 
 
 def actual_nodes(position: Run, structural: Player) -> NodeTree:
@@ -131,12 +132,12 @@ def actual_nodes(position: Run, structural: Player) -> NodeTree:
     Only the legal replications count: the structural player's, at nodes
     outer when made, so the tree is the one the tight game grows.
     """
-    tree = NodeTree(frozenset())
+    tree = NodeTree()
     for lm in position:
         if lm.label is structural:
             sh = parse_move(lm.move)
-            if sh.kind is ShapeKind.REPLICATIVE and sh.address in tree.outer():
-                tree = tree.replicate(sh.address)
+            if sh.kind is ShapeKind.REPLICATIVE:
+                tree = tree.replicate(sh.address) or tree
     return tree
 
 
@@ -208,7 +209,7 @@ class RecurrenceGame(Game):
         self.kind = kind
         self.name = f"{OP_NAMES[kind]}({base.name})"
         self.structural = kind.structural
-        tree = NodeTree(frozenset()) if kind.version is Version.TIGHT else None
+        tree = NodeTree() if kind.version is Version.TIGHT else None
         self._start = RayState(tree, "", 0, (base.start(),))
 
     def start(self) -> RayState:
@@ -230,9 +231,10 @@ class RecurrenceGame(Game):
                 return None
             return _new(RayState, (tree, u.rstrip("0"), depth, classes))
         if kind is not _NONREPLICATIVE:
-            if kind is not _REPLICATIVE or tree is None or lm.label is not self.structural or u not in tree.outer():
+            if kind is not _REPLICATIVE or tree is None or lm.label is not self.structural:
                 return None
-            return _new(RayState, (tree.replicate(u), stem, depth, classes))
+            tree = tree.replicate(u)
+            return None if tree is None else _new(RayState, (tree, stem, depth, classes))
         if tree is not None and u not in _nodes_of(tree.replicated):
             return None
         if len(u) > MAX_ADDRESS_BITS:

@@ -101,7 +101,8 @@ def _delay_pair(gamma: Run, delta: Run, p: Player) -> str:
 
 def audit_trace(trace: Trace, direction: Direction, game: Game) -> tuple[str, ...]:
     """Check one trace against the routine invariants; returns violations.
-    A loose-to-tight trace's notes must hold :class:`RemapStrategy` states.
+    A loose-to-tight trace's notes must hold node maps, the states of
+    :class:`RemapStrategy`.
     A truncated trace is judged only on its offender and its node maps."""
     problems: list[str] = []
     if trace.outcome is not TOP and not trace.truncated:
@@ -134,7 +135,7 @@ def audit_trace(trace: Trace, direction: Direction, game: Game) -> tuple[str, ..
             if project(sigma, sigma_ray) != flip_labels(project(pi, pi_ray)):
                 problems.append("identity: decisive projections do not mirror")
     for note in trace.notes if direction is Direction.LOOSE_TO_TIGHT else ():
-        fmap = note.state.fmap
+        fmap = note.state
         if not fmap_prefix_free(fmap):
             problems.append(f"fmap: values not prefix-free after step {note.reacted_to}")
             break
@@ -157,13 +158,10 @@ class Failure:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """What a verification run checked and found.  ``bounds`` are the
-    bounds it was given: ``verify_translation`` reads only their address
-    bound and caps its plays at ``max_steps``, so there ``max_run_len`` is
-    recorded but bounds nothing."""
+    """What a verification run checked and found.  ``game`` names the
+    translation compound, or the base whose recurrences were checked."""
 
     game: str
-    bounds: EnumBounds
     adversaries: int
     failures: tuple[Failure, ...] = field(default=())
     truncated: int = 0  # plays cut off at the step cap
@@ -211,12 +209,12 @@ def verify_translation(
     machine = strategy_for(compound, direction)
     failures: list[Failure] = []
     count = truncated = 0
-    for trace in exhaustive_adversaries(compound, machine, bounds, budget, max_steps=max_steps):
+    for trace in exhaustive_adversaries(compound, machine, bounds.max_address_len, budget, max_steps):
         count += 1
         truncated += trace.truncated
         for problem in audit_trace(trace, direction, compound):
             failures.append(Failure("trace-audit", problem, trace))
-    return VerificationReport(compound.name, bounds, count, tuple(failures), truncated)
+    return VerificationReport(compound.name, count, tuple(failures), truncated)
 
 
 def verify_static_preservation(base: Game, bounds: EnumBounds) -> VerificationReport:
@@ -242,4 +240,4 @@ def verify_static_preservation(base: Game, bounds: EnumBounds) -> VerificationRe
             detail = (f"{rec.name}: delay pair {_delay_pair(gamma, delta, p)}"
                       f" (a shortest one of {lemma.violation_count} violations)")
             failures.append(Failure("illegality-lemma", detail))
-    return VerificationReport(base.name, bounds, 0, tuple(failures))
+    return VerificationReport(base.name, 0, tuple(failures))

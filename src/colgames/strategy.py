@@ -5,8 +5,9 @@ A strategy is an object with ``init() -> state`` and
 ``react`` with the run so far and appends the returned moves, attributed
 to the strategy's side, as one batch.  Reacting with an empty batch is a
 pass.  States are strategy-private.  A translation machine's state is
-exactly its books: the mirror's is its tight tree, the map-keeper's its
-node map, whose keys are the tight tree's outer nodes.  So a reply
+exactly its books: the mirror's is its tight tree, the map-keeper's is
+its node map itself, a sorted tuple of pairs whose keys are the tight
+tree's outer nodes, and the trace audit reads that tuple.  So a reply
 depends only on the state and the environment's latest move,
 ``position[-1]``; a reaction that changes no book returns the state it
 was given, so states are hashable values, equal exactly when the books
@@ -52,15 +53,15 @@ from .recurrence import NodeTree
 def grow_to_actual(tree: NodeTree, w: str) -> tuple[tuple[str, ...], NodeTree]:
     """Replication moves making ``w`` an actual node of ``tree``, and the grown tree.
 
-    Replicates each proper prefix of ``w`` that is an outer node, from the
-    root down (each prefix is then actual, so each step is legal).  No
-    moves when ``w`` is already actual.
+    Replicates each proper prefix of ``w`` that ``replicate`` accepts (the
+    outer ones), from the root down (each prefix is then actual, so each
+    step is legal).  No moves when ``w`` is already actual.
     """
     chain: list[str] = []
     for u in (w[:k] for k in range(len(w))):
-        if u in tree.outer():
+        if (grown := tree.replicate(u)) is not None:
             chain.append(u + ":")
-            tree = tree.replicate(u)
+            tree = grown
     return tuple(chain), tree
 
 
@@ -83,7 +84,7 @@ class MirrorStrategy:
     """
 
     def init(self) -> NodeTree:
-        return NodeTree(frozenset())
+        return NodeTree()
 
     def react(self, tree: NodeTree, position: Run) -> tuple[NodeTree, tuple[str, ...]]:
         move = position[-1].move
@@ -100,39 +101,35 @@ class MirrorStrategy:
         return tree, ()
 
 
-@dataclass(frozen=True)
-class _R2State:
-    """The map-maintaining routine's books: its node map, whose keys are
-    the outer nodes of the environment's tight tree."""
-
-    fmap: tuple[tuple[str, str], ...]
+_NodeMap = tuple[tuple[str, str], ...]
 
 
-def _freeze(mapping: dict[str, str]) -> tuple[tuple[str, str], ...]:
+def _freeze(mapping: dict[str, str]) -> _NodeMap:
     return tuple(sorted(mapping.items()))
 
 
 class RemapStrategy:
     """Map-maintaining strategy for compounds of the form or(cbr_l(not(A)), tbr_t(A)).
 
-    The tree of the tight component (grown by the adversary) is kept only
-    as the keys of the mapping ``f`` from its outer nodes to loose-side
-    addresses.  ``react`` sees only legal positions.
+    Its state is its node map ``f``, sorted: the pairs from the outer
+    nodes of the tight component's tree (grown by the adversary) to
+    loose-side addresses, so the tree is kept only as the map's keys.
+    ``react`` sees only legal positions.
     """
 
-    def init(self) -> _R2State:
-        return _R2State(fmap=(("", ""),))
+    def init(self) -> _NodeMap:
+        return (("", ""),)
 
-    def react(self, state: _R2State, position: Run) -> tuple[_R2State, tuple[str, ...]]:
+    def react(self, state: _NodeMap, position: Run) -> tuple[_NodeMap, tuple[str, ...]]:
         move = position[-1].move
         component, rest = move[0], move[2:]
         sh = parse_move(rest)
-        f = dict(state.fmap)
+        f = dict(state)
         if component == "2" and sh.kind is ShapeKind.REPLICATIVE:
             # The replicated node's address splits between its two children.
             w, v = sh.address, f.pop(sh.address)
             f[w + "0"], f[w + "1"] = v + "0", v + "1"
-            return _R2State(_freeze(f)), ()
+            return _freeze(f), ()
         if component == "2" and sh.kind is ShapeKind.SWITCH:
             # To the one outer node among a, a0, a00, ...; ValueError if none or two.
             a = sh.address
@@ -152,7 +149,7 @@ class RemapStrategy:
                 tail = w[len(f[x]):]
                 f[x] = f[x] + "0" * len(tail)
                 moves = (f"2.{x}.{sh.payload}",) if "1" not in tail else ()
-                return _R2State(_freeze(f)), moves
+                return _freeze(f), moves
             targets = sorted(x for x, v in f.items() if v.startswith(w))
             return state, tuple(f"2.{x}.{sh.payload}" for x in targets)
         return state, ()
@@ -272,19 +269,18 @@ def run_interaction(machine, env, game: Game, max_steps: int) -> Trace:
     return Trace(run, tuple(notes), outcome, first_offender, truncated)
 
 
-def exhaustive_adversaries(game: Game, machine, bounds: EnumBounds, budget: int,
+def exhaustive_adversaries(game: Game, machine, max_address_len: int, budget: int,
                            max_steps: int = 64) -> Iterator[Trace]:
     """The machine's play against every adversary of at most ``budget`` moves.
 
     An adversary plays, after each machine response, one of the legal
-    moves within bounds or a pass; passing ends the play, so adversaries
-    are exactly the scripts of at most ``budget`` such moves, and a
-    play's last position is where its script's next move is chosen.
-    Scripts are walked depth-first in ascending move order, and each is
-    played once from the empty run; a truncated play has no children.
-    Deterministic and duplicate-free; nothing is cached.  Only
-    ``bounds.max_address_len`` is read: ``budget`` and ``max_steps`` bound
-    the plays, whatever ``bounds.max_run_len`` says.
+    moves at addresses of at most ``max_address_len`` bits, or a pass;
+    passing ends the play, so adversaries are exactly the scripts of at
+    most ``budget`` such moves, and a play's last position is where its
+    script's next move is chosen.  Scripts are walked depth-first in
+    ascending move order, and each is played once from the empty run; a
+    truncated play has no children.  Deterministic and duplicate-free;
+    nothing is cached.  ``budget`` and ``max_steps`` bound the plays.
     """
     stack: list[tuple[str, ...]] = [()]
     while stack:
@@ -293,6 +289,6 @@ def exhaustive_adversaries(game: Game, machine, bounds: EnumBounds, budget: int,
         # Children are found before the yield, so the time a consumer sees
         # between two traces covers one play and its own legal_moves call.
         if len(script) < budget and not trace.truncated:
-            options = sorted(game.legal_moves(trace.moves, BOT, bounds.max_address_len))
+            options = sorted(game.legal_moves(trace.moves, BOT, max_address_len))
             stack.extend(script + (m,) for m in reversed(options))
         yield trace

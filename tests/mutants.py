@@ -50,6 +50,8 @@ _ONE_CALL = _DELAY + "TestOneSearchForBothVerdicts::test_one_call_equals_the_two
 _SUITE_TABLES = _DELAY + "TestRunTableAgainstReference::test_suite_games"
 _LATE = _DELAY + "TestLateCounterexamples::test_first_counterexample_is_the_smallest_of_length_3"
 _POOL = "tests/test_state.py::TestMovePool::test_every_offered_move_and_a_junk_move"
+_REC = "tests/test_recurrence.py::"
+_SIM = "tests/test_sim.py::"
 
 MUTANTS = (
     # _StateScan.verdicts, the one reader of the delay count
@@ -116,6 +118,43 @@ MUTANTS = (
         "sys.setrecursionlimit(frames + n)",
         "sys.setrecursionlimit(frames)",
         (_DELAY + "TestLateCounterexamples::test_a_counterexample_at_the_longest_run_bound_decodes",),
+    ),
+    # the tight tree's replication rule and the verdicts built on it
+    Mutant(
+        "outer-nodes-include-the-replicated-ones", "recurrence",
+        "return _nodes_of(replicated) - replicated",
+        "return _nodes_of(replicated)",
+        (_REC + "TestActualNodes::test_single_replication", _DELAY + "TestPinnedResults::test_the_honest_pool_results",
+         _SIM + "TestVerifyTranslation::test_budget_three_traces_are_pinned"),
+    ),
+    Mutant(
+        "replicate-accepts-any-address", "recurrence",
+        " if w in _outer_of(self.replicated) else None",
+        "",
+        (_REC + "TestTightExtension::test_replication_only_at_outer",
+         _REC + "TestActualNodes::test_replications_off_the_outer_nodes_do_not_count",
+         _REC + "TestActualNodes::test_replicate_refuses_all_but_outer_nodes"),
+    ),
+    Mutant(
+        "static-verdict-inverted", "delay",
+        "return self.counterexample is None",
+        "return self.counterexample is not None",
+        (_DELAY + "TestIsStatic::test_leaf_game_is_static",
+         "tests/test_acceptance.py::test_criterion_3_static_preservation"),
+    ),
+    Mutant(
+        "precheck-refuses-only-past-the-run-bound-ceiling", "sim",
+        "if n >= MAX_RUN_LEN:",
+        "if n > MAX_RUN_LEN:",
+        (_SIM + "TestVerifyTranslation::test_step_cap_past_the_ceiling_is_refused",
+         _SIM + "TestVerifyStaticPreservation::test_a_run_bound_without_room_for_the_base_check_is_refused"),
+    ),
+    Mutant(
+        "audit-skips-the-node-map-domain-check", "sim",
+        "if frozenset(k for k, _ in fmap) != expected:",
+        "if False:",
+        (_SIM + "TestAuditTrace::test_flags_a_map_domain_off_the_outer_nodes",
+         "tests/test_acceptance.py::test_criterion_6_harness_sensitivity"),
     ),
 )
 

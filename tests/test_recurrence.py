@@ -128,12 +128,33 @@ class TestActualNodes:
             if state is not None:
                 assert actual_nodes(run, BOT) == state.tree, run
 
+    @pytest.mark.parametrize("grown, w", [
+        (("", "0"), ""),  # inner: the root, with grandchildren
+        (("", "0"), "0"),  # replicated already, its children leaves
+        (("", "0"), "000"),  # no node: below the leaf 00
+        ((), "0"),  # no node: the bare root has no children
+        (("", "1", "10"), "0a"),  # no address at all
+    ], ids=["inner", "replicated", "below-a-leaf", "child-of-the-bare-root", "not-an-address"])
+    def test_replicate_refuses_all_but_outer_nodes(self, grown, w):
+        tree = NodeTree()
+        for u in grown:
+            tree = tree.replicate(u)
+        assert tree.replicate(w) is None
+        for u in tree.outer():
+            grown = tree.replicate(u)
+            assert grown.outer() == outer_brute(grown.nodes())
+
     @pytest.mark.parametrize("cached", [_nodes_of, _outer_of], ids=lambda f: f.__name__)
     def test_distinct_trees_past_the_bound_leave_the_cache_at_it(self, cached):
         bound = cached.cache_info().maxsize
         assert bound is not None
         for i in range(bound + 10):
-            NodeTree(frozenset({f"{i:b}"})).outer()
+            # a distinct tree per i, grown as play grows it: replicate the
+            # root and each prefix of i's binary digits, then the digits
+            tree, w = NodeTree(), f"{i:b}"
+            for k in range(len(w) + 1):
+                tree = tree.replicate(w[:k])
+            tree.outer()
         assert cached.cache_info().currsize == bound
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import replace
 
 import pytest
 
@@ -204,7 +203,7 @@ class TestRunInteraction:
         switched, moves = machine.react(split, trace.moves[:2])
         assert moves == ("1.1",)
         assert [n.state for n in trace.notes] == [split, switched]
-        assert dict(trace.notes[0].state.fmap) == {"0": "0", "1": "1"}
+        assert dict(trace.notes[0].state) == {"0": "0", "1": "1"}
         # the switch changes no book, so its note keeps the state it was given
         assert trace.notes[1].state is trace.notes[0].state
 
@@ -293,8 +292,9 @@ class TestVerifyTranslation:
             for direction in Direction:
                 compound = translation_compound(base, direction)
                 machine = sim.strategy_for(compound, direction)
-                for t in exhaustive_adversaries(compound, machine, EnumBounds(2, 64), 3, max_steps=64):
-                    notes = [(n.reacted_to, getattr(n.state, "fmap", None)) for n in t.notes]
+                for t in exhaustive_adversaries(compound, machine, 2, 3, max_steps=64):
+                    notes = [(n.reacted_to, n.state if direction is Direction.LOOSE_TO_TIGHT else None)
+                             for n in t.notes]
                     digest.update(repr((t.moves, notes, t.outcome, t.offender, t.truncated)).encode())
                     count += 1
         assert (count, digest.hexdigest()[:16]) == (6493, "da7edfd40f992ba4")
@@ -435,7 +435,7 @@ class TestAuditTrace:
             assert audit_trace(cut, Direction.LOOSE_TO_TIGHT, game) == found
 
     def test_flags_map_values_that_prefix_each_other(self):
-        state = replace(RemapStrategy().init(), fmap=(("0", "0"), ("1", "0")))
+        state = (("0", "0"), ("1", "0"))
         assert self._loose_to_tight("2.:", state) == (
             "fmap: values not prefix-free after step 0",)
 

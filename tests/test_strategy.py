@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -121,11 +119,11 @@ class TestRemapStrategy:
         game = compound2(bot_choice())
         machine = RemapStrategy()
         state = machine.init()
-        assert state.fmap == (("", ""),)
+        assert state == (("", ""),)
         position = (lm(BOT, "2.:"),)
         state, moves = machine.react(state, position)
         assert moves == ()
-        assert dict(state.fmap) == {"0": "0", "1": "1"}
+        assert dict(state) == {"0": "0", "1": "1"}
 
     def test_switch_follows_zero_path_to_outer(self):
         game = compound2(bot_choice())
@@ -154,7 +152,7 @@ class TestRemapStrategy:
     @pytest.mark.parametrize("keys", [("1",), ("0", "00")], ids=["none", "two"])
     def test_switch_without_one_zero_path_key_raises(self, keys):
         # a map whose keys are no tree's outer nodes: no key, or two, on the zero path from 0
-        state = replace(RemapStrategy().init(), fmap=tuple((k, k) for k in keys))
+        state = tuple((k, k) for k in keys)
         with pytest.raises(ValueError):
             RemapStrategy().react(state, (lm(BOT, "2.0"),))
 
@@ -165,8 +163,8 @@ class TestRemapStrategy:
         position = (lm(BOT, "1.01.a"),)
         state, moves = machine.react(state, position)
         assert moves == ()
-        assert dict(state.fmap) == {"": "00"}
-        assert fmap_prefix_free(state.fmap)
+        assert dict(state) == {"": "00"}
+        assert fmap_prefix_free(state)
 
     def test_relays_on_ray_loose_move(self):
         game = compound2(top_choice())
@@ -177,7 +175,7 @@ class TestRemapStrategy:
         # "00" extends the root's empty address with zeros only, so the
         # move sits on the mapped ray and is relayed into the tight side
         assert moves == ("2..a",)
-        assert dict(state.fmap) == {"": "00"}
+        assert dict(state) == {"": "00"}
 
     def test_broadcasts_tight_move_to_all_outer_nodes(self):
         game = compound2(bot_choice())
@@ -190,7 +188,7 @@ class TestRemapStrategy:
         position = position + (lm(BOT, "2..b"),)
         state, moves = machine.react(state, position)
         assert moves == ("1.00.b", "1.01.b", "1.1.b")
-        assert frozenset(k for k, _ in state.fmap) == {"00", "01", "1"}
+        assert frozenset(k for k, _ in state) == {"00", "01", "1"}
 
     def test_fmap_domain_tracks_outer_nodes(self):
         game = compound2(bot_choice())
@@ -200,8 +198,8 @@ class TestRemapStrategy:
         )
         assert trace.offender is None
         for note in trace.notes:
-            assert note.state.fmap is not None
-            assert fmap_prefix_free(note.state.fmap)
+            assert note.state is not None
+            assert fmap_prefix_free(note.state)
 
 
 def books_after(machine, env_moves):
@@ -247,7 +245,7 @@ class TestMachineBooks:
         for base in TRANSLATION_SUITE:
             game = translation_compound(base, direction)
             machine = TreeOracle(strategy_for(game, direction), direction)
-            played += sum(1 for _ in exhaustive_adversaries(game, machine, EnumBounds(2, 64), budget=3))
+            played += sum(1 for _ in exhaustive_adversaries(game, machine, 2, budget=3))
             checked += machine.checked
         assert played == adversaries
         assert checked > played
@@ -291,7 +289,7 @@ class TestExhaustiveAdversaries:
     def test_budget_zero_single_behavior(self):
         game = compound1(leaf_top())
         machine = MirrorStrategy()
-        traces = list(exhaustive_adversaries(game, machine, BOUNDS, budget=0))
+        traces = list(exhaustive_adversaries(game, machine, BOUNDS.max_address_len, budget=0))
         assert [t.moves for t in traces] == [()]
 
     def test_budget_one_counts_moves_plus_pass(self):
@@ -299,7 +297,7 @@ class TestExhaustiveAdversaries:
         machine = MirrorStrategy()
         k = len(game.legal_moves((), BOT, BOUNDS.max_address_len))
         assert k > 0
-        count = sum(1 for _ in exhaustive_adversaries(game, machine, BOUNDS, budget=1, max_steps=20))
+        count = sum(1 for _ in exhaustive_adversaries(game, machine, BOUNDS.max_address_len, budget=1, max_steps=20))
         assert count == k + 1
 
     def test_budget_two_matches_independent_recount(self):
@@ -320,7 +318,7 @@ class TestExhaustiveAdversaries:
             return total
 
         expected = recount((), machine.init(), 2)
-        count = sum(1 for _ in exhaustive_adversaries(game, machine, BOUNDS, budget=2, max_steps=30))
+        count = sum(1 for _ in exhaustive_adversaries(game, machine, BOUNDS.max_address_len, budget=2, max_steps=30))
         assert count == expected
 
     @pytest.mark.parametrize("base", [bot_choice, alternating])
@@ -329,7 +327,7 @@ class TestExhaustiveAdversaries:
         game = translation_compound(base(), direction)
         machine = strategy_for(game, direction)
         scripts = []
-        for trace in exhaustive_adversaries(game, machine, BOUNDS, budget=2, max_steps=30):
+        for trace in exhaustive_adversaries(game, machine, BOUNDS.max_address_len, budget=2, max_steps=30):
             script = tuple(m.move for m in trace.moves if m.label is BOT)
             assert trace == run_interaction(machine, scripted_adversary(script), game, 30)
             scripts.append(script)
@@ -360,7 +358,7 @@ class TestExhaustiveAdversaries:
             return found
 
         expected = plays((), machine.init(), 3)
-        traces = exhaustive_adversaries(game, machine, BOUNDS, budget=3, max_steps=max_steps)
+        traces = exhaustive_adversaries(game, machine, BOUNDS.max_address_len, budget=3, max_steps=max_steps)
         assert [(t.moves, t.truncated) for t in traces] == expected
         assert any(truncated for _, truncated in expected)
 
